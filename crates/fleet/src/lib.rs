@@ -1,9 +1,12 @@
 //! # tee-fleet
 //!
 //! KV-cache-aware fleet serving simulator on the `tee-sim` discrete-event
-//! core: M continuous-batching serving instances (each a [`des`]
-//! component priced by a calibrated surrogate of the fused NPU
-//! iteration) behind a cluster [`router::Router`] with
+//! core: M continuous-batching serving instances behind a cluster
+//! [`router::Router`]. Each instance is a [`tee_serve::Instance`] — the
+//! same batching core `tee_serve::simulate` runs — wrapped as a [`des`]
+//! component, without a KV pool and priced by the [`IterCost`] surrogate
+//! of the fused NPU iteration, calibrated once per run on the configured
+//! NPU. The router adds
 //!
 //! * pluggable placement ([`Policy`]): round-robin, least-loaded, and
 //!   KV-aware (follow-up turns of a session go home to the instance
@@ -41,13 +44,11 @@
 //! ```
 
 pub mod config;
-pub mod cost;
-pub mod instance;
 pub mod report;
 pub mod router;
 pub mod sim;
 
 pub use config::{AutoscaleConfig, FleetConfig, Policy};
-pub use cost::IterCost;
 pub use report::FleetReport;
-pub use sim::{simulate, simulate_probed, Msg, Node};
+pub use sim::{simulate, simulate_probed};
+pub use tee_serve::IterCost;

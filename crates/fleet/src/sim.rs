@@ -1,17 +1,20 @@
-//! Fleet simulation assembly: the message type, the component enum, and
-//! the top-level [`simulate`] entry point.
+//! Fleet simulation assembly: the message type, the component enum
+//! adapting [`tee_serve::Instance`] to the DES core, and the top-level
+//! [`simulate`] entry point.
 
 use crate::config::FleetConfig;
-use crate::cost::IterCost;
-use crate::instance::Instance;
 use crate::report::FleetReport;
 use crate::router::Router;
+use tee_npu::NpuEngine;
 use tee_serve::config::{KvSpec, SecurityProfile};
-use tee_serve::SessionRequest;
-use tee_sim::des::{Component, Ctx, Scheduler};
+use tee_serve::{Instance, IterCost, Pricer, SessionRequest};
+use tee_sim::des::{Component, ComponentId, Ctx, Scheduler};
 use tee_sim::probe::SharedProbe;
 use tee_sim::{Histogram, Time};
 use tee_workloads::zoo::ModelConfig;
+
+/// Component id of the router; instance `i` is component `i + 1`.
+const ROUTER: ComponentId = 0;
 
 /// Messages exchanged inside a fleet simulation.
 #[derive(Debug, Clone, Copy)]
@@ -35,12 +38,14 @@ pub enum Msg {
     Warmed(usize),
 }
 
-/// The component universe of one fleet scheduler: component 0 is the
-/// router, components `1..=M` are instances.
+/// The component universe of one fleet scheduler: the router, and the
+/// serving instances with their fleet index. An instance admits
+/// [`Msg::Dispatch`]es, stalls on [`Msg::Stall`]s, ticks at its wake
+/// time and reports each finished turn to the router as [`Msg::Done`].
 #[derive(Debug)]
-pub enum Node {
+enum Node {
     Router(Box<Router>),
-    Instance(Box<Instance>),
+    Instance(usize, Box<Instance>),
 }
 
 impl Component for Node {
@@ -49,28 +54,38 @@ impl Component for Node {
     fn next_tick(&self) -> Time {
         match self {
             Node::Router(r) => r.next_tick(),
-            Node::Instance(i) => i.next_tick(),
+            Node::Instance(_, inst) => inst.next_wake(),
         }
     }
 
     fn tick(&mut self, now: Time, ctx: &mut Ctx<'_, Msg>) {
         match self {
             Node::Router(r) => r.tick(now, ctx),
-            Node::Instance(i) => i.tick(now, ctx),
+            Node::Instance(index, inst) => {
+                let instance = *index;
+                inst.tick(now, |req| {
+                    let session = req.session;
+                    ctx.send(ROUTER, Msg::Done { instance, session });
+                });
+            }
         }
     }
 
     fn receive(&mut self, now: Time, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
-        match self {
-            Node::Router(r) => r.receive(now, msg, ctx),
-            Node::Instance(i) => i.receive(now, msg, ctx),
+        match (self, msg) {
+            (Node::Router(r), msg) => r.receive(now, msg, ctx),
+            (Node::Instance(_, inst), Msg::Dispatch(req)) => inst.admit(now, req),
+            (Node::Instance(_, inst), Msg::Stall(d)) => inst.stall(now, d),
+            (Node::Instance(index, _), other) => {
+                unreachable!("instance {index} got a router message: {other:?}")
+            }
         }
     }
 
     fn label(&self) -> String {
         match self {
             Node::Router(_) => "router".to_string(),
-            Node::Instance(i) => format!("NPU{}", i.index()),
+            Node::Instance(index, _) => format!("NPU{index}"),
         }
     }
 }
@@ -111,10 +126,13 @@ pub fn simulate_probed(
     probe: &SharedProbe,
 ) -> FleetReport {
     let kv = KvSpec::of(model);
-    let cost = IterCost::calibrate(model, profile);
+    // Every instance is priced by one surrogate, calibrated on the
+    // configured NPU.
+    let engine = NpuEngine::new(cfg.serve.npu.clone(), profile.mac);
+    let pricer = Pricer::Calibrated(IterCost::calibrate_on(&engine, model));
     let mut sched: Scheduler<Node> = Scheduler::new();
     sched.set_probe(probe.clone());
-    let router_id = sched.add(Node::Router(Box::new(
+    sched.add(Node::Router(Box::new(
         Router::new(
             cfg,
             kv.bytes_per_token,
@@ -124,27 +142,23 @@ pub fn simulate_probed(
         .with_probe(probe.clone()),
     )));
     for i in 0..cfg.n_instances {
-        sched.add(Node::Instance(Box::new(
-            Instance::new(
-                i,
-                router_id,
-                cost,
-                cfg.serve.max_batch,
-                cfg.serve.prefill_token_budget,
-            )
-            .with_probe(probe.clone()),
-        )));
+        let inst = Instance::new(&cfg.serve, model, pricer.clone()).with_probe(
+            probe.clone(),
+            format!("NPU{i}"),
+            "fleet",
+        );
+        sched.add(Node::Instance(i, Box::new(inst)));
     }
     for r in trace {
-        sched.send_at(r.request.arrival, router_id, Msg::Arrive(*r));
+        sched.send_at(r.request.arrival, ROUTER, Msg::Arrive(*r));
     }
     let makespan = sched.run();
     if probe.enabled() {
         // End-of-run sample of the aggregate KV-handoff wire time; keeps
         // the `link` track present (at zero) even for migration-free runs.
-        let wire: Time = match &sched.components()[0] {
+        let wire: Time = match &sched.components()[ROUTER] {
             Node::Router(r) => r.accounting().handoff_transfer,
-            Node::Instance(_) => unreachable!("component 0 is the router"),
+            Node::Instance(..) => unreachable!("component 0 is the router"),
         };
         probe.gauge("link", "handoff_wire_ps", makespan, wire.as_ps());
     }
@@ -180,8 +194,8 @@ pub fn simulate_probed(
                 report.handoff_exposed_time = acc.handoff_exposed;
                 report.router_stats = acc.stats;
             }
-            Node::Instance(inst) => {
-                let m = &inst.metrics;
+            Node::Instance(_, inst) => {
+                let m = inst.report();
                 report.output_tokens += m.output_tokens;
                 report.iterations += m.iterations;
                 report.ttft_ns.merge(&m.ttft_ns);

@@ -1,10 +1,15 @@
 //! End-to-end fleet claims: determinism, KV-aware placement cutting
 //! migrations, the staged-vs-direct exposed-handoff gap, admission
-//! control, and threshold autoscaling.
+//! control, threshold autoscaling, pricing on the configured NPU, and
+//! the differential against `tee_serve::Instance::run`.
 
 use tee_fleet::{simulate, simulate_probed, AutoscaleConfig, FleetConfig, FleetReport, Policy};
+use tee_npu::NpuEngine;
 use tee_serve::config::SecurityProfile;
-use tee_serve::{Diurnal, ServeConfig, SessionRequest, SessionTraceConfig};
+use tee_serve::{
+    Diurnal, Instance, IterCost, Pricer, Request, ServeConfig, ServeReport, SessionRequest,
+    SessionTraceConfig, TraceConfig,
+};
 use tee_sim::probe::SharedProbe;
 use tee_sim::Time;
 use tee_workloads::zoo::{by_name, ModelConfig};
@@ -198,4 +203,115 @@ fn single_instance_never_migrates() {
     let r = run(&fleet(1), &SecurityProfile::sgx_mgx(), &t);
     assert_eq!(r.migrations, 0, "one instance, KV always home");
     assert_eq!(r.handoff_exposed_time, Time::ZERO);
+}
+
+#[test]
+fn instances_are_priced_on_the_configured_npu() {
+    // A quarter-width PE array slows compute-bound prefills, so the same
+    // trace must finish its first tokens later than on the Table-1 NPU.
+    let t = trace(64, 7);
+    let profile = SecurityProfile::tensor_tee();
+    let table1 = run(&fleet(2), &profile, &t);
+    let mut narrow = fleet(2);
+    narrow.serve.npu.pe_dim /= 4;
+    let narrow = run(&narrow, &profile, &t);
+    assert!(
+        narrow.ttft_ns.mean() > table1.ttft_ns.mean(),
+        "narrow {} vs table-1 {} ns mean TTFT",
+        narrow.ttft_ns.mean(),
+        table1.ttft_ns.mean()
+    );
+}
+
+/// The one-instance fleet that serves a single-turn trace like
+/// `Instance::run`: round-robin, no autoscaling, a queue bound that
+/// never rejects.
+fn one_instance(n: usize) -> FleetConfig {
+    fleet(1).with_policy(Policy::RoundRobin).with_queue_bound(n)
+}
+
+/// `trace` served by `Instance::run` on a calibrated instance with no KV
+/// bound.
+fn calibrated_serve(
+    cfg: &FleetConfig,
+    profile: &SecurityProfile,
+    trace: &[Request],
+) -> ServeReport {
+    let m = model();
+    let engine = NpuEngine::new(cfg.serve.npu.clone(), profile.mac);
+    let pricer = Pricer::Calibrated(IterCost::calibrate_on(&engine, &m));
+    Instance::new(&cfg.serve, &m, pricer).run(trace)
+}
+
+fn sessions(trace: &[Request]) -> Vec<SessionRequest> {
+    trace.iter().copied().map(SessionRequest::from).collect()
+}
+
+#[test]
+fn one_instance_fleet_matches_calibrated_serve() {
+    // Differential: both sides run the same `tee_serve::Instance`, one
+    // driven by `Instance::run` and one by the fleet's router hop and DES
+    // scheduler, so every distribution and count must agree exactly.
+    //
+    // The one allowed divergence is an arrival on the exact picosecond an
+    // iteration ends: `Instance::run` admits it into the next iteration,
+    // while the fleet's router forwards it one delta sub-round after the
+    // instance has already launched that iteration (pinned below). These
+    // traces have no such tie.
+    for (profile, trace) in [
+        (
+            SecurityProfile::tensor_tee(),
+            TraceConfig::poisson(48, 24.0, 13),
+        ),
+        (
+            SecurityProfile::sgx_mgx(),
+            TraceConfig::bursty(48, 24.0, 6, 17),
+        ),
+        (
+            SecurityProfile::non_secure(),
+            TraceConfig::poisson(48, 96.0, 5),
+        ),
+    ] {
+        let requests = trace.generate();
+        let cfg = one_instance(requests.len());
+        let f = run(&cfg, &profile, &sessions(&requests));
+        let s = calibrated_serve(&cfg, &profile, &requests);
+        assert_eq!(f.rejected_requests, 0);
+        assert_eq!(f.completed_requests, s.completed_requests);
+        assert_eq!(f.ttft_ns, s.ttft_ns, "{}", profile.label);
+        assert_eq!(f.latency_ns, s.latency_ns, "{}", profile.label);
+        assert_eq!(f.tpot_ns, s.tpot_ns, "{}", profile.label);
+        assert_eq!(f.iterations, s.iterations, "{}", profile.label);
+        assert_eq!(f.output_tokens, s.output_tokens, "{}", profile.label);
+        assert_eq!(f.makespan, s.makespan, "{}", profile.label);
+    }
+}
+
+#[test]
+fn arrival_on_an_iteration_end_joins_one_iteration_later_in_the_fleet() {
+    // The documented divergence: request 1 arrives on the picosecond the
+    // prefill iteration of request 0 ends. `Instance::run` admits it into
+    // the very next iteration; the fleet's router hop delivers it one
+    // delta sub-round late, after that iteration launched.
+    let m = model();
+    let profile = SecurityProfile::tensor_tee();
+    let cfg = one_instance(2);
+    let engine = NpuEngine::new(cfg.serve.npu.clone(), profile.mac);
+    let prefill = IterCost::calibrate_on(&engine, &m).iteration(&[64], 0, 0);
+    let request = |id: u32, arrival: Time| Request {
+        id,
+        arrival,
+        prompt_tokens: 64,
+        output_tokens: 4,
+    };
+    let requests = [request(0, Time::ZERO), request(1, prefill)];
+    let f = run(&cfg, &profile, &sessions(&requests));
+    let s = calibrated_serve(&cfg, &profile, &requests);
+    assert_eq!(s.ttft_ns.min(), f.ttft_ns.min(), "request 0 is unaffected");
+    assert!(
+        f.ttft_ns.max() > s.ttft_ns.max(),
+        "fleet {:?} vs serve {:?} TTFT of request 1",
+        f.ttft_ns.max(),
+        s.ttft_ns.max()
+    );
 }

@@ -12,8 +12,13 @@
 //!   [`SecurityProfile`] mapping each paper mode to a MAC scheme + KV
 //!   transfer protocol (coarse-MAC + staging vs tensor-MAC + direct),
 //! * [`kv`] — the bounded HBM [`KvPool`] with LRU spill to CPU DRAM,
-//! * [`scheduler`] — the continuous-batching discrete-event loop pricing
-//!   fused prefill/decode iterations through [`tee_npu::NpuEngine`],
+//! * [`cost`] — the fused prefill/decode iteration kernel and its
+//!   [`Pricer`]: exact through [`tee_npu::NpuEngine`], or the calibrated
+//!   [`IterCost`] surrogate,
+//! * [`scheduler`] — the continuous-batching [`Instance`] (admission,
+//!   optional KV pool, stall window, completion accounting) that both
+//!   [`simulate`] and `tee-fleet` run, and the trace loop feeding
+//!   [`simulate`]'s one exact-priced instance,
 //! * [`report`] — [`ServeReport`]: TTFT/TPOT/latency percentiles,
 //!   goodput, and exposed KV-migration time.
 //!
@@ -32,15 +37,17 @@
 //! ```
 
 pub mod config;
+pub mod cost;
 pub mod kv;
 pub mod report;
 pub mod scheduler;
 pub mod trace;
 
 pub use config::{KvProtocol, KvSpec, SecurityProfile, ServeConfig};
+pub use cost::{IterCost, Pricer};
 pub use kv::{KvPool, Residency};
 pub use report::ServeReport;
-pub use scheduler::{simulate, simulate_probed};
+pub use scheduler::{simulate, simulate_probed, Instance};
 pub use trace::{
     ArrivalProcess, Diurnal, Request, SessionRequest, SessionTraceConfig, TraceConfig,
 };

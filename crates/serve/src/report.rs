@@ -40,6 +40,24 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
+    /// An empty report: nothing offered, nothing served.
+    pub(crate) fn new() -> Self {
+        ServeReport {
+            total_requests: 0,
+            completed_requests: 0,
+            output_tokens: 0,
+            makespan: Time::ZERO,
+            iterations: 0,
+            ttft_ns: Histogram::new(),
+            latency_ns: Histogram::new(),
+            tpot_ns: Histogram::new(),
+            npu_time: Time::ZERO,
+            kv_transfer_time: Time::ZERO,
+            kv_exposed_time: Time::ZERO,
+            kv_stats: StatSet::new("kv_pool"),
+        }
+    }
+
     /// Goodput: completed output tokens per second of makespan.
     pub fn goodput_tps(&self) -> f64 {
         let secs = self.makespan.as_secs_f64();
@@ -85,26 +103,9 @@ impl ServeReport {
 mod tests {
     use super::*;
 
-    fn empty() -> ServeReport {
-        ServeReport {
-            total_requests: 0,
-            completed_requests: 0,
-            output_tokens: 0,
-            makespan: Time::ZERO,
-            iterations: 0,
-            ttft_ns: Histogram::new(),
-            latency_ns: Histogram::new(),
-            tpot_ns: Histogram::new(),
-            npu_time: Time::ZERO,
-            kv_transfer_time: Time::ZERO,
-            kv_exposed_time: Time::ZERO,
-            kv_stats: StatSet::new("kv_pool"),
-        }
-    }
-
     #[test]
     fn empty_report_is_sane() {
-        let r = empty();
+        let r = ServeReport::new();
         assert_eq!(r.goodput_tps(), 0.0);
         assert_eq!(r.ttft_percentile(0.99), None);
         assert_eq!(r.kv_exposed_fraction(), 0.0);
@@ -113,7 +114,7 @@ mod tests {
 
     #[test]
     fn goodput_and_percentiles_follow_the_samples() {
-        let mut r = empty();
+        let mut r = ServeReport::new();
         r.output_tokens = 1_000;
         r.makespan = Time::from_ms(500);
         r.ttft_ns.record(1_000_000);

@@ -1,71 +1,411 @@
-//! The continuous-batching serving simulator.
+//! The continuous-batching serving instance, shared by `tee-serve` and
+//! `tee-fleet`, and the trace loop behind [`simulate`].
 //!
-//! A deterministic discrete-event loop on [`tee_sim::EventQueue`]
-//! (Orca/vLLM-style iteration-level scheduling):
+//! An [`Instance`] runs Orca/vLLM-style iteration-level scheduling:
 //!
-//! 1. arrivals join a FIFO admission queue,
+//! 1. requests join a FIFO admission queue ([`Instance::admit`]),
 //! 2. each iteration admits waiting requests up to `max_batch` slots and
-//!    `prefill_token_budget` new prompt tokens, then schedules the subset
-//!    of active requests whose KV caches fit the HBM budget (in admission
-//!    order; surplus KV offloads to CPU DRAM via [`crate::kv::KvPool`]),
-//! 3. the iteration is priced as **one fused NPU kernel** through
-//!    [`tee_npu::NpuEngine`] under the profile's MAC scheme: model
-//!    weights stream once per iteration, prefill tokens add GEMM-shaped
-//!    work, decodes add GEMV-shaped work whose attention is
-//!    memory-bound KV streaming plus a small rescaling term (the
-//!    AMLA-style decode kernel shape — rescaling, not multiplies,
-//!    dominates FlashAttention decode; see PAPERS.md),
+//!    `prefill_token_budget` new prompt tokens, then — with a KV pool —
+//!    schedules the subset of active requests whose KV caches fit the HBM
+//!    budget (in admission order; surplus KV offloads to CPU DRAM via
+//!    [`KvPool`]),
+//! 3. the iteration is priced as **one fused NPU kernel** by the
+//!    instance's [`Pricer`]: exactly through [`tee_npu::NpuEngine`] under
+//!    the profile's MAC scheme, or by the calibrated
+//!    [`IterCost`](crate::cost::IterCost) surrogate,
 //! 4. KV fetch/offload traffic pays the profile's transfer protocol;
 //!    the direct protocol overlaps the iteration's compute, the staging
-//!    protocol serializes (§3.3 vs §4.4, as in training).
+//!    protocol serializes (§3.3 vs §4.4, as in training),
+//! 5. a stall ([`Instance::stall`]) extends the in-flight iteration or
+//!    holds back the next one — how a fleet's staged KV handoff
+//!    serializes against the destination's compute.
 //!
-//! The loop is bit-reproducible: same config + profile + trace → the
-//! same [`ServeReport`].
+//! [`simulate`] feeds a request trace to one exact-priced instance with a
+//! bounded KV pool; `tee-fleet` runs M calibrated instances without a
+//! pool as discrete-event components behind its router. Both are
+//! bit-reproducible: same inputs → the same report.
 
-use crate::config::{KvSpec, SecurityProfile, ServeConfig};
+use crate::config::{KvProtocol, KvSpec, SecurityProfile, ServeConfig};
+use crate::cost::Pricer;
 use crate::kv::KvPool;
 use crate::report::ServeReport;
-use crate::trace::Request;
+use crate::trace::{Request, SessionRequest};
 use std::collections::{BTreeSet, VecDeque};
 use tee_comm::schedule::exposed_time;
-use tee_npu::engine::{Layer, NpuEngine};
+use tee_npu::engine::NpuEngine;
 use tee_sim::probe::SharedProbe;
-use tee_sim::{EventQueue, Histogram, Time};
+use tee_sim::Time;
 use tee_workloads::zoo::ModelConfig;
-
-const FP16: u64 = 2;
-
-/// Discrete events of the serving loop.
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    /// Request `trace[i]` arrives.
-    Arrival(usize),
-    /// The in-flight iteration completes.
-    IterDone,
-}
 
 /// One admitted (active) request.
 #[derive(Debug, Clone, Copy)]
 struct Active {
-    id: u32,
-    arrival: Time,
-    prompt_tokens: u64,
-    /// Output tokens to produce, including the prefill-produced first one.
-    target_tokens: u64,
+    req: SessionRequest,
     /// Tokens produced so far (0 = still waiting for prefill).
     generated: u64,
     /// When the first token came out (set at the end of the prefill
     /// iteration).
     first_token_at: Option<Time>,
+    /// Scheduled in the in-flight iteration: always without a KV pool,
+    /// otherwise when its KV reservation succeeded.
+    scheduled: bool,
 }
 
 impl Active {
+    /// Cached context this request's attention streams: carried session
+    /// history, its own prompt and everything generated so far.
     fn context(&self) -> u64 {
-        self.prompt_tokens + self.generated
+        self.req.context_tokens + self.req.request.prompt_tokens + self.generated
     }
 }
 
-/// Simulates serving `trace` on one system under one security profile.
+/// A bounded HBM pool of per-request KV and the protocol its spills and
+/// fetches pay.
+#[derive(Debug)]
+struct Kv {
+    pool: KvPool,
+    protocol: KvProtocol,
+    bytes_per_token: u64,
+}
+
+/// One continuous-batching serving instance.
+///
+/// A caller drives it through three entry points: [`admit`](Self::admit)
+/// and [`stall`](Self::stall) at any time, [`tick`](Self::tick) at
+/// [`next_wake`](Self::next_wake). [`run`](Self::run) does so over a
+/// whole request trace; `tee-fleet` does so from DES messages.
+#[derive(Debug)]
+pub struct Instance {
+    model: ModelConfig,
+    pricer: Pricer,
+    max_batch: usize,
+    prefill_token_budget: u64,
+    /// `None` = unbounded KV: no residency bookkeeping at all.
+    kv: Option<Kv>,
+    waiting: VecDeque<SessionRequest>,
+    running: Vec<Active>,
+    /// Prompt lengths prefilled by the in-flight iteration (a reused
+    /// buffer).
+    prefills: Vec<u64>,
+    /// `true` while an iteration is in flight; its end is `wake`.
+    busy: bool,
+    /// Next tick: iteration end when busy, pending start otherwise.
+    wake: Time,
+    /// Earliest next iteration start (a stall received while idle).
+    stall_until: Time,
+    report: ServeReport,
+    probe: SharedProbe,
+    /// Probe track of the iteration spans.
+    track: String,
+    /// Probe counter prefix (`<prefix>.iterations`, …).
+    prefix: &'static str,
+}
+
+impl Instance {
+    /// Creates an idle instance with `cfg`'s batching knobs, pricing
+    /// `model`'s iterations with `pricer`, with unbounded KV.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.max_batch` is zero.
+    pub fn new(cfg: &ServeConfig, model: &ModelConfig, pricer: Pricer) -> Self {
+        assert!(cfg.max_batch > 0, "need at least one batch slot");
+        Instance {
+            model: *model,
+            pricer,
+            max_batch: cfg.max_batch,
+            prefill_token_budget: cfg.prefill_token_budget,
+            kv: None,
+            waiting: VecDeque::new(),
+            running: Vec::new(),
+            prefills: Vec::new(),
+            busy: false,
+            wake: Time::MAX,
+            stall_until: Time::ZERO,
+            report: ServeReport::new(),
+            probe: SharedProbe::Null,
+            track: String::new(),
+            prefix: "",
+        }
+    }
+
+    /// Bounds the KV caches to `budget` HBM bytes: KV
+    /// beyond it spills to CPU DRAM and pays `protocol` to come back.
+    pub fn with_kv_pool(mut self, budget: u64, protocol: KvProtocol) -> Self {
+        self.kv = Some(Kv {
+            pool: KvPool::new(budget),
+            protocol,
+            bytes_per_token: KvSpec::of(&self.model).bytes_per_token,
+        });
+        self
+    }
+
+    /// Installs an observability probe: iterations emit
+    /// prefill/decode/mixed spans on `track` and bump
+    /// `<prefix>.iterations`; KV migrations emit `link` transfer spans,
+    /// `CPU` spill/fetch instants and `<prefix>.kv_*` byte counters.
+    pub fn with_probe(mut self, probe: SharedProbe, track: String, prefix: &'static str) -> Self {
+        self.probe = probe;
+        self.track = track;
+        self.prefix = prefix;
+        self
+    }
+
+    /// When [`tick`](Self::tick) must run next ([`Time::MAX`] = idle
+    /// until a request arrives).
+    pub fn next_wake(&self) -> Time {
+        self.wake
+    }
+
+    /// Metrics so far. `kv_stats` is filled in by
+    /// [`into_report`](Self::into_report).
+    pub fn report(&self) -> &ServeReport {
+        &self.report
+    }
+
+    /// The finished report, with the KV pool's counters.
+    pub fn into_report(mut self) -> ServeReport {
+        if let Some(kv) = &self.kv {
+            self.report.kv_stats = kv.pool.stats().clone();
+        }
+        self.report
+    }
+
+    /// Queues `req` at `now`; an idle instance wakes (now, or when its
+    /// stall ends) to admit it.
+    pub fn admit(&mut self, now: Time, req: SessionRequest) {
+        self.report.total_requests += 1;
+        self.waiting.push_back(req);
+        if !self.busy {
+            self.wake = now.max(self.stall_until);
+        }
+    }
+
+    /// Serializes `d` of non-overlappable work against compute: extends
+    /// the in-flight iteration, or pushes back the next start.
+    pub fn stall(&mut self, now: Time, d: Time) {
+        if self.busy {
+            self.wake += d;
+        } else {
+            self.stall_until = self.stall_until.max(now) + d;
+            if self.wake != Time::MAX {
+                self.wake = self.wake.max(self.stall_until);
+            }
+        }
+    }
+
+    /// Runs the instance at `now` (its [`next_wake`](Self::next_wake)):
+    /// finishes the in-flight iteration, calling `on_done` for every
+    /// request that completed, then launches the next iteration if there
+    /// is work and no stall holds it back.
+    pub fn tick(&mut self, now: Time, on_done: impl FnMut(&SessionRequest)) {
+        if self.busy {
+            self.finish_iteration(now, on_done);
+            self.busy = false;
+        }
+        if now < self.stall_until {
+            self.wake = self.stall_until;
+            return;
+        }
+        self.start_iteration(now);
+    }
+
+    /// Serves `trace` to completion and returns the report. Arrivals are
+    /// taken in time order (trace order within a timestamp); everything
+    /// arriving at one timestamp is admitted before the instance ticks,
+    /// so co-arrivals, and arrivals on the picosecond an iteration ends,
+    /// join the next iteration together. Arrivals emit `CPU` instants.
+    pub fn run(mut self, trace: &[Request]) -> ServeReport {
+        let mut order: Vec<&Request> = trace.iter().collect();
+        order.sort_by_key(|r| r.arrival);
+        let mut arrivals = order.into_iter().peekable();
+        loop {
+            let next_arrival = arrivals.peek().map_or(Time::MAX, |r| r.arrival);
+            let now = next_arrival.min(self.wake);
+            if now == Time::MAX {
+                break;
+            }
+            while let Some(r) = arrivals.next_if(|r| r.arrival == now) {
+                if self.probe.enabled() {
+                    self.probe.instant("CPU", "arrival", now);
+                }
+                self.admit(now, SessionRequest::from(*r));
+            }
+            if self.wake == now {
+                self.tick(now, |_| {});
+            }
+        }
+        self.into_report()
+    }
+
+    /// Admits waiting requests, plans and prices one iteration, and arms
+    /// its end; goes idle when there is nothing to run.
+    fn start_iteration(&mut self, now: Time) {
+        // Admit up to the batch/prefill budgets (a prompt longer than the
+        // whole budget is admitted alone rather than starved). Admitted
+        // requests still awaiting prefill (e.g. ones the KV reservation
+        // skipped last iteration) count against the budget too — the
+        // bound is on prompt tokens an iteration may prefill, not on
+        // admission events.
+        let mut new_prompt_tokens: u64 = self
+            .running
+            .iter()
+            .filter(|a| a.generated == 0)
+            .map(|a| a.req.request.prompt_tokens)
+            .sum();
+        while self.running.len() < self.max_batch {
+            let Some(req) = self.waiting.front() else {
+                break;
+            };
+            let p = req.request.prompt_tokens;
+            if new_prompt_tokens > 0 && new_prompt_tokens + p > self.prefill_token_budget {
+                break;
+            }
+            let req = self.waiting.pop_front().expect("front checked above");
+            new_prompt_tokens += p;
+            self.running.push(Active {
+                req,
+                generated: 0,
+                first_token_at: None,
+                scheduled: self.kv.is_none(),
+            });
+        }
+        if self.running.is_empty() {
+            self.wake = Time::MAX;
+            return;
+        }
+        // With a KV pool, reserve residency in admission order; the head
+        // request is forced so progress is guaranteed even when its KV
+        // alone exceeds the budget, and what does not fit sits this
+        // iteration out (its KV stays, or goes, cold). Without a pool
+        // every running request is always scheduled.
+        let (mut fetched, mut offloaded) = (0u64, 0u64);
+        if let Some(kv) = &mut self.kv {
+            kv.pool.tick();
+            let mut protected: BTreeSet<u32> = BTreeSet::new();
+            for a in &mut self.running {
+                // KV tokens this request holds by the end of the
+                // iteration: its context for a prefill, one more token
+                // for a decode.
+                let tokens = a.context() + u64::from(a.generated > 0);
+                let id = a.req.request.id;
+                let force = protected.is_empty();
+                let out = kv
+                    .pool
+                    .reserve(id, tokens * kv.bytes_per_token, &protected, force);
+                a.scheduled = out.is_some();
+                if let Some(out) = out {
+                    protected.insert(id);
+                    fetched += out.fetched_bytes;
+                    offloaded += out.offloaded_bytes;
+                }
+            }
+        }
+        let (mut decodes, mut ctx_sum) = (0u64, 0u64);
+        self.prefills.clear();
+        for a in self.running.iter().filter(|a| a.scheduled) {
+            if a.generated == 0 {
+                // A prefill pays its new prompt; carried session history
+                // joins the streamed context.
+                self.prefills.push(a.req.request.prompt_tokens);
+                ctx_sum += a.req.context_tokens;
+            } else {
+                decodes += 1;
+                ctx_sum += a.context();
+            }
+        }
+
+        let npu = self
+            .pricer
+            .price(&self.model, &self.prefills, decodes, ctx_sum);
+        // KV migration: fetches and offloads each cross the CPU↔NPU link
+        // once under the profile's protocol.
+        let (kv_time, kv_exposed) = match &self.kv {
+            Some(kv) => {
+                let t = kv.protocol.transfer_time(fetched) + kv.protocol.transfer_time(offloaded);
+                let exposed = if kv.protocol.can_overlap_compute() {
+                    exposed_time(npu, t)
+                } else {
+                    t
+                };
+                (t, exposed)
+            }
+            None => (Time::ZERO, Time::ZERO),
+        };
+
+        self.report.iterations += 1;
+        self.report.npu_time += npu;
+        self.report.kv_transfer_time += kv_time;
+        self.report.kv_exposed_time += kv_exposed;
+        self.busy = true;
+        self.wake = now + npu + kv_exposed;
+        if self.probe.enabled() {
+            let name = match (self.prefills.is_empty(), decodes) {
+                (false, 0) => "prefill",
+                (true, _) => "decode",
+                _ => "mixed",
+            };
+            let prefix = self.prefix;
+            self.probe.span(&self.track, name, now, now + npu);
+            self.probe.count(&format!("{prefix}.iterations"), 1);
+            if kv_time > Time::ZERO {
+                self.probe.span("link", "kv_transfer", now, now + kv_time);
+                self.probe
+                    .count(&format!("{prefix}.kv_exposed_ps"), kv_exposed.as_ps());
+            }
+            if fetched > 0 {
+                self.probe.instant("CPU", "kv_fetch", now);
+                self.probe
+                    .count(&format!("{prefix}.kv_fetch_bytes"), fetched);
+            }
+            if offloaded > 0 {
+                self.probe.instant("CPU", "kv_offload", now);
+                self.probe
+                    .count(&format!("{prefix}.kv_offload_bytes"), offloaded);
+            }
+        }
+    }
+
+    /// Applies a finished iteration at `now`: every scheduled request
+    /// produced one token; completions are recorded, release their KV and
+    /// are passed to `on_done`.
+    fn finish_iteration(&mut self, now: Time, mut on_done: impl FnMut(&SessionRequest)) {
+        let report = &mut self.report;
+        let kv = &mut self.kv;
+        let ns_since = |t: Time| (now - t).as_ns_f64().round() as u64;
+        self.running.retain_mut(|a| {
+            if !a.scheduled {
+                return true;
+            }
+            let r = a.req.request;
+            if a.generated == 0 {
+                a.first_token_at = Some(now);
+                report.ttft_ns.record(ns_since(r.arrival));
+            }
+            a.generated += 1;
+            if a.generated < r.output_tokens {
+                return true;
+            }
+            report.completed_requests += 1;
+            report.output_tokens += r.output_tokens;
+            report.makespan = report.makespan.max(now);
+            report.latency_ns.record(ns_since(r.arrival));
+            if r.output_tokens > 1 {
+                let first = a.first_token_at.expect("completed request prefilled");
+                let per_token = (now - first).as_ns_f64() / (r.output_tokens - 1) as f64;
+                report.tpot_ns.record(per_token.round() as u64);
+            }
+            if let Some(kv) = kv {
+                kv.pool.release(r.id);
+            }
+            on_done(&a.req);
+            false
+        });
+    }
+}
+
+/// Simulates serving `trace` on one system under one security profile:
+/// one instance priced exactly by the NPU engine, with `cfg`'s KV budget.
 ///
 /// # Panics
 ///
@@ -81,7 +421,7 @@ pub fn simulate(
 
 /// [`simulate`] with an observability probe: iterations emit
 /// prefill/decode/mixed spans on the `NPU` track, KV migrations emit
-/// `link` transfer spans and `CPU` spill/fetch instants, and the byte
+/// `link` transfer spans and `CPU` spill/fetch instants, and the `serve.*`
 /// counters accumulate in the probe's metrics registry. The report is
 /// byte-identical to the unprobed run — probes only observe.
 ///
@@ -95,294 +435,17 @@ pub fn simulate_probed(
     trace: &[Request],
     probe: &SharedProbe,
 ) -> ServeReport {
-    assert!(cfg.max_batch > 0, "need at least one batch slot");
-    let kv = KvSpec::of(model);
     let engine = NpuEngine::new(cfg.npu.clone(), profile.mac);
-    let mut pool = KvPool::new(cfg.kv_hbm_bytes);
-    let mut queue: EventQueue<Event> = EventQueue::new();
-    for (i, r) in trace.iter().enumerate() {
-        queue.schedule(r.arrival, Event::Arrival(i));
-    }
-
-    let mut waiting: VecDeque<usize> = VecDeque::new();
-    let mut running: Vec<Active> = Vec::new();
-    // Ids scheduled in the in-flight iteration (indices into `running`
-    // are unstable across completions, ids are not).
-    let mut in_flight: Vec<u32> = Vec::new();
-    let mut busy = false;
-
-    let mut report = ServeReport {
-        total_requests: trace.len() as u32,
-        completed_requests: 0,
-        output_tokens: 0,
-        makespan: Time::ZERO,
-        iterations: 0,
-        ttft_ns: Histogram::new(),
-        latency_ns: Histogram::new(),
-        tpot_ns: Histogram::new(),
-        npu_time: Time::ZERO,
-        kv_transfer_time: Time::ZERO,
-        kv_exposed_time: Time::ZERO,
-        kv_stats: tee_sim::StatSet::new("kv_pool"),
-    };
-
-    loop {
-        // Drain the whole delta cycle so co-arrivals (a bursty group lands
-        // on one timestamp) are all admissible before the next iteration
-        // launches.
-        let batch = queue.pop_batch();
-        if batch.is_empty() {
-            break;
-        }
-        let now = queue.now();
-        for (_, event) in batch {
-            match event {
-                Event::Arrival(i) => {
-                    if probe.enabled() {
-                        probe.instant("CPU", "arrival", now);
-                    }
-                    waiting.push_back(i);
-                }
-                Event::IterDone => {
-                    finish_iteration(now, &in_flight, &mut running, &mut pool, &mut report);
-                    in_flight.clear();
-                    busy = false;
-                }
-            }
-        }
-        if !busy {
-            // Admit up to the batch/prefill budgets (a prompt longer than
-            // the whole budget is admitted alone rather than starved).
-            // Already-admitted requests still awaiting prefill (e.g. ones
-            // the KV reservation skipped last iteration) count against the
-            // budget too — the bound is on prompt tokens an iteration may
-            // prefill, not on admission events.
-            let mut new_prompt_tokens: u64 = running
-                .iter()
-                .filter(|a| a.generated == 0)
-                .map(|a| a.prompt_tokens)
-                .sum();
-            while running.len() < cfg.max_batch {
-                let Some(&i) = waiting.front() else { break };
-                let r = trace[i];
-                if new_prompt_tokens > 0
-                    && new_prompt_tokens + r.prompt_tokens > cfg.prefill_token_budget
-                {
-                    break;
-                }
-                waiting.pop_front();
-                new_prompt_tokens += r.prompt_tokens;
-                running.push(Active {
-                    id: r.id,
-                    arrival: r.arrival,
-                    prompt_tokens: r.prompt_tokens,
-                    target_tokens: r.output_tokens,
-                    generated: 0,
-                    first_token_at: None,
-                });
-            }
-            if let Some(dt) = start_iteration(
-                now,
-                model,
-                profile,
-                &kv,
-                &engine,
-                &mut pool,
-                &running,
-                &mut in_flight,
-                &mut report,
-                probe,
-            ) {
-                queue.schedule_after(dt, Event::IterDone);
-                busy = true;
-            }
-        }
-    }
-    report.kv_stats = pool.stats().clone();
-    report
-}
-
-/// Plans and prices one iteration. Returns its duration, or `None` when
-/// there is nothing to run. Fills `in_flight` with the scheduled ids.
-#[allow(clippy::too_many_arguments)]
-fn start_iteration(
-    now: Time,
-    model: &ModelConfig,
-    profile: &SecurityProfile,
-    kv: &KvSpec,
-    engine: &NpuEngine,
-    pool: &mut KvPool,
-    running: &[Active],
-    in_flight: &mut Vec<u32>,
-    report: &mut ServeReport,
-    probe: &SharedProbe,
-) -> Option<Time> {
-    if running.is_empty() {
-        return None;
-    }
-    pool.tick();
-    // Reserve KV residency in admission order; the head request is forced
-    // so progress is guaranteed even when its KV alone exceeds the budget.
-    let mut protected: BTreeSet<u32> = BTreeSet::new();
-    let mut fetched = 0u64;
-    let mut offloaded = 0u64;
-    let mut prefill_prompts: Vec<u64> = Vec::new();
-    let mut decode_ctxs: Vec<u64> = Vec::new();
-    for a in running {
-        // KV bytes this request holds by the end of the iteration: the
-        // full prompt for a prefill, one more token for a decode.
-        let needed = if a.generated == 0 {
-            a.prompt_tokens * kv.bytes_per_token
-        } else {
-            (a.context() + 1) * kv.bytes_per_token
-        };
-        let force = protected.is_empty();
-        let Some(out) = pool.reserve(a.id, needed, &protected, force) else {
-            continue; // skipped this iteration: its KV stays (or goes) cold
-        };
-        protected.insert(a.id);
-        in_flight.push(a.id);
-        fetched += out.fetched_bytes;
-        offloaded += out.offloaded_bytes;
-        if a.generated == 0 {
-            prefill_prompts.push(a.prompt_tokens);
-        } else {
-            decode_ctxs.push(a.context());
-        }
-    }
-
-    // One fused kernel per iteration (continuous batching launches the
-    // whole transformer stack once over the mixed batch).
-    let layer = iteration_layer(model, &prefill_prompts, &decode_ctxs);
-    let npu = engine.run(&[layer]).total;
-
-    // KV migration: fetches and offloads each cross the CPU↔NPU link
-    // once under the profile's protocol.
-    let kv_time =
-        profile.kv_protocol.transfer_time(fetched) + profile.kv_protocol.transfer_time(offloaded);
-    let kv_exposed = if profile.kv_protocol.can_overlap_compute() {
-        exposed_time(npu, kv_time)
-    } else {
-        kv_time
-    };
-
-    report.iterations += 1;
-    report.npu_time += npu;
-    report.kv_transfer_time += kv_time;
-    report.kv_exposed_time += kv_exposed;
-    if probe.enabled() {
-        let name = match (prefill_prompts.is_empty(), decode_ctxs.is_empty()) {
-            (false, true) => "prefill",
-            (true, false) => "decode",
-            _ => "mixed",
-        };
-        probe.span("NPU", name, now, now + npu);
-        probe.count("serve.iterations", 1);
-        if kv_time > Time::ZERO {
-            probe.span("link", "kv_transfer", now, now + kv_time);
-            probe.count("serve.kv_exposed_ps", kv_exposed.as_ps());
-        }
-        if fetched > 0 {
-            probe.instant("CPU", "kv_fetch", now);
-            probe.count("serve.kv_fetch_bytes", fetched);
-        }
-        if offloaded > 0 {
-            probe.instant("CPU", "kv_offload", now);
-            probe.count("serve.kv_offload_bytes", offloaded);
-        }
-    }
-    Some(npu + kv_exposed)
-}
-
-/// Applies the effects of a finished iteration at time `now`.
-fn finish_iteration(
-    now: Time,
-    in_flight: &[u32],
-    running: &mut Vec<Active>,
-    pool: &mut KvPool,
-    report: &mut ServeReport,
-) {
-    for &id in in_flight {
-        let a = running
-            .iter_mut()
-            .find(|a| a.id == id)
-            .expect("scheduled request is active");
-        if a.generated == 0 {
-            a.first_token_at = Some(now);
-            report
-                .ttft_ns
-                .record((now - a.arrival).as_ns_f64().round() as u64);
-        }
-        a.generated += 1;
-    }
-    running.retain(|a| {
-        if a.generated < a.target_tokens {
-            return true;
-        }
-        report.completed_requests += 1;
-        report.output_tokens += a.target_tokens;
-        report.makespan = report.makespan.max(now);
-        report
-            .latency_ns
-            .record((now - a.arrival).as_ns_f64().round() as u64);
-        if a.target_tokens > 1 {
-            let first = a.first_token_at.expect("completed request prefilled");
-            let per_token = (now - first).as_ns_f64() / (a.target_tokens - 1) as f64;
-            report.tpot_ns.record(per_token.round() as u64);
-        }
-        pool.release(a.id);
-        false
-    });
-}
-
-/// The fused NPU kernel of one iteration: one GEMM-shaped prompt pass
-/// per length in `prefill_prompts` plus one GEMV-shaped decode step for
-/// every context in `decode_ctxs`, across all `model.layers` transformer
-/// layers.
-///
-/// Weights stream once; decode attention streams each request's cached
-/// KV (memory-bound — the AMLA analysis shows decode attention is
-/// dominated by rescaling/streaming, not multiplies) and appends one
-/// token of KV per request.
-fn iteration_layer(model: &ModelConfig, prefill_prompts: &[u64], decode_ctxs: &[u64]) -> Layer {
-    let h = model.hidden;
-    let layers = model.layers;
-    let weight_bytes = 12 * h * h * FP16 * layers;
-    let r = decode_ctxs.len() as u64;
-    let ctx_sum: u64 = decode_ctxs.iter().sum();
-    let p: u64 = prefill_prompts.iter().sum();
-
-    // GEMV projections per decode + quadratic prompt GEMMs per prefill;
-    // attention adds 2·H MACs per cached/prompt token (QKᵀ and AV) plus
-    // the per-score rescaling additions, absorbed into the same term.
-    // Each request's prompt attends only within itself, so the quadratic
-    // term is per-request — batching prefills must not cross-multiply
-    // independent prompts.
-    let prefill_attn: u64 = prefill_prompts.iter().map(|&pi| pi * pi * 2 * h).sum();
-    let macs =
-        layers * (r * 12 * h * h + ctx_sum * 2 * h) + layers * (p * 12 * h * h + prefill_attn);
-    // Streams in: decode KV reads + per-layer hidden states; prefill
-    // token activations.
-    let in_bytes =
-        ctx_sum * kv_bytes_per_layer(h) * layers + r * h * FP16 * layers + p * h * FP16 * layers;
-    // Streams out: hidden states plus the KV append (one token per
-    // decode, the whole prompt per prefill).
-    let out_bytes = (r + p) * h * FP16 * layers + (r + p) * kv_bytes_per_layer(h) * layers;
-    Layer {
-        macs: macs.max(1),
-        in_bytes,
-        w_bytes: weight_bytes,
-        out_bytes,
-    }
-}
-
-fn kv_bytes_per_layer(hidden: u64) -> u64 {
-    2 * hidden * FP16
+    Instance::new(cfg, model, Pricer::Exact(engine))
+        .with_kv_pool(cfg.kv_hbm_bytes, profile.kv_protocol)
+        .with_probe(probe.clone(), "NPU".to_string(), "serve")
+        .run(trace)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::iteration_layer;
     use crate::trace::TraceConfig;
     use tee_workloads::zoo::by_name;
 
@@ -454,8 +517,8 @@ mod tests {
         // The fused iteration streams weights once for the whole batch, so
         // decoding 8 contexts costs far less than 8× one context.
         let model = by_name("GPT2-M").unwrap();
-        let one = iteration_layer(&model, &[], &[256]);
-        let eight = iteration_layer(&model, &[], &[256; 8]);
+        let one = iteration_layer(&model, &[], 1, 256);
+        let eight = iteration_layer(&model, &[], 8, 8 * 256);
         assert_eq!(one.w_bytes, eight.w_bytes);
         assert!(eight.in_bytes < 8 * (one.in_bytes + one.w_bytes));
     }
@@ -466,8 +529,8 @@ mod tests {
         // one 1024² term — independent requests never attend to each
         // other.
         let model = by_name("GPT2-M").unwrap();
-        let split = iteration_layer(&model, &[512, 512], &[]);
-        let fused = iteration_layer(&model, &[1024], &[]);
+        let split = iteration_layer(&model, &[512, 512], 0, 0);
+        let fused = iteration_layer(&model, &[1024], 0, 0);
         assert!(split.macs < fused.macs);
         let h = model.hidden;
         assert_eq!(

@@ -252,6 +252,20 @@ impl SessionRequest {
     }
 }
 
+impl From<Request> for SessionRequest {
+    /// A single-turn session (id = the request id) with no carried
+    /// context.
+    fn from(request: Request) -> Self {
+        SessionRequest {
+            request,
+            tenant: 0,
+            session: u64::from(request.id),
+            turn: 0,
+            context_tokens: 0,
+        }
+    }
+}
+
 /// A deterministic multi-tenant session trace: session *starts* follow the
 /// configured arrival process (optionally diurnally modulated); each
 /// session then runs a geometric number of follow-up turns separated by

@@ -43,7 +43,6 @@ pub mod event;
 pub mod probe;
 pub mod rng;
 pub mod stats;
-pub mod trace;
 pub mod util;
 
 pub use bandwidth::{BandwidthResource, ThroughputPipe};
