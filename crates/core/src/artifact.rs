@@ -2,7 +2,7 @@
 //! [`Artifact`] returning a structured [`Report`].
 //!
 //! This is the programmatic front door to the evaluation (§6): the
-//! `tensortee` CLI, the benches in `crates/bench` and the examples all
+//! `tensortee` CLI, the examples and the `perfbench` benchmark all
 //! resolve artifacts here instead of hand-wiring experiment calls. The
 //! runner implementations live in [`crate::experiments`]; a shared
 //! [`RunContext`] bundles the configuration knobs they used to duplicate.
@@ -16,8 +16,7 @@ use tee_sim::probe::SharedProbe;
 use tee_workloads::zoo::{ModelConfig, TABLE2};
 
 /// Everything an artifact runner needs: the system/cluster configuration
-/// plus the sweep knobs (mode list, model subset, thread counts, …) that
-/// each bench used to hard-code.
+/// plus the sweep knobs (mode list, model subset, thread counts, …).
 #[derive(Debug, Clone)]
 pub struct RunContext {
     /// Table-1 system configuration.
@@ -81,7 +80,7 @@ pub struct RunContext {
 }
 
 impl RunContext {
-    /// The full paper-fidelity context the benches print.
+    /// The full paper-fidelity context (`tensortee run` without `--fast`).
     pub fn full() -> Self {
         RunContext {
             cfg: SystemConfig::default(),

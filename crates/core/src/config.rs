@@ -67,7 +67,8 @@ pub struct SystemConfig {
 }
 
 impl Default for SystemConfig {
-    /// Table-1 configuration at a simulation scale suitable for benches.
+    /// Table-1 configuration at a simulation scale suitable for the
+    /// full-fidelity artifacts.
     fn default() -> Self {
         SystemConfig {
             cpu: CpuConfig::scaled_down(),
@@ -134,7 +135,7 @@ impl SystemConfig {
         }
     }
 
-    /// Renders Table 1 as markdown (printed by the bench headers).
+    /// Renders Table 1 as markdown (printed by the `quickstart` example).
     pub fn table1_markdown(&self) -> String {
         let cpu = &self.cpu;
         let npu = &self.npu;

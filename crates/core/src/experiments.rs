@@ -2,7 +2,7 @@
 //!
 //! Every runner takes a [`RunContext`] (configuration + sweep knobs) and
 //! returns a structured [`Report`] — named metrics, typed tables, notes —
-//! alongside its typed rows where tests and benches want the raw numbers.
+//! alongside its typed rows where tests want the raw numbers.
 //! The runners are addressed through [`crate::artifact::registry`]; the
 //! artifact index lives in EXPERIMENTS.md.
 
@@ -35,10 +35,10 @@ fn report_for(id: &str) -> Report {
         .new_report()
 }
 
-/// A benchmark-scale Adam workload derived from a model's census,
+/// A simulation-scale Adam workload derived from a model's census,
 /// shrunk so the cacheline-level simulation stays fast while remaining
 /// memory-bound against the scaled cache hierarchy.
-pub fn bench_adam_workload(model: &ModelConfig, scale: u64) -> AdamWorkload {
+fn bench_adam_workload(model: &ModelConfig, scale: u64) -> AdamWorkload {
     let census = TensorCensus::of(model).scaled(scale);
     AdamWorkload::from_tensor_sizes(&census.sizes())
 }
@@ -764,7 +764,7 @@ pub fn ablations(ctx: &RunContext) -> Report {
 }
 
 // ---------------------------------------------------------------------
-// Strong scaling — multi-NPU data parallelism (scaling_1_2_4_8 bench).
+// Strong scaling — multi-NPU data parallelism (scaling_strong artifact).
 // ---------------------------------------------------------------------
 
 /// One strong-scaling sample: one cluster size under one mode.

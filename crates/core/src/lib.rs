@@ -44,7 +44,6 @@ pub mod explore;
 pub mod hw;
 pub mod json;
 pub mod obs;
-pub mod perf;
 pub mod report;
 pub mod session;
 pub mod system;

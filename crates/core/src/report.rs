@@ -3,9 +3,9 @@
 //! value type the artifact registry returns.
 //!
 //! A [`Report`] carries named scalar metrics, typed [`Table`]s and
-//! free-form notes; it renders to the same markdown the benches have
-//! always printed and — because the vendored `serde` is a no-op — to JSON
-//! via the hand-rolled writer in [`crate::json`].
+//! free-form notes; it renders to markdown (`tensortee run`) and —
+//! because the vendored `serde` is a no-op — to JSON via the hand-rolled
+//! writer in [`crate::json`].
 
 use crate::json::Json;
 use tee_sim::Time;
@@ -255,9 +255,9 @@ impl PhaseLedger {
 /// A structured experiment result: what every registered
 /// [`crate::artifact::Artifact`] returns.
 ///
-/// The markdown rendering preserves the artifact shape the benches have
-/// always printed (tables first, then summary lines); the JSON export is
-/// the machine-readable view the `tensortee` CLI emits under `--json`.
+/// The markdown rendering is the paper-shaped view (tables first, then
+/// summary lines); the JSON export is the machine-readable view the
+/// `tensortee` CLI emits under `--json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Report {
     id: String,

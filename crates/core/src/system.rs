@@ -332,7 +332,7 @@ impl ClusterStepBreakdown {
 
     /// Fraction of the step spent on exposed communication
     /// (`comm_w + comm_g + comm_ar`) — the strong-scaling bottleneck
-    /// metric of the `scaling_1_2_4_8` bench.
+    /// metric of the `scaling_strong` artifact.
     pub fn exposed_comm_fraction(&self) -> f64 {
         let (_, _, w, g, ar) = self.fractions();
         w + g + ar

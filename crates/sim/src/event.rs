@@ -325,8 +325,8 @@ impl<E> EventQueue<E> {
 /// The original binary-heap event queue, kept as the executable
 /// reference implementation for [`EventQueue`].
 ///
-/// Identical API and `(time, seq)` ordering contract; differential tests
-/// and the `queue` perf bench drive both side by side.
+/// Identical API and `(time, seq)` ordering contract; the differential
+/// tests here and the `tee-sim` proptest drive both side by side.
 #[derive(Debug)]
 pub struct HeapQueue<E> {
     heap: BinaryHeap<Entry<E>>,

@@ -21,7 +21,6 @@ use tensortee::artifact::{find, registry, Artifact, RunContext};
 use tensortee::explore::{explore_pareto_for, explore_sensitivity_for, Scenario};
 use tensortee::json::Json;
 use tensortee::obs::chrome_trace;
-use tensortee::perf::{BenchOptions, BenchTrajectory};
 use tensortee::report::{Report, Table};
 
 /// The explore scenarios as a `train|cluster|serve|...` list, derived
@@ -47,9 +46,6 @@ commands:
                                 write a Chrome/Perfetto trace-event JSON
                                 (default trace_<id>.json; load it at
                                 ui.perfetto.dev or chrome://tracing)
-  bench [flags]                 time every artifact + the explore sweeps;
-                                writes BENCH_<rev>.json (or, with --json,
-                                prints the same shape to stdout)
 
 flags:
   --json         emit machine-readable JSON instead of markdown
@@ -62,14 +58,12 @@ flags:
   --seed <u64>   seed for stochastic artifacts and sampling plans (default 42)
   --threads <N>  explorer worker threads (wall-clock only; output is
                  byte-identical for any N; default 4)
-  --points <N>   explorer point budget (default 96, 32 under --fast)
-  --repeats <N>  bench: timed repetitions per entry, reported as the
-                 median (default 3)",
+  --points <N>   explorer point budget (default 96, 32 under --fast)",
         scenarios = scenario_list()
     )
 }
 
-/// The flags shared by `run`, `explore` and `bench`, plus the positional
+/// The flags shared by `run`, `explore` and `trace`, plus the positional
 /// args.
 struct Args {
     json: bool,
@@ -81,7 +75,6 @@ struct Args {
     seed: Option<u64>,
     threads: Option<u32>,
     points: Option<u32>,
-    repeats: Option<u32>,
     positional: Vec<String>,
 }
 
@@ -98,7 +91,6 @@ impl Args {
             seed: None,
             threads: None,
             points: None,
-            repeats: None,
             positional: Vec::new(),
         };
         let mut it = args.iter();
@@ -113,21 +105,16 @@ impl Args {
                 "--seed" => out.seed = Some(parse_value(arg, it.next())?),
                 "--threads" => out.threads = Some(parse_value(arg, it.next())?),
                 "--points" => out.points = Some(parse_value(arg, it.next())?),
-                "--repeats" => out.repeats = Some(parse_value(arg, it.next())?),
                 flag if flag.starts_with('-') => {
                     return Err(format!("unknown flag {flag:?}"));
                 }
                 positional => out.positional.push(positional.to_string()),
             }
         }
-        // Zero is never a meaningful count for these: an empty sweep, a
-        // zero-thread scope, or a median over no repetitions. Reject at
-        // parse time instead of silently clamping (or dividing by zero).
-        for (flag, value) in [
-            ("--threads", out.threads),
-            ("--points", out.points),
-            ("--repeats", out.repeats),
-        ] {
+        // Zero is never a meaningful count for these: an empty sweep or a
+        // zero-thread scope. Reject at parse time instead of silently
+        // clamping.
+        for (flag, value) in [("--threads", out.threads), ("--points", out.points)] {
             if value == Some(0) {
                 return Err(format!("{flag} must be at least 1"));
             }
@@ -173,7 +160,6 @@ fn main() -> ExitCode {
         Some("run") => run(&args[1..]),
         Some("explore") => explore(&args[1..]),
         Some("trace") => trace_cmd(&args[1..]),
-        Some("bench") => bench(&args[1..]),
         Some("--help" | "-h" | "help") => {
             println!("{}", usage());
             ExitCode::SUCCESS
@@ -341,43 +327,6 @@ fn trace_cmd(raw: &[String]) -> ExitCode {
     match write_trace(&probe, &path, args.quiet) {
         Ok(()) => ExitCode::SUCCESS,
         Err(code) => code,
-    }
-}
-
-/// `tensortee bench ...`: measure the perf trajectory. Without `--json`
-/// the markdown tables go to stdout and the JSON shape is written to
-/// `BENCH_<rev>.json`; with `--json` the shape goes to stdout instead
-/// (what the CI ratchet consumes) and no file is written.
-fn bench(raw: &[String]) -> ExitCode {
-    let args = match Args::parse(raw) {
-        Ok(args) => args,
-        Err(e) => return usage_error(&e),
-    };
-    if !args.positional.is_empty() {
-        return usage_error("bench takes flags only");
-    }
-    let ctx = args.context();
-    let opts = BenchOptions {
-        repeats: args.repeats.unwrap_or(3),
-        warmup: 1,
-        progress: true,
-    };
-    let trajectory = BenchTrajectory::measure(&ctx, &opts);
-    if args.json {
-        println!("{}", trajectory.to_json());
-        return ExitCode::SUCCESS;
-    }
-    println!("{}", trajectory.to_markdown());
-    let path = trajectory.file_name();
-    match std::fs::write(&path, format!("{}\n", trajectory.to_json())) {
-        Ok(()) => {
-            eprintln!("wrote {path}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            ExitCode::FAILURE
-        }
     }
 }
 

@@ -62,7 +62,6 @@ fn zero_flag_values_are_usage_errors() {
     for args in [
         &["run", "--all", "--points", "0"][..],
         &["explore", "train", "--threads", "0"][..],
-        &["bench", "--repeats", "0"][..],
         &["explore", "train", "--points", "0"][..],
     ] {
         let out = tensortee(args);
@@ -88,12 +87,6 @@ fn unknown_scenario_lists_the_valid_ones_and_exits_two() {
     let out = tensortee(&["explore", "bogus"]);
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("unknown scenario \"bogus\""), "{stderr}");
-}
-
-#[test]
-fn bench_rejects_positional_arguments() {
-    let out = tensortee(&["bench", "fig03"]);
-    assert_eq!(code(&out), 2, "{out:?}");
 }
 
 #[test]

@@ -13,15 +13,12 @@
 //!   value changes nothing, bit-for-bit.
 //! * **determinism** — repeat DES runs, repeat artifact reports and the
 //!   explore `des` scenario across worker-thread counts are all
-//!   byte-identical (the float-masking check mirrors
-//!   `tests/bench_trajectory.rs`: masking every JSON float must be a
-//!   no-op on already-identical bytes).
+//!   byte-identical.
 
 use tee_sim::Time;
 use tee_workloads::zoo::by_name;
 use tee_workloads::StepSchedule;
 use tensortee::artifact::{find, RunContext};
-use tensortee::json::Json;
 use tensortee::{
     ClusterConfig, ClusterSystem, DesClusterConfig, DesClusterSystem, Parallelism, SecureMode,
     SystemConfig, TrainingSystem,
@@ -205,22 +202,6 @@ fn pipeline_microbatches_shrink_the_compute_front() {
     assert!(run(8, SecureMode::SgxMgx).crypto > run(8, SecureMode::TensorTee).crypto);
 }
 
-/// Replaces every float in `json` with 0.0, leaving structure, strings
-/// and integers untouched (the bench-trajectory masking trick).
-fn mask_floats(json: Json) -> Json {
-    match json {
-        Json::Float(_) => Json::Float(0.0),
-        Json::Array(items) => Json::Array(items.into_iter().map(mask_floats).collect()),
-        Json::Object(fields) => Json::Object(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k, mask_floats(v)))
-                .collect(),
-        ),
-        other => other,
-    }
-}
-
 #[test]
 fn des_artifacts_are_byte_identical_across_invocations() {
     let ctx = RunContext::fast();
@@ -228,17 +209,10 @@ fn des_artifacts_are_byte_identical_across_invocations() {
         let artifact = find(id).unwrap_or_else(|| panic!("{id} not registered"));
         let first = artifact.run(&ctx);
         let second = artifact.run(&ctx);
-        // The DES is fully deterministic: raw bytes match, so masking
-        // floats (the escape hatch wall-clock benches need) is a no-op.
         assert_eq!(
             first.to_json().to_string(),
             second.to_json().to_string(),
             "{id}: JSON differs between runs"
-        );
-        assert_eq!(
-            mask_floats(first.to_json()).to_string(),
-            mask_floats(second.to_json()).to_string(),
-            "{id}: masked JSON differs between runs"
         );
         assert_eq!(first.to_markdown(), second.to_markdown(), "{id}");
     }
