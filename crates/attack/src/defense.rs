@@ -239,7 +239,7 @@ mod tests {
     #[test]
     fn constant_rate_on_empty_observation_is_free() {
         let shaped = Shaping::ConstantRate.apply(&obs(&[]));
-        assert!(shaped.observation.is_empty());
+        assert!(shaped.observation.events().is_empty());
         assert_eq!(shaped.padding, Time::ZERO);
     }
 

@@ -68,21 +68,6 @@ impl Observation {
         &self.events
     }
 
-    /// Number of observed transfers.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the adversary saw no wire activity at all.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Total wire occupancy across all observed transfers.
-    pub fn total_busy(&self) -> Time {
-        self.events.iter().map(|e| e.duration).sum()
-    }
-
     /// The size feature per transfer: wire occupancy quantized to the
     /// adversary's measurement resolution (`ceil(duration / quantum)`).
     ///
@@ -94,16 +79,6 @@ impl Observation {
         self.events
             .iter()
             .map(|e| e.duration.as_ps().div_ceil(quantum.as_ps()))
-            .collect()
-    }
-
-    /// Inter-arrival gaps between consecutive transfer starts (empty
-    /// for fewer than two transfers). Starts are non-decreasing in
-    /// every simulator here, but the gap saturates at zero anyway.
-    pub fn inter_arrivals(&self) -> Vec<Time> {
-        self.events
-            .windows(2)
-            .map(|w| w[1].at.saturating_sub(w[0].at))
             .collect()
     }
 }
@@ -141,11 +116,10 @@ mod tests {
     #[test]
     fn view_keeps_only_link_spans() {
         let obs = Observation::from_trace(&recorded());
-        assert_eq!(obs.len(), 2);
+        assert_eq!(obs.events().len(), 2);
         assert_eq!(obs.events()[0].at, Time::from_us(10));
         assert_eq!(obs.events()[0].duration, Time::from_us(4));
         assert_eq!(obs.events()[1].duration, Time::from_us(9));
-        assert_eq!(obs.total_busy(), Time::from_us(13));
     }
 
     #[test]
@@ -153,14 +127,6 @@ mod tests {
         let obs = Observation::from_trace(&recorded());
         assert_eq!(obs.features(Time::from_us(2)), vec![2, 5]);
         assert_eq!(obs.features(Time::from_us(10)), vec![1, 1]);
-    }
-
-    #[test]
-    fn inter_arrivals_are_start_to_start() {
-        let obs = Observation::from_trace(&recorded());
-        assert_eq!(obs.inter_arrivals(), vec![Time::from_us(50)]);
-        assert!(Observation::default().inter_arrivals().is_empty());
-        assert!(Observation::default().is_empty());
     }
 
     #[test]

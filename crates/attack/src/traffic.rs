@@ -139,16 +139,6 @@ impl TrafficClassifier {
         TrafficClassifier { centroids }
     }
 
-    /// Number of trained classes.
-    pub fn classes(&self) -> usize {
-        self.centroids.len()
-    }
-
-    /// The trained class labels, sorted.
-    pub fn labels(&self) -> impl Iterator<Item = &str> {
-        self.centroids.keys().map(|s| s.as_str())
-    }
-
     /// The nearest centroid (L1 distance over the union of histogram
     /// bins) to the observed features; ties resolve to the
     /// lexicographically first label. `None` when untrained.
@@ -208,7 +198,6 @@ mod tests {
             ("bert", vec![9, 9, 8, 9]),
             ("gpt", vec![4, 5]),
         ]);
-        assert_eq!(clf.classes(), 2);
         assert_eq!(clf.classify(&[4, 4, 5]), Some("gpt"));
         assert_eq!(clf.classify(&[9, 8]), Some("bert"));
         assert_eq!(clf.classify(&[4, 4, 5]), Some("gpt"), "stable on repeat");

@@ -58,7 +58,8 @@ impl SealedMeta {
         self.payload[offset % 32] ^= xor;
     }
 
-    /// Bus snoop: the raw (encrypted) payload bytes.
+    /// Bus snoop: the raw (encrypted) payload bytes. Adversary hook for
+    /// the `snooped_metadata_is_ciphertext` test.
     pub fn snoop(&self) -> &[u8; 32] {
         &self.payload
     }
@@ -158,7 +159,8 @@ impl TrustedChannel {
 
 /// The direct ciphertext channel: DRAM-to-DRAM DMA of encrypted lines.
 /// Functionally it is a plain copy — the security property is that the
-/// payload is ciphertext under a key the bus never sees.
+/// payload is ciphertext under a key the bus never sees. Adversary hook:
+/// only tests run it (`tests/secure_transfer.rs` reads the snoop log).
 #[derive(Debug, Default)]
 pub struct DirectChannel {
     snoop_log: Vec<[u8; 64]>,

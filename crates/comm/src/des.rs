@@ -38,7 +38,6 @@ pub struct FabricLink {
     last_request: Time,
     contention: Time,
     occupied: Time,
-    grants: u64,
     probe: SharedProbe,
 }
 
@@ -76,7 +75,6 @@ impl FabricLink {
         self.busy_until = end;
         self.contention += queued;
         self.occupied += duration;
-        self.grants += 1;
         if self.probe.enabled() {
             self.probe.span("link", "fabric_xfer", start, end);
             self.probe.count("link.grants", 1);
@@ -87,11 +85,6 @@ impl FabricLink {
         FabricGrant { start, end, queued }
     }
 
-    /// When the fabric next frees.
-    pub fn busy_until(&self) -> Time {
-        self.busy_until
-    }
-
     /// Total time requests spent queued behind earlier occupants.
     pub fn contention(&self) -> Time {
         self.contention
@@ -100,11 +93,6 @@ impl FabricLink {
     /// Total time the fabric spent transferring.
     pub fn occupied(&self) -> Time {
         self.occupied
-    }
-
-    /// Number of grants issued.
-    pub fn grants(&self) -> u64 {
-        self.grants
     }
 }
 
@@ -123,7 +111,6 @@ mod tests {
         assert_eq!((c.start, c.end), (Time::from_ns(100), Time::from_ns(105)));
         assert_eq!(fabric.contention(), Time::ZERO);
         assert_eq!(fabric.occupied(), Time::from_ns(20));
-        assert_eq!(fabric.grants(), 3);
     }
 
     #[test]
@@ -135,18 +122,17 @@ mod tests {
         assert_eq!(late.end, Time::from_ns(150));
         assert_eq!(late.queued, Time::from_ns(70));
         assert_eq!(fabric.contention(), Time::from_ns(70));
-        assert_eq!(fabric.busy_until(), Time::from_ns(150));
     }
 
     #[test]
     fn queue_builds_up_across_many_requests() {
         let mut fabric = FabricLink::new();
-        for _ in 0..4 {
-            fabric.occupy(Time::ZERO, Time::from_ns(10));
-        }
+        let grants: Vec<FabricGrant> = (0..4)
+            .map(|_| fabric.occupy(Time::ZERO, Time::from_ns(10)))
+            .collect();
         // 0 + 10 + 20 + 30 queued respectively.
         assert_eq!(fabric.contention(), Time::from_ns(60));
-        assert_eq!(fabric.busy_until(), Time::from_ns(40));
+        assert_eq!(grants[3].end, Time::from_ns(40));
     }
 
     #[test]

@@ -27,25 +27,10 @@ impl PcieLink {
         }
     }
 
-    /// Pure transfer duration for `bytes` (occupancy, excluding queueing).
-    pub fn occupancy(&self, bytes: u64) -> Time {
-        self.resource.occupancy(bytes)
-    }
-
     /// Schedules a transfer starting no earlier than `at`; returns delivery
     /// completion.
     pub fn transfer(&mut self, at: Time, bytes: u64) -> Time {
         self.resource.acquire(at, bytes).done
-    }
-
-    /// Time the link becomes free.
-    pub fn busy_until(&self) -> Time {
-        self.resource.busy_until()
-    }
-
-    /// Total bytes moved.
-    pub fn total_bytes(&self) -> u64 {
-        self.resource.total_bytes()
     }
 }
 
@@ -80,16 +65,6 @@ impl AesEngine {
     pub fn process(&mut self, at: Time, bytes: u64) -> Time {
         self.resource.acquire(at, bytes).done
     }
-
-    /// Pure processing duration for `bytes`.
-    pub fn occupancy(&self, bytes: u64) -> Time {
-        self.resource.occupancy(bytes)
-    }
-
-    /// Time the engine becomes free.
-    pub fn busy_until(&self) -> Time {
-        self.resource.busy_until()
-    }
 }
 
 #[cfg(test)]
@@ -109,14 +84,13 @@ mod tests {
         let a = link.transfer(Time::ZERO, 1 << 20);
         let b = link.transfer(Time::ZERO, 1 << 20);
         assert!(b > a);
-        assert_eq!(link.total_bytes(), 2 << 20);
     }
 
     #[test]
     fn aes_engine_slower_than_pcie() {
-        let aes = AesEngine::single();
-        let pcie = PcieLink::gen4_x16();
-        assert!(aes.occupancy(1 << 20) > pcie.occupancy(1 << 20));
+        let aes = AesEngine::single().process(Time::ZERO, 1 << 20);
+        let pcie = PcieLink::gen4_x16().transfer(Time::ZERO, 1 << 20);
+        assert!(aes > pcie);
     }
 
     #[test]

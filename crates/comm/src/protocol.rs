@@ -83,13 +83,6 @@ impl StagingProtocol {
             decryption: renc - comm_done,
         }
     }
-
-    /// Whether this protocol's transfer can overlap NPU computation: it
-    /// cannot — re-encryption contends for the AES engine and DRAM
-    /// bandwidth that computation needs (§3.3, Figure 7).
-    pub fn can_overlap_compute(&self) -> bool {
-        false
-    }
 }
 
 impl Default for StagingProtocol {
@@ -141,12 +134,6 @@ impl DirectProtocol {
             comm: data_done.max(meta_done) - at,
             decryption: Time::ZERO,
         }
-    }
-
-    /// Direct transfers touch neither AES engines nor the SoC memory path,
-    /// so they overlap computation (Figure 15).
-    pub fn can_overlap_compute(&self) -> bool {
-        true
     }
 }
 
@@ -204,11 +191,5 @@ mod tests {
         let one = StagingProtocol::new().transfer(Time::ZERO, bytes);
         let many = StagingProtocol::with_aes_bandwidth(64.0e9).transfer(Time::ZERO, bytes);
         assert!(many.total() < one.total());
-    }
-
-    #[test]
-    fn overlap_capability_flags() {
-        assert!(!StagingProtocol::new().can_overlap_compute());
-        assert!(DirectProtocol::new().can_overlap_compute());
     }
 }

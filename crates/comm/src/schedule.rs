@@ -91,11 +91,6 @@ impl Timeline {
             .fold(Time::ZERO, Time::max)
     }
 
-    /// The segments.
-    pub fn segments(&self) -> &[Segment] {
-        &self.segments
-    }
-
     /// Renders an ASCII chart `width` characters wide, two rows
     /// (compute on top, communication below), as in Figures 7/15.
     pub fn render(&self, width: usize) -> String {

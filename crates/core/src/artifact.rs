@@ -12,6 +12,7 @@ use crate::experiments;
 use crate::report::Report;
 use crate::system::StepBreakdown;
 use crate::TrainingSystem;
+use tee_serve::{SessionTraceConfig, TraceConfig};
 use tee_sim::probe::SharedProbe;
 use tee_workloads::zoo::{ModelConfig, TABLE2};
 
@@ -144,12 +145,6 @@ impl RunContext {
         self
     }
 
-    /// Replaces the system configuration (builder form).
-    pub fn with_cfg(mut self, cfg: SystemConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
     /// Replaces the stochastic-artifact seed (builder form; the CLI's
     /// `--seed` lands here).
     pub fn with_seed(mut self, seed: u64) -> Self {
@@ -201,6 +196,29 @@ impl RunContext {
         ClusterConfig {
             n_npus,
             ..self.cluster
+        }
+    }
+
+    /// The `--fast` trim of a serving trace: shorter conversations keep
+    /// the fast registry run in seconds while preserving the
+    /// prefill/decode and residency shapes. Every serving trace (the
+    /// `serve_*` and `attack_*` artifacts, the explore serve and attack
+    /// evaluators) goes through here.
+    pub(crate) fn trim_serve_trace(&self, trace: &mut TraceConfig) {
+        if self.fast {
+            trace.prompt_mean = 256;
+            trace.output_mean = 48;
+        }
+    }
+
+    /// The `--fast` trim of a fleet session trace: shorter turns keep the
+    /// fast registry run in seconds while preserving the session and
+    /// migration shape. The `fleet_*` artifacts and the explore fleet
+    /// evaluator go through here.
+    pub(crate) fn trim_fleet_trace(&self, trace: &mut SessionTraceConfig) {
+        if self.fast {
+            trace.prompt_mean = 192;
+            trace.output_mean = 32;
         }
     }
 
@@ -312,7 +330,7 @@ static REGISTRY: [Artifact; 28] = [
         title: "CPU performance comparison",
         paper_anchor: "Figure 19",
         claim: "SGX 3.65x @8T; TensorTEE converges to SoftVN-comparable within ~10 iterations",
-        runner: |ctx| experiments::fig19_cpu_perf(ctx).1,
+        runner: experiments::fig19_cpu_perf,
     },
     Artifact {
         id: "fig20",
@@ -364,7 +382,7 @@ static REGISTRY: [Artifact; 28] = [
         paper_anchor: "extension (\u{a7}5.1 as a discrete-event simulation)",
         claim: "lockstep data-parallel DES reproduces the analytic breakdown bit-for-bit \
                 (max divergence 0 ps across every cluster size and mode)",
-        runner: |ctx| experiments::des_parity(ctx).1,
+        runner: experiments::des_parity,
     },
     Artifact {
         id: "des_straggler",
@@ -372,7 +390,7 @@ static REGISTRY: [Artifact; 28] = [
         paper_anchor: "extension (\u{a7}3.3/\u{a7}4.4, heterogeneous cluster)",
         claim: "a straggler stretches the backward window, so direct overlap hides more of \
                 the collective while staging's serialized hops stay fully exposed",
-        runner: |ctx| experiments::des_straggler(ctx).1,
+        runner: experiments::des_straggler,
     },
     Artifact {
         id: "des_pipeline",
@@ -381,7 +399,7 @@ static REGISTRY: [Artifact; 28] = [
         claim:
             "more microbatches shrink the fill/drain bubble toward (S\u{2212}1)/(M+S\u{2212}1); \
                 staging pays a conversion on every boundary hop that direct eliminates",
-        runner: |ctx| experiments::des_pipeline(ctx).1,
+        runner: experiments::des_pipeline,
     },
     Artifact {
         id: "ablations",
@@ -435,14 +453,14 @@ static REGISTRY: [Artifact; 28] = [
         paper_anchor: "extension (\u{a7}6 across the hardware space)",
         claim: "TensorTEE holds the throughput/exposure/crypto frontier across swept bus, HBM, \
                 PE and MAC-granularity knobs; the report explains any mode that never does",
-        runner: |ctx| crate::explore::explore_pareto(ctx).1,
+        runner: crate::explore::explore_pareto,
     },
     Artifact {
         id: "explore_sensitivity",
         title: "Design-space exploration: knob sensitivity (tornado)",
         paper_anchor: "extension (\u{a7}6 across the hardware space)",
         claim: "one-at-a-time swings rank which hardware knob moves each mode's throughput most",
-        runner: |ctx| crate::explore::explore_sensitivity(ctx).1,
+        runner: crate::explore::explore_sensitivity,
     },
     Artifact {
         id: "attack_traffic",

@@ -29,28 +29,32 @@ use tee_sim::probe::{SharedProbe, TraceProbe};
 use tee_sim::{SplitMix64, Time};
 use tee_workloads::zoo::ModelConfig;
 
+/// The adversary's serving system for one model and trace shape: a
+/// tight KV budget (~500 tokens, the scheduler tests' spill-forcing
+/// idiom) keeps KV offload/fetch traffic on the link, so the adversary
+/// has a channel to read. The attack artifacts and the explore attack
+/// evaluator both price through it.
+pub(crate) fn attack_serve_config(
+    ctx: &RunContext,
+    model: &ModelConfig,
+    trace: &TraceConfig,
+) -> ServeConfig {
+    let kv = KvSpec::of(model);
+    ServeConfig::for_model(model, 2, trace.steady_tokens())
+        .with_kv_hbm_bytes(kv.bytes_per_token * 500)
+        .with_npu(ctx.cfg.npu.clone())
+}
+
 /// The adversary's serving setup for one model: the context's Poisson
-/// shape at 4x the base rate against a tight KV budget (~500 tokens,
-/// the scheduler tests' spill-forcing idiom), so KV offload/fetch
-/// traffic keeps the link busy and the adversary has a channel to
-/// read. Mirrors `explore::eval_attack`.
+/// shape at 4x the base rate against [`attack_serve_config`].
 fn attack_serve_setup(
     ctx: &RunContext,
     model: &ModelConfig,
     seed: u64,
 ) -> (ServeConfig, TraceConfig) {
     let mut trace = TraceConfig::poisson(ctx.serve_requests, ctx.serve_rate_rps * 4.0, seed);
-    if ctx.fast {
-        // The reduced context trims conversations exactly like the
-        // registered serving artifacts do (see experiments::serve_setup).
-        trace.prompt_mean = 256;
-        trace.output_mean = 48;
-    }
-    let kv = KvSpec::of(model);
-    let cfg = ServeConfig::for_model(model, 2, trace.steady_tokens())
-        .with_kv_hbm_bytes(kv.bytes_per_token * 500)
-        .with_npu(ctx.cfg.npu.clone());
-    (cfg, trace)
+    ctx.trim_serve_trace(&mut trace);
+    (attack_serve_config(ctx, model, &trace), trace)
 }
 
 /// One TensorTEE serving run traced into a fresh private probe.
@@ -250,7 +254,7 @@ pub fn attack_kv_residency(ctx: &RunContext) -> Report {
          ({} handoffs on the wire, {} fetches)",
         sizes.len(),
         distinct.len(),
-        handoffs.len(),
+        handoffs.events().len(),
         fetches.len(),
     ));
     let mut findings: Vec<(KvShield, ResidencyFinding, Time)> = Vec::new();
@@ -275,7 +279,7 @@ pub fn attack_kv_residency(ctx: &RunContext) -> Report {
     let plain = &findings[0].1;
     let shielded = &findings[1].1;
     let overhead = findings[1].2;
-    report.metric("handoff_wire_spans", handoffs.len() as f64);
+    report.metric("handoff_wire_spans", handoffs.events().len() as f64);
     report.metric("kv_fetch_instants", fetches.len() as f64);
     report.metric("fleet_migrations", rep.migrations as f64);
     report.metric("residency_bits_plain", plain.bits);
@@ -330,7 +334,7 @@ pub fn attack_defended(ctx: &RunContext) -> Report {
     .captioned(format!(
         "traffic shaping — {} model, TensorTEE profile, {} link transfers observed",
         model.name,
-        view.len(),
+        view.events().len(),
     ));
     let mut traffic_bits: Vec<(Shaping, f64, Time)> = Vec::new();
     for &shaping in &Shaping::all() {
@@ -341,7 +345,7 @@ pub fn attack_defended(ctx: &RunContext) -> Report {
             rep.goodput_tps() * rep.makespan.as_secs_f64() / priced.as_secs_f64().max(1e-12);
         shaping_table.row([
             shaping.label().to_owned(),
-            shaped.observation.len().to_string(),
+            shaped.observation.events().len().to_string(),
             f2(bits),
             shaped.padding.to_string(),
             format!("{goodput:.0} tok/s"),

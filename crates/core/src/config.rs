@@ -192,8 +192,8 @@ mod tests {
         assert_eq!(c.pcie_bytes_per_sec, PcieLink::GEN4_X16_BYTES_PER_SEC);
         assert_eq!(c.mgx_mac_granularity, 512);
         assert_eq!(
-            c.pcie_link().occupancy(64 << 20),
-            PcieLink::gen4_x16().occupancy(64 << 20)
+            c.pcie_link().transfer(Time::ZERO, 64 << 20),
+            PcieLink::gen4_x16().transfer(Time::ZERO, 64 << 20)
         );
     }
 

@@ -50,16 +50,6 @@ pub enum Parallelism {
     },
 }
 
-impl Parallelism {
-    /// Display label used in reports and explore knobs.
-    pub fn label(&self) -> String {
-        match self {
-            Parallelism::Data => "data".to_string(),
-            Parallelism::Pipeline { microbatches } => format!("pipeline/{microbatches}"),
-        }
-    }
-}
-
 /// Cluster shape plus the DES-only knobs the analytic model cannot
 /// express.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -685,18 +675,11 @@ impl DesClusterSystem {
         self.sys.mode()
     }
 
-    /// The DES configuration.
-    pub fn des_config(&self) -> &DesClusterConfig {
-        &self.des
-    }
-
-    /// Simulates one full training step of `model`.
-    pub fn simulate_step(&mut self, model: &tee_workloads::zoo::ModelConfig) -> DesStepReport {
-        let schedule = StepSchedule::of(model);
-        self.simulate_schedule(&schedule)
-    }
-
-    /// Simulates one step from an explicit (global-batch) schedule.
+    /// Simulates one step from an explicit (global-batch) schedule,
+    /// pricing the CPU phase itself. Only tests run it:
+    /// `real_cpu_path_stays_in_parity_under_the_fast_config` pins it
+    /// against the analytic model (the artifacts and explore supply a
+    /// cached CPU phase to [`Self::simulate_with_cpu_time`]).
     pub fn simulate_schedule(&mut self, schedule: &StepSchedule) -> DesStepReport {
         // Adam runs on the reduced full-model gradients in both layouts;
         // data-parallel prices it from the replica schedule exactly like

@@ -361,8 +361,7 @@ pub fn fig18_hit_rate(ctx: &RunContext) -> (Vec<Fig18Row>, Report) {
 // ---------------------------------------------------------------------
 
 /// Figure-19 data for one thread count.
-#[derive(Debug, Clone)]
-pub struct Fig19Series {
+struct Fig19Series {
     /// Threads.
     pub threads: u32,
     /// Non-secure steady latency (the 1.0 reference).
@@ -376,7 +375,7 @@ pub struct Fig19Series {
 }
 
 /// Runs Figure 19 over `ctx.threads` and `ctx.checkpoints`.
-pub fn fig19_cpu_perf(ctx: &RunContext) -> (Vec<Fig19Series>, Report) {
+pub fn fig19_cpu_perf(ctx: &RunContext) -> Report {
     let workload = bench_adam_workload(&ctx.primary_model(), ctx.cfg.sim_scale);
     let max_iter = ctx.checkpoints.iter().copied().max().unwrap_or(1);
     // Steady-state baselines need at least two iterations; the context's
@@ -436,7 +435,7 @@ pub fn fig19_cpu_perf(ctx: &RunContext) -> (Vec<Fig19Series>, Report) {
             s.sgx.as_secs_f64() / s.non_secure.as_secs_f64(),
         );
     }
-    (out, report)
+    report
 }
 
 // ---------------------------------------------------------------------
@@ -767,13 +766,10 @@ pub fn ablations(ctx: &RunContext) -> Report {
 // Strong scaling — multi-NPU data parallelism (scaling_strong artifact).
 // ---------------------------------------------------------------------
 
-/// One strong-scaling sample: one cluster size under one mode.
+/// One strong-scaling sample: one cluster size under one mode, in
+/// mode-major, cluster-size-minor order.
 #[derive(Debug, Clone, Copy)]
 pub struct ScalingRow {
-    /// Data-parallel NPU replicas.
-    pub n_npus: u32,
-    /// Security mode.
-    pub mode: crate::SecureMode,
     /// Full per-phase breakdown.
     pub breakdown: ClusterStepBreakdown,
     /// Bytes each rank puts on the ring (`2·(N−1)/N·grad_bytes`).
@@ -820,8 +816,6 @@ pub fn scaling_strong(ctx: &RunContext) -> (Vec<ScalingRow>, Report) {
             let breakdown = sys.simulate_step(&model);
             let ar = sys.all_reduce_cost(model.grad_bytes());
             let row = ScalingRow {
-                n_npus: n,
-                mode,
                 breakdown,
                 ar_wire_bytes: ar.wire_bytes(),
             };
@@ -849,22 +843,17 @@ pub fn scaling_strong(ctx: &RunContext) -> (Vec<ScalingRow>, Report) {
 
 /// One parity sample: the analytic and discrete-event step of the same
 /// configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct DesParityRow {
-    /// Data-parallel NPU replicas.
-    pub n_npus: u32,
-    /// Security mode.
-    pub mode: crate::SecureMode,
+struct DesParityRow {
     /// The analytic [`ClusterSystem`] breakdown (the oracle).
-    pub analytic: ClusterStepBreakdown,
+    analytic: ClusterStepBreakdown,
     /// The DES run replaying the same step as events.
-    pub des: DesStepReport,
+    des: DesStepReport,
 }
 
 impl DesParityRow {
     /// Absolute step-total divergence in picoseconds (zero when the DES
     /// reproduces the oracle bit-for-bit).
-    pub fn divergence_ps(&self) -> u64 {
+    fn divergence_ps(&self) -> u64 {
         let a = self.analytic.total().as_ps();
         let d = self.des.breakdown.total().as_ps();
         a.abs_diff(d)
@@ -881,7 +870,7 @@ impl DesParityRow {
 /// other output is a bug in the DES, not model noise (the differential
 /// suite in `tests/des_cluster.rs` enforces the same equality over a
 /// wider grid).
-pub fn des_parity(ctx: &RunContext) -> (Vec<DesParityRow>, Report) {
+pub fn des_parity(ctx: &RunContext) -> Report {
     let model = ctx.primary_model();
     let schedule = StepSchedule::of(&model);
     let mut rows = Vec::new();
@@ -909,12 +898,6 @@ pub fn des_parity(ctx: &RunContext) -> (Vec<DesParityRow>, Report) {
             )
             .with_probe(ctx.probe.clone())
             .simulate_with_cpu_time(&schedule, cpu);
-            let row = DesParityRow {
-                n_npus: n,
-                mode,
-                analytic,
-                des,
-            };
             table.row([
                 n.to_string(),
                 mode.label().to_string(),
@@ -929,7 +912,7 @@ pub fn des_parity(ctx: &RunContext) -> (Vec<DesParityRow>, Report) {
                 des.events.to_string(),
                 des.fabric_contention.to_string(),
             ]);
-            rows.push(row);
+            rows.push(DesParityRow { analytic, des });
         }
     }
     let max_div = rows
@@ -950,18 +933,7 @@ pub fn des_parity(ctx: &RunContext) -> (Vec<DesParityRow>, Report) {
         "lockstep data-parallel DES replays the analytic composition event-by-event; \
          every breakdown field must match bit-for-bit",
     );
-    (rows, report)
-}
-
-/// One straggler sample: the cluster with its last rank slowed.
-#[derive(Debug, Clone, Copy)]
-pub struct DesStragglerRow {
-    /// Security mode.
-    pub mode: crate::SecureMode,
-    /// Slowdown of the last rank (1.0 = homogeneous).
-    pub factor: f64,
-    /// The DES step under that skew.
-    pub des: DesStepReport,
+    report
 }
 
 /// Runs the heterogeneous-cluster sweep: the largest configured cluster
@@ -973,11 +945,10 @@ pub struct DesStragglerRow {
 /// behind it (exposed `comm_ar` shrinks as the factor grows) while the
 /// staging protocol's serialized hops stay fully exposed — heterogeneity
 /// widens TensorTEE's lead rather than eroding it.
-pub fn des_straggler(ctx: &RunContext) -> (Vec<DesStragglerRow>, Report) {
+pub fn des_straggler(ctx: &RunContext) -> Report {
     let model = ctx.primary_model();
     let schedule = StepSchedule::of(&model);
     let n = ctx.cluster_sizes.iter().copied().max().unwrap_or(4).max(2);
-    let mut rows = Vec::new();
     let mut table = Table::new([
         "mode",
         "straggler",
@@ -1005,7 +976,6 @@ pub fn des_straggler(ctx: &RunContext) -> (Vec<DesStragglerRow>, Report) {
                 des.breakdown.comm_ar.to_string(),
                 pct(des.breakdown.exposed_comm_fraction()),
             ]);
-            rows.push(DesStragglerRow { mode, factor, des });
         }
     }
     let mut report = report_for("des_straggler");
@@ -1014,29 +984,15 @@ pub fn des_straggler(ctx: &RunContext) -> (Vec<DesStragglerRow>, Report) {
     report.note(format!(
         "last rank of {n} slowed by each factor; only the DES engine can price this skew"
     ));
-    (rows, report)
+    report
 }
 
-/// One pipeline sample: N stages, M microbatches, one mode.
-#[derive(Debug, Clone, Copy)]
-pub struct DesPipelineRow {
-    /// Security mode.
-    pub mode: crate::SecureMode,
-    /// Microbatches in flight.
-    pub microbatches: u32,
-    /// Pipeline stages (= NPUs).
-    pub stages: u32,
-    /// The DES step.
-    pub des: DesStepReport,
-}
-
-impl DesPipelineRow {
-    /// The ideal GPipe bubble fraction `(S−1)/(M+S−1)` for this shape.
-    pub fn ideal_bubble_fraction(&self) -> f64 {
-        let s = self.stages as f64;
-        let m = self.microbatches as f64;
-        (s - 1.0) / (m + s - 1.0)
-    }
+/// The ideal GPipe bubble fraction `(S−1)/(M+S−1)` of `stages` stages
+/// fed `microbatches` microbatches.
+fn ideal_bubble_fraction(stages: u32, microbatches: u32) -> f64 {
+    let s = stages as f64;
+    let m = microbatches as f64;
+    (s - 1.0) / (m + s - 1.0)
 }
 
 /// Runs the pipeline-parallel sweep: the model split into N contiguous
@@ -1048,11 +1004,10 @@ impl DesPipelineRow {
 /// hops *contend* on the fabric — the staging protocol additionally pays
 /// a per-hop conversion on every boundary (the `crypto` column), which
 /// the direct protocol eliminates.
-pub fn des_pipeline(ctx: &RunContext) -> (Vec<DesPipelineRow>, Report) {
+pub fn des_pipeline(ctx: &RunContext) -> Report {
     let model = ctx.primary_model();
     let schedule = StepSchedule::of(&model);
     let n = ctx.cluster_sizes.iter().copied().max().unwrap_or(4).max(2);
-    let mut rows = Vec::new();
     let mut table = Table::new([
         "mode",
         "microbatches",
@@ -1072,22 +1027,15 @@ pub fn des_pipeline(ctx: &RunContext) -> (Vec<DesPipelineRow>, Report) {
             )
             .with_probe(ctx.probe.clone())
             .simulate_with_cpu_time(&schedule, cpu);
-            let row = DesPipelineRow {
-                mode,
-                microbatches: m,
-                stages: n,
-                des,
-            };
             table.row([
                 mode.label().to_string(),
                 m.to_string(),
                 des.breakdown.total().to_string(),
                 des.breakdown.npu.to_string(),
-                pct(row.ideal_bubble_fraction()),
+                pct(ideal_bubble_fraction(n, m)),
                 des.fabric_contention.to_string(),
                 des.crypto.to_string(),
             ]);
-            rows.push(row);
         }
     }
     let mut report = report_for("des_pipeline");
@@ -1097,7 +1045,7 @@ pub fn des_pipeline(ctx: &RunContext) -> (Vec<DesPipelineRow>, Report) {
         "boundary activations of in-flight microbatches share one fabric; \
          contention and per-boundary crypto are DES-only observables",
     );
-    (rows, report)
+    report
 }
 
 // ---------------------------------------------------------------------
@@ -1132,12 +1080,7 @@ pub(crate) fn mode_key(mode: crate::SecureMode) -> &'static str {
 fn serve_setup(ctx: &RunContext) -> (ModelConfig, ServeConfig, TraceConfig) {
     let model = ctx.primary_model();
     let mut trace = TraceConfig::poisson(ctx.serve_requests, ctx.serve_rate_rps, ctx.seed);
-    if ctx.fast {
-        // Shorter conversations keep the fast registry run in seconds
-        // while preserving the prefill/decode and residency shapes.
-        trace.prompt_mean = 256;
-        trace.output_mean = 48;
-    }
+    ctx.trim_serve_trace(&mut trace);
     let cfg =
         ServeConfig::for_model(&model, 4, trace.steady_tokens()).with_npu(ctx.cfg.npu.clone());
     (model, cfg, trace)
@@ -1334,12 +1277,7 @@ pub(crate) fn fleet_setup(ctx: &RunContext) -> (ModelConfig, FleetConfig, Sessio
         ctx.fleet_tenants,
         ctx.seed,
     );
-    if ctx.fast {
-        // Shorter turns keep the fast registry run in seconds while
-        // preserving the session/migration shape.
-        trace.prompt_mean = 192;
-        trace.output_mean = 32;
-    }
+    ctx.trim_fleet_trace(&mut trace);
     let serve =
         ServeConfig::for_model(&model, 4, trace.steady_tokens()).with_npu(ctx.cfg.npu.clone());
     let cfg = FleetConfig::new(serve, ctx.fleet_instances);
@@ -1742,8 +1680,9 @@ mod tests {
         );
         assert!(report.to_markdown().contains("exposed comm"));
         // N=1 rows have no ring traffic; N>1 rows do.
-        for r in &rows {
-            if r.n_npus == 1 {
+        let sizes = context.cluster_sizes.iter().cycle();
+        for (r, &n) in rows.iter().zip(sizes) {
+            if n == 1 {
                 assert_eq!(r.ar_wire_bytes, 0);
                 assert_eq!(r.breakdown.comm_ar, Time::ZERO);
             } else {

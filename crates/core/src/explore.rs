@@ -140,14 +140,6 @@ impl Objective {
         }
     }
 
-    /// The optimization sense.
-    pub fn sense(&self) -> Sense {
-        match self {
-            Objective::Throughput => Sense::Maximize,
-            Objective::Exposed | Objective::Crypto | Objective::Leakage => Sense::Minimize,
-        }
-    }
-
     /// All objectives, in [`ModeEval::objectives`] order.
     pub fn all() -> [Objective; 4] {
         [
@@ -207,8 +199,6 @@ impl ModeEval {
 /// per-mode evaluations.
 #[derive(Debug, Clone)]
 pub struct ExploreRun {
-    /// The scenario the points were priced through.
-    pub scenario: Scenario,
     /// The knob space.
     pub space: Space,
     /// The sampled points, in sampling-plan order.
@@ -225,13 +215,6 @@ impl ExploreRun {
             .enumerate()
             .flat_map(|(i, _)| self.evals[i].iter().map(move |e| (i, e)))
             .collect()
-    }
-
-    /// Indices into [`Self::flat`] of the Pareto-non-dominated
-    /// evaluations under [`SENSES`].
-    pub fn frontier(&self) -> Vec<usize> {
-        let objs: Vec<Vec<f64>> = self.flat().iter().map(|(_, e)| e.objectives()).collect();
-        pareto_frontier(&objs, &SENSES)
     }
 }
 
@@ -587,12 +570,7 @@ fn eval_serve(ctx: &RunContext, space: &Space, point: &Point) -> Vec<ModeEval> {
     let resident = space.value(point, 4) as u64;
     let trace_seed = SplitMix64::new(ctx.seed).split(0).next_u64();
     let mut trace_cfg = TraceConfig::poisson(ctx.serve_requests, rate, trace_seed);
-    if ctx.fast {
-        // The reduced context trims conversations exactly like the
-        // registered serving artifacts do (see experiments::serve_setup).
-        trace_cfg.prompt_mean = 256;
-        trace_cfg.output_mean = 48;
-    }
+    ctx.trim_serve_trace(&mut trace_cfg);
     let cfg = ServeConfig::for_model(&model, resident, trace_cfg.steady_tokens()).with_npu(npu);
     let trace = trace_cfg.generate();
     ctx.modes
@@ -631,12 +609,7 @@ fn eval_fleet(ctx: &RunContext, space: &Space, point: &Point) -> Vec<ModeEval> {
     if space.value(point, 4) == 1.0 {
         trace_cfg = trace_cfg.with_diurnal(Diurnal::new(4.0, 0.6));
     }
-    if ctx.fast {
-        // The reduced context trims turns exactly like the registered
-        // fleet artifacts do (see experiments::fleet_setup).
-        trace_cfg.prompt_mean = 192;
-        trace_cfg.output_mean = 32;
-    }
+    ctx.trim_fleet_trace(&mut trace_cfg);
     let serve =
         ServeConfig::for_model(&model, 4, trace_cfg.steady_tokens()).with_npu(ctx.cfg.npu.clone());
     let cfg = FleetConfig::new(serve, instances).with_policy(policy);
@@ -677,19 +650,8 @@ fn eval_attack(ctx: &RunContext, space: &Space, point: &Point) -> Vec<ModeEval> 
     let shield = KvShield::all()[space.value(point, 3) as usize];
     let trace_seed = SplitMix64::new(ctx.seed).split(2).next_u64();
     let mut trace_cfg = TraceConfig::poisson(ctx.serve_requests, rate, trace_seed);
-    if ctx.fast {
-        // The reduced context trims conversations exactly like the
-        // registered serving artifacts do (see experiments::serve_setup).
-        trace_cfg.prompt_mean = 256;
-        trace_cfg.output_mean = 48;
-    }
-    // A tight KV budget (~500 tokens, the scheduler tests' spill-forcing
-    // idiom) keeps offload/fetch traffic on the wire, so the adversary
-    // has a channel to read once the load knob pushes past one.
-    let kv = tee_serve::KvSpec::of(&model);
-    let cfg = ServeConfig::for_model(&model, 2, trace_cfg.steady_tokens())
-        .with_kv_hbm_bytes(kv.bytes_per_token * 500)
-        .with_npu(ctx.cfg.npu.clone());
+    ctx.trim_serve_trace(&mut trace_cfg);
+    let cfg = crate::attack::attack_serve_config(ctx, &model, &trace_cfg);
     let trace = trace_cfg.generate();
     ctx.modes
         .iter()
@@ -786,7 +748,6 @@ fn run_points(
         Scenario::Attack => eval_attack(ctx, &space, point),
     });
     ExploreRun {
-        scenario,
         space,
         points,
         evals,
@@ -1034,13 +995,13 @@ pub fn explore_sensitivity_for(scenario: Scenario, ctx: &RunContext) -> (Explore
 }
 
 /// The registered `explore_pareto` artifact (train scenario).
-pub fn explore_pareto(ctx: &RunContext) -> (ExploreRun, Report) {
-    explore_pareto_for(Scenario::Train, ctx)
+pub fn explore_pareto(ctx: &RunContext) -> Report {
+    explore_pareto_for(Scenario::Train, ctx).1
 }
 
 /// The registered `explore_sensitivity` artifact (train scenario).
-pub fn explore_sensitivity(ctx: &RunContext) -> (ExploreRun, Report) {
-    explore_sensitivity_for(Scenario::Train, ctx)
+pub fn explore_sensitivity(ctx: &RunContext) -> Report {
+    explore_sensitivity_for(Scenario::Train, ctx).1
 }
 
 #[cfg(test)]
@@ -1062,27 +1023,27 @@ mod tests {
         let train = space_for(Scenario::Train, &c);
         assert_eq!(train.knobs().len(), 6);
         assert_eq!(train.knobs()[0].name, "model");
-        assert_eq!(train.knobs()[0].len(), c.models.len());
+        assert_eq!(train.knobs()[0].levels.len(), c.models.len());
         let cluster = space_for(Scenario::Cluster, &c);
         assert_eq!(cluster.knobs()[1].name, "NPUs");
-        assert_eq!(cluster.knobs()[1].len(), c.cluster_sizes.len());
+        assert_eq!(cluster.knobs()[1].levels.len(), c.cluster_sizes.len());
         let serve = space_for(Scenario::Serve, &c);
         assert_eq!(serve.knobs().len(), 5);
         let des = space_for(Scenario::Des, &c);
         assert_eq!(des.knobs().len(), 6);
         assert_eq!(des.knobs()[3].name, "straggler");
-        assert_eq!(des.knobs()[3].len(), c.straggler_factors.len());
+        assert_eq!(des.knobs()[3].levels.len(), c.straggler_factors.len());
         assert_eq!(des.knobs()[5].name, "microbatches");
         let fleet = space_for(Scenario::Fleet, &c);
         assert_eq!(fleet.knobs().len(), 5);
         assert_eq!(fleet.knobs()[2].name, "placement");
-        assert_eq!(fleet.knobs()[2].len(), 3);
+        assert_eq!(fleet.knobs()[2].levels.len(), 3);
         let attack = space_for(Scenario::Attack, &c);
         assert_eq!(attack.knobs().len(), 4);
         assert_eq!(attack.knobs()[2].name, "shaping");
-        assert_eq!(attack.knobs()[2].len(), Shaping::all().len());
+        assert_eq!(attack.knobs()[2].levels.len(), Shaping::all().len());
         assert_eq!(attack.knobs()[3].name, "kv at rest");
-        assert_eq!(attack.knobs()[3].len(), KvShield::all().len());
+        assert_eq!(attack.knobs()[3].levels.len(), KvShield::all().len());
         assert_eq!(Scenario::parse("attack"), Some(Scenario::Attack));
         assert_eq!(Scenario::parse("fleet"), Some(Scenario::Fleet));
         assert_eq!(Scenario::parse("des"), Some(Scenario::Des));
@@ -1110,17 +1071,15 @@ mod tests {
             assert_eq!(evals[0].crypto_frac, 0.0);
             assert!(evals[1].crypto_frac > 0.0);
         }
-        let frontier = run.frontier();
+        let objs: Vec<Vec<f64>> = run.flat().iter().map(|(_, e)| e.objectives()).collect();
+        let frontier = pareto_frontier(&objs, &SENSES);
         assert!(!frontier.is_empty());
-        assert!(frontier.len() <= run.flat().len());
+        assert!(frontier.len() <= objs.len());
     }
 
     #[test]
     fn objectives_and_senses_cannot_drift() {
         assert_eq!(SENSES.len(), Objective::all().len());
-        for (i, o) in Objective::all().iter().enumerate() {
-            assert_eq!(SENSES[i], o.sense(), "{}", o.label());
-        }
         let eval = ModeEval {
             mode: SecureMode::NonSecure,
             throughput_tps: 1.0,

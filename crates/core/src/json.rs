@@ -135,9 +135,10 @@ fn write_escaped(s: &str, out: &mut String) {
 /// surrounding whitespace).
 ///
 /// This is a structural validator, not a parser: it verifies string
-/// escapes, number syntax, and bracket/comma/colon structure, which is
-/// exactly what the CI smoke test needs to assert about the CLI's
-/// `--json` output.
+/// escapes, number syntax, and bracket/comma/colon structure. Test
+/// oracle: `tests/cli.rs`, `tests/registry.rs`, `tests/explore.rs`,
+/// `tests/observability.rs` and the report/obs unit tests check the
+/// emitted JSON with it.
 pub fn is_well_formed(s: &str) -> bool {
     let bytes = s.as_bytes();
     let mut pos = 0usize;

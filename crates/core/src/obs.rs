@@ -358,7 +358,7 @@ pub fn obs_utilization(ctx: &RunContext) -> Report {
         "events_recorded",
         (cluster_snap.events().len() + fleet_snap.events().len()) as f64,
     );
-    report.metric("counters_recorded", counters.len() as f64);
+    report.metric("counters_recorded", counters.iter().count() as f64);
     report.metric(
         "link_queued_ms",
         Time::from_ps(counters.get("link.grant_queued_ps")).as_ms_f64(),

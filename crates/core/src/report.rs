@@ -75,24 +75,16 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
+    /// Number of data rows. Read only by tests (the report, `hw` and
+    /// `obs` table tests).
     pub fn len(&self) -> usize {
         self.rows.len()
     }
 
-    /// Whether the table has no data rows.
+    /// Whether the table has no data rows (the pair clippy expects of
+    /// [`Self::len`]; read only by `empty_table_left_aligns`).
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-
-    /// Column headers.
-    pub fn columns(&self) -> &[String] {
-        &self.header
-    }
-
-    /// Data rows.
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
     }
 
     /// Whether column `col` should render right-aligned: every body cell
@@ -188,11 +180,6 @@ pub struct PhaseLedger {
 }
 
 impl PhaseLedger {
-    /// An empty ledger.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Builds a ledger from `(label, time)` entries in order.
     pub fn from_entries<I>(entries: I) -> Self
     where
@@ -201,29 +188,6 @@ impl PhaseLedger {
         PhaseLedger {
             entries: entries.into_iter().collect(),
         }
-    }
-
-    /// Appends a phase.
-    pub fn push(&mut self, label: &'static str, time: Time) {
-        self.entries.push((label, time));
-    }
-
-    /// The phases in order.
-    pub fn entries(&self) -> &[(&'static str, Time)] {
-        &self.entries
-    }
-
-    /// Phase labels in order.
-    pub fn labels(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.entries.iter().map(|(l, _)| *l)
-    }
-
-    /// The time of the phase named `label`, if present.
-    pub fn get(&self, label: &str) -> Option<Time> {
-        self.entries
-            .iter()
-            .find(|(l, _)| *l == label)
-            .map(|(_, t)| *t)
     }
 
     /// Total time: the left-fold of the entries in insertion order.
@@ -239,16 +203,6 @@ impl PhaseLedger {
             .iter()
             .map(|(l, t)| (*l, t.as_ps() as f64 / total))
             .collect()
-    }
-
-    /// Renders the ledger as a `phase | time | fraction` table.
-    pub fn to_table(&self) -> Table {
-        let mut t = Table::new(["phase", "time", "fraction"]);
-        for ((label, time), (_, frac)) in self.entries.iter().zip(self.fractions()) {
-            t.row([label.to_string(), time.to_string(), pct(frac)]);
-        }
-        t.row(["total".into(), self.total().to_string(), pct(1.0)]);
-        t
     }
 }
 
@@ -285,21 +239,6 @@ impl Report {
         }
     }
 
-    /// The artifact id (`fig16`, `sec62`, …).
-    pub fn id(&self) -> &str {
-        &self.id
-    }
-
-    /// The artifact title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
-    /// The paper anchor (`Figure 16`, `§6.2`, …).
-    pub fn paper_anchor(&self) -> &str {
-        &self.paper_anchor
-    }
-
     /// Records a named scalar metric (insertion-ordered). NaN and
     /// infinite values are kept here but normalize to `null` in the JSON
     /// export (see [`crate::json`]).
@@ -307,12 +246,10 @@ impl Report {
         self.metrics.push((name.into(), value));
     }
 
-    /// The recorded metrics in insertion order.
-    pub fn metrics(&self) -> &[(String, f64)] {
-        &self.metrics
-    }
-
-    /// The value of metric `name`, if recorded.
+    /// The value of metric `name`, if recorded. Test oracle: the
+    /// integration suites (`tests/attack.rs`, `tests/explore.rs`,
+    /// `tests/des_cluster.rs`) and the artifact unit tests read reports
+    /// through it.
     pub fn metric_value(&self, name: &str) -> Option<f64> {
         self.metrics
             .iter()
@@ -333,25 +270,10 @@ impl Report {
         self.tables.push(table);
     }
 
-    /// The tables in order.
-    pub fn tables(&self) -> &[Table] {
-        &self.tables
-    }
-
     /// Appends a free-form note line (summary sentences, timeline
     /// renders).
     pub fn note(&mut self, line: impl Into<String>) {
         self.notes.push(line.into());
-    }
-
-    /// The notes in order.
-    pub fn notes(&self) -> &[String] {
-        &self.notes
-    }
-
-    /// Ingests a [`PhaseLedger`] directly as a phase table.
-    pub fn phase_ledger(&mut self, caption: impl Into<String>, ledger: &PhaseLedger) {
-        self.table(ledger.to_table().captioned(caption));
     }
 
     /// Renders the full artifact as markdown: title header, captioned
@@ -488,19 +410,14 @@ mod tests {
         let l =
             PhaseLedger::from_entries([("NPU", Time::from_ns(300)), ("CPU", Time::from_ns(100))]);
         assert_eq!(l.total(), Time::from_ns(400));
-        assert_eq!(l.get("CPU"), Some(Time::from_ns(100)));
-        assert_eq!(l.get("nope"), None);
         let fr = l.fractions();
         assert_eq!(fr[0], ("NPU", 0.75));
         assert_eq!(fr[1], ("CPU", 0.25));
-        assert_eq!(l.labels().collect::<Vec<_>>(), vec!["NPU", "CPU"]);
-        let t = l.to_table();
-        assert_eq!(t.len(), 3); // two phases + total row
     }
 
     #[test]
     fn empty_ledger_is_sane() {
-        let l = PhaseLedger::new();
+        let l = PhaseLedger::default();
         assert_eq!(l.total(), Time::ZERO);
         assert!(l.fractions().is_empty());
     }
@@ -518,7 +435,7 @@ mod tests {
         assert!(md.starts_with("## Demo artifact (Figure 99)\n"));
         // The uncaptioned table inherited the paper anchor — visible in
         // JSON, deduplicated against the header in markdown.
-        assert_eq!(r.tables()[0].caption(), Some("Demo artifact (Figure 99)"));
+        assert_eq!(r.tables[0].caption(), Some("Demo artifact (Figure 99)"));
         assert!(!md.contains("*Demo artifact (Figure 99)*"), "{md}");
         assert!(md.contains("Average speedup: 4.0x"));
         let js = r.to_json().to_string();
@@ -527,14 +444,5 @@ mod tests {
         assert!(js.contains(r#""speedup":4.0"#));
         assert!(js.contains(r#""nan_metric":null"#));
         assert_eq!(r.metric_value("speedup"), Some(4.0));
-    }
-
-    #[test]
-    fn report_ingests_ledger() {
-        let mut r = Report::new("x", "t", "§0");
-        let l = PhaseLedger::from_entries([("NPU", Time::from_ns(1))]);
-        r.phase_ledger("per-phase", &l);
-        assert!(r.to_markdown().contains("*per-phase*"));
-        assert!(r.to_markdown().contains("| NPU"));
     }
 }

@@ -30,8 +30,8 @@ impl SecureSession {
         npu_image: &[u8],
         nonce_seed: u64,
     ) -> Result<Self, AttestationError> {
-        let cpu = EnclaveIdentity::measure("cpu-enclave", cpu_image, device_key);
-        let npu = EnclaveIdentity::measure("npu-enclave", npu_image, device_key);
+        let cpu = EnclaveIdentity::measure(cpu_image, device_key);
+        let npu = EnclaveIdentity::measure(npu_image, device_key);
         // Each enclave's ephemeral DH secret comes from its on-chip
         // entropy, modeled as a derivation of the device key and nonce.
         let entropy = u64::from_le_bytes(

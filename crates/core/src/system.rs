@@ -66,12 +66,6 @@ impl StepBreakdown {
     pub fn total(&self) -> Time {
         self.ledger().total()
     }
-
-    /// Phase fractions `(npu, cpu, comm_w, comm_g)` summing to 1.
-    pub fn fractions(&self) -> (f64, f64, f64, f64) {
-        let f = self.ledger().fractions();
-        (f[0].1, f[1].1, f[2].1, f[3].1)
-    }
 }
 
 /// Raw (un-overlapped) transfer costs for one step, used by Figure 21.
@@ -340,6 +334,8 @@ impl ClusterStepBreakdown {
 
     /// The single-system view of this step (drops `comm_ar`); for a
     /// one-replica cluster this *is* the [`TrainingSystem`] breakdown.
+    /// Test oracle: the cluster-vs-single-system differential
+    /// (`tests/multi_npu.rs`, the system tests) compares through it.
     pub fn single(&self) -> StepBreakdown {
         StepBreakdown {
             npu: self.npu,
@@ -394,16 +390,6 @@ impl ClusterSystem {
     /// The active mode.
     pub fn mode(&self) -> SecureMode {
         self.sys.mode()
-    }
-
-    /// The per-node configuration.
-    pub fn config(&self) -> &SystemConfig {
-        self.sys.config()
-    }
-
-    /// The cluster shape.
-    pub fn cluster(&self) -> &ClusterConfig {
-        &self.cluster
     }
 
     /// Cost of ring-all-reducing `grad_bytes` under this mode's protocol.
@@ -533,24 +519,29 @@ mod tests {
     fn sgx_mgx_comm_dominates() {
         // Figure 5: communication grows from ~12% to ~50%+ under SGX+MGX.
         let model = by_name("GPT2-M").unwrap();
-        let base = TrainingSystem::new(fast(), SecureMode::SgxMgx).simulate_step(&model);
-        let (_, _, w, g) = base.fractions();
+        // Ledger order: NPU, CPU, Comm W, Comm G.
+        let comm_share = |mode| {
+            let f = TrainingSystem::new(fast(), mode)
+                .simulate_step(&model)
+                .ledger()
+                .fractions();
+            f[2].1 + f[3].1
+        };
+        let base = comm_share(SecureMode::SgxMgx);
         assert!(
-            w + g > 0.3,
-            "staged communication should dominate: {:.2}",
-            w + g
+            base > 0.3,
+            "staged communication should dominate: {base:.2}"
         );
-        let ns = TrainingSystem::new(fast(), SecureMode::NonSecure).simulate_step(&model);
-        let (_, _, w_ns, g_ns) = ns.fractions();
-        assert!(w_ns + g_ns < w + g, "non-secure comm share is smaller");
+        let ns = comm_share(SecureMode::NonSecure);
+        assert!(ns < base, "non-secure comm share is smaller");
     }
 
     #[test]
     fn fractions_sum_to_one() {
         let model = by_name("GPT").unwrap();
         let b = TrainingSystem::new(fast(), SecureMode::NonSecure).simulate_step(&model);
-        let (a, c, w, g) = b.fractions();
-        assert!((a + c + w + g - 1.0).abs() < 1e-9);
+        let sum: f64 = b.ledger().fractions().iter().map(|&(_, f)| f).sum();
+        assert!((sum - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -585,13 +576,12 @@ mod tests {
         let b = TrainingSystem::new(fast(), SecureMode::SgxMgx).simulate_step(&model);
         let l = b.ledger();
         assert_eq!(l.total(), b.npu + b.cpu + b.comm_w + b.comm_g);
-        assert_eq!(l.get("NPU"), Some(b.npu));
-        assert_eq!(l.entries().len(), StepBreakdown::PHASES.len());
+        let labels: Vec<&str> = l.fractions().iter().map(|&(label, _)| label).collect();
+        assert_eq!(labels, StepBreakdown::PHASES);
         let c = ClusterSystem::new(fast(), ClusterConfig::of(4), SecureMode::SgxMgx)
             .simulate_step(&model);
         let cl = c.ledger();
         assert_eq!(cl.total(), c.npu + c.cpu + c.comm_w + c.comm_g + c.comm_ar);
-        assert_eq!(cl.get("Comm AR"), Some(c.comm_ar));
         // A one-replica cluster's ledger is the single-system ledger plus
         // a zero all-reduce entry.
         let one = ClusterSystem::new(fast(), ClusterConfig::single(), SecureMode::SgxMgx)

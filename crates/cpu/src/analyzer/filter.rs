@@ -8,7 +8,6 @@
 
 use crate::analyzer::meta_table::MetaEntry;
 use tee_mem::LINE_BYTES;
-use tee_sim::StatSet;
 
 /// Largest first-delta accepted as a plausible tensor stride (prevents two
 /// unrelated streams from pairing up in one filter entry).
@@ -83,7 +82,6 @@ pub struct TensorFilter {
     capacity: usize,
     threshold: usize,
     tick: u64,
-    stats: StatSet,
 }
 
 impl TensorFilter {
@@ -101,51 +99,19 @@ impl TensorFilter {
             capacity,
             threshold,
             tick: 0,
-            stats: StatSet::new("tensor_filter"),
         }
-    }
-
-    /// Collection threshold.
-    pub fn threshold(&self) -> usize {
-        self.threshold
-    }
-
-    /// Live entry count.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the filter holds no partial patterns.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Detection statistics (`collected`, `detected`, `evictions`,
-    /// `rejected`).
-    pub fn stats(&self) -> &StatSet {
-        &self.stats
     }
 
     /// Feeds one Meta Table miss (line address + its off-chip VN).
     /// Returns a detected [`MetaEntry`] when a pattern completes.
     pub fn observe_miss(&mut self, va: u64, vn: u64) -> Option<MetaEntry> {
         self.tick += 1;
-        self.stats.bump("collected");
         if let Some(idx) = self.entries.iter().position(|e| e.matches(va, vn)) {
             self.entries[idx].addrs.push(va);
             self.entries[idx].lru = self.tick;
             if self.entries[idx].addrs.len() >= self.threshold {
                 let entry = self.entries.swap_remove(idx);
-                return match entry.into_meta() {
-                    Some(meta) => {
-                        self.stats.bump("detected");
-                        Some(meta)
-                    }
-                    None => {
-                        self.stats.bump("rejected");
-                        None
-                    }
-                };
+                return entry.into_meta();
             }
             return None;
         }
@@ -159,7 +125,6 @@ impl TensorFilter {
                 .map(|(i, _)| i)
                 .expect("filter is full, hence non-empty");
             self.entries.swap_remove(lru_idx);
-            self.stats.bump("evictions");
         }
         self.entries.push(FilterEntry {
             addrs: vec![va],
@@ -167,11 +132,6 @@ impl TensorFilter {
             lru: self.tick,
         });
         None
-    }
-
-    /// Drops all partial patterns (kernel switch).
-    pub fn clear(&mut self) {
-        self.entries.clear();
     }
 }
 
@@ -208,7 +168,7 @@ mod tests {
         let mut f = TensorFilter::new(10, 4);
         f.observe_miss(0, 0);
         f.observe_miss(64, 1); // different VN cannot join
-        assert_eq!(f.len(), 2);
+        assert_eq!(f.entries.len(), 2);
     }
 
     #[test]
@@ -244,7 +204,7 @@ mod tests {
             }
         }
         assert_eq!(detected, 0);
-        assert!(f.stats().get("evictions") > 0);
+        assert_eq!(f.entries.len(), 2, "evictions keep the filter at capacity");
     }
 
     #[test]
@@ -252,15 +212,11 @@ mod tests {
         let mut f = TensorFilter::new(10, 4);
         f.observe_miss(0, 0);
         f.observe_miss(1 << 30, 0);
-        assert_eq!(f.len(), 2, "delta above MAX_STRIDE starts a new entry");
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut f = TensorFilter::new(4, 4);
-        f.observe_miss(0, 0);
-        f.clear();
-        assert!(f.is_empty());
+        assert_eq!(
+            f.entries.len(),
+            2,
+            "delta above MAX_STRIDE starts a new entry"
+        );
     }
 
     #[test]

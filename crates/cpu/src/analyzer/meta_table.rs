@@ -14,8 +14,7 @@ use crate::tensor::TensorDesc;
 use std::collections::HashSet;
 use tee_crypto::MacTag;
 use tee_mem::LINE_BYTES;
-use tee_sim::probe::SharedProbe;
-use tee_sim::{StatSet, Time};
+use tee_sim::StatSet;
 
 /// Geometry of one detected tensor region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -270,7 +269,6 @@ pub struct MetaTable {
     slots: Vec<Option<MetaEntry>>,
     tick: u64,
     stats: StatSet,
-    probe: SharedProbe,
 }
 
 impl MetaTable {
@@ -285,30 +283,7 @@ impl MetaTable {
             slots: (0..capacity).map(|_| None).collect(),
             tick: 0,
             stats: StatSet::new("meta_table"),
-            probe: SharedProbe::Null,
         }
-    }
-
-    /// Attaches an observability probe. Assert1 violations are reported as
-    /// `CPU` instants (timestamped by the table's access ordinal — the
-    /// table has no wall clock) and a `cpu.assert1_violations` counter.
-    pub fn set_probe(&mut self, probe: SharedProbe) {
-        self.probe = probe;
-    }
-
-    /// Slot capacity.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// Whether no entries are live.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Lookup statistics (`hit_in`, `hit_boundary`, `miss`, `write_*`).
@@ -316,29 +291,10 @@ impl MetaTable {
         &self.stats
     }
 
-    /// Resets the statistics (entries are kept) — used for per-iteration
-    /// hit-rate sampling (Figure 18).
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-
-    /// Read access to a live entry.
+    /// Read access to a live entry. Read only by tests (the Meta Table
+    /// unit tests and `tests/property_based.rs` check VN bookkeeping).
     pub fn entry(&self, slot: usize) -> Option<&MetaEntry> {
         self.slots.get(slot).and_then(|s| s.as_ref())
-    }
-
-    /// Iterates live entries.
-    pub fn entries(&self) -> impl Iterator<Item = &MetaEntry> {
-        self.slots.iter().filter_map(|s| s.as_ref())
-    }
-
-    /// Finds the entry whose region covers a tensor base address (used by
-    /// the transfer protocol to export VN+MAC).
-    pub fn find_covering(&self, va: u64) -> Option<&MetaEntry> {
-        self.slots
-            .iter()
-            .filter_map(|s| s.as_ref())
-            .find(|e| e.contains(va))
     }
 
     /// Figure 10 read dataflow.
@@ -449,11 +405,6 @@ impl MetaTable {
 
         // Assert1: each cacheline updates at most once per round.
         if e.flipped.contains(&ordinal) {
-            if self.probe.enabled() {
-                self.probe
-                    .instant("CPU", "assert1_violation", Time::from_ps(tick));
-                self.probe.count("cpu.assert1_violations", 1);
-            }
             if std::env::var_os("TT_DEBUG_VIOLATIONS").is_some() {
                 eprintln!(
                     "assert1: va={va:#x} base={:#x} lines={} flipped={} updating={}",
@@ -618,13 +569,6 @@ impl MetaTable {
             }
         }
     }
-
-    /// Invalidates every entry (context switch without save/restore).
-    pub fn clear(&mut self) {
-        for s in &mut self.slots {
-            *s = None;
-        }
-    }
 }
 
 /// Ceiling on how sparse an inferred 2-D tile may be: the pitch may exceed
@@ -787,6 +731,10 @@ fn merge_row(
 mod tests {
     use super::*;
 
+    fn live(t: &MetaTable) -> impl Iterator<Item = &MetaEntry> {
+        t.slots.iter().flatten()
+    }
+
     #[test]
     fn hit_in_and_boundary() {
         let mut t = MetaTable::new(8);
@@ -853,28 +801,7 @@ mod tests {
         t.lookup_write(0);
         t.lookup_write(64);
         assert_eq!(t.lookup_write(64), WriteLookup::Violation);
-        assert_eq!(t.len(), 0, "entry invalidated");
-    }
-
-    #[test]
-    fn probed_violation_emits_instant_and_counter() {
-        let probe = SharedProbe::recording();
-        let mut t = MetaTable::new(8);
-        t.set_probe(probe.clone());
-        t.insert(MetaEntry::new_1d(0, 4, 64, 0));
-        t.lookup_write(0);
-        t.lookup_write(64);
-        assert_eq!(t.lookup_write(64), WriteLookup::Violation);
-        // Same outcome as the unprobed test above — the probe only reports.
-        assert_eq!(t.len(), 0, "entry invalidated");
-        assert_eq!(t.stats().get("violation_assert1"), 1);
-        let snap = probe.snapshot().unwrap();
-        assert_eq!(snap.metrics().get("cpu.assert1_violations"), 1);
-        assert!(snap.events().iter().any(|e| matches!(
-            e,
-            tee_sim::probe::ProbeEvent::Instant { track, name, .. }
-                if track == "CPU" && name == "assert1_violation"
-        )));
+        assert_eq!(live(&t).count(), 0, "entry invalidated");
     }
 
     #[test]
@@ -915,8 +842,8 @@ mod tests {
         let mut t = MetaTable::new(8);
         t.insert(MetaEntry::new_1d(0, 4, 64, 0));
         t.insert(MetaEntry::new_1d(256, 4, 64, 0));
-        assert_eq!(t.len(), 1);
-        let e = t.entries().next().unwrap();
+        assert_eq!(live(&t).count(), 1);
+        let e = live(&t).next().unwrap();
         assert_eq!(e.line_count(), 8);
         assert!(e.contains(448));
     }
@@ -926,8 +853,8 @@ mod tests {
         let mut t = MetaTable::new(8);
         t.insert(MetaEntry::new_1d(256, 4, 64, 0));
         t.insert(MetaEntry::new_1d(0, 4, 64, 0));
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.entries().next().unwrap().base, 0);
+        assert_eq!(live(&t).count(), 1);
+        assert_eq!(live(&t).next().unwrap().base, 0);
     }
 
     #[test]
@@ -935,7 +862,7 @@ mod tests {
         let mut t = MetaTable::new(8);
         t.insert(MetaEntry::new_1d(0, 4, 64, 0));
         t.insert(MetaEntry::new_1d(256, 4, 64, 1));
-        assert_eq!(t.len(), 2);
+        assert_eq!(live(&t).count(), 2);
     }
 
     #[test]
@@ -944,8 +871,8 @@ mod tests {
         // Two 4-line rows with pitch 1024: infer a 2-row tile.
         t.insert(MetaEntry::new_1d(0, 4, 64, 0));
         t.insert(MetaEntry::new_1d(1024, 4, 64, 0));
-        assert_eq!(t.len(), 1);
-        let e = t.entries().next().unwrap();
+        assert_eq!(live(&t).count(), 1);
+        let e = live(&t).next().unwrap();
         assert_eq!(
             e.shape,
             Shape::TwoD {
@@ -956,7 +883,7 @@ mod tests {
         );
         // Third row extends the tile.
         t.insert(MetaEntry::new_1d(2048, 4, 64, 0));
-        let e = t.entries().next().unwrap();
+        let e = live(&t).next().unwrap();
         assert!(matches!(e.shape, Shape::TwoD { rows: 3, .. }));
         assert!(e.contains(2048 + 128));
         assert!(!e.contains(512), "gap between rows not covered");
@@ -970,8 +897,8 @@ mod tests {
         t.insert(MetaEntry::new_1d(0, 2, 64, 0));
         t.insert(MetaEntry::new_1d(192, 1, 64, 0));
         t.insert(MetaEntry::new_1d(128, 1, 64, 0));
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.entries().next().unwrap().line_count(), 4);
+        assert_eq!(live(&t).count(), 1);
+        assert_eq!(live(&t).next().unwrap().line_count(), 4);
     }
 
     #[test]
@@ -992,8 +919,8 @@ mod tests {
         };
         t.insert(a);
         t.insert(b);
-        assert_eq!(t.len(), 1);
-        let e = t.entries().next().unwrap();
+        assert_eq!(live(&t).count(), 1);
+        let e = live(&t).next().unwrap();
         assert_eq!(
             e.shape,
             Shape::TwoD {
@@ -1013,15 +940,27 @@ mod tests {
         // Touch the first entry so the second is LRU.
         let _ = t.lookup_read(0);
         t.insert(MetaEntry::new_1d(0x20000, 2, 64, 2));
-        assert_eq!(t.len(), 2);
-        assert!(t.find_covering(0).is_some(), "recently used survives");
-        assert!(t.find_covering(0x10000).is_none(), "LRU evicted");
+        assert_eq!(live(&t).count(), 2);
+        assert!(
+            live(&t).find(|e| e.contains(0)).is_some(),
+            "recently used survives"
+        );
+        assert!(
+            live(&t).find(|e| e.contains(0x10000)).is_none(),
+            "LRU evicted"
+        );
         assert_eq!(t.stats().get("evictions"), 1);
     }
 
     #[test]
     fn from_desc_covers_2d() {
-        let d = TensorDesc::new_2d(0, 3, 128, 512);
+        let d = TensorDesc {
+            base: 0,
+            bytes: 3 * 128,
+            rows: 3,
+            row_bytes: 128,
+            pitch: 512,
+        };
         let e = MetaEntry::from_desc(&d, 4);
         assert!(e.contains(512));
         assert!(e.contains(64));
@@ -1032,7 +971,13 @@ mod tests {
     #[test]
     fn update_round_on_2d_entry() {
         let mut t = MetaTable::new(4);
-        let d = TensorDesc::new_2d(0, 2, 128, 512);
+        let d = TensorDesc {
+            base: 0,
+            bytes: 2 * 128,
+            rows: 2,
+            row_bytes: 128,
+            pitch: 512,
+        };
         t.insert(MetaEntry::from_desc(&d, 0));
         assert!(matches!(
             t.lookup_write(0),

@@ -17,7 +17,6 @@ use meta_table::{MetaEntry, MetaTable, ReadLookup, WriteLookup};
 
 use crate::tensor::TensorDesc;
 use tee_crypto::MacTag;
-use tee_sim::StatSet;
 
 /// Configuration of the analyzer (§6.5 hardware budget).
 #[derive(Debug, Clone, Copy)]
@@ -40,24 +39,6 @@ impl Default for TenAnalyzerConfig {
             filter_threshold: 4,
             enabled: true,
         }
-    }
-}
-
-/// A saved Meta Table image for enclave context switching (§4.2).
-#[derive(Debug, Clone)]
-pub struct SavedContext {
-    entries: Vec<MetaEntry>,
-}
-
-impl SavedContext {
-    /// Number of saved entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the saved image is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -119,7 +100,6 @@ pub struct TenAnalyzer {
     cfg: TenAnalyzerConfig,
     table: MetaTable,
     filter: TensorFilter,
-    stats: StatSet,
     read_snapshot: (u64, u64, u64),
 }
 
@@ -130,35 +110,8 @@ impl TenAnalyzer {
             cfg,
             table: MetaTable::new(cfg.meta_entries),
             filter: TensorFilter::new(cfg.filter_entries, cfg.filter_threshold),
-            stats: StatSet::new("ten_analyzer"),
             read_snapshot: (0, 0, 0),
         }
-    }
-
-    /// Whether EnTMF is set.
-    pub fn is_enabled(&self) -> bool {
-        self.cfg.enabled
-    }
-
-    /// Attaches an observability probe to the Meta Table so protocol
-    /// violations surface as trace instants and counters.
-    pub fn set_probe(&mut self, probe: tee_sim::probe::SharedProbe) {
-        self.table.set_probe(probe);
-    }
-
-    /// The Meta Table (hit statistics, entry inspection).
-    pub fn table(&self) -> &MetaTable {
-        &self.table
-    }
-
-    /// The Tensor Filter (detection statistics).
-    pub fn filter(&self) -> &TensorFilter {
-        &self.filter
-    }
-
-    /// Unit-level statistics.
-    pub fn stats(&self) -> &StatSet {
-        &self.stats
     }
 
     /// Core read request (VA, line-aligned). Figure 10 dataflow.
@@ -181,7 +134,6 @@ impl TenAnalyzer {
             return;
         }
         if let Some(entry) = self.filter.observe_miss(va, off_chip_vn) {
-            self.stats.bump("entries_created");
             self.table.insert(entry);
         }
     }
@@ -210,11 +162,7 @@ impl TenAnalyzer {
                 vn,
                 finished_round: true,
             },
-            WriteLookup::Miss => WriteDecision::Miss,
-            WriteLookup::Violation => {
-                self.stats.bump("violations");
-                WriteDecision::Miss
-            }
+            WriteLookup::Miss | WriteLookup::Violation => WriteDecision::Miss,
         }
     }
 
@@ -226,14 +174,7 @@ impl TenAnalyzer {
         }
         let mut e = MetaEntry::from_desc(desc, vn);
         e.mac = mac;
-        self.stats.bump("entries_preloaded");
         self.table.insert(e);
-    }
-
-    /// Exports `(vn, mac)` for a tensor base address, as the trusted
-    /// metadata channel does during CPU→NPU transfer.
-    pub fn export_metadata(&self, base_va: u64) -> Option<(u64, MacTag)> {
-        self.table.find_covering(base_va).map(|e| (e.vn, e.mac))
     }
 
     /// Per-iteration hit-rate snapshot (Figure 18): returns the
@@ -255,30 +196,6 @@ impl TenAnalyzer {
         if self.cfg.enabled {
             self.table.compact();
         }
-    }
-
-    /// Context switch, save phase (§4.2: "the Meta Table is saved and
-    /// restored for context-switching cases"): exports every live entry
-    /// and clears the on-chip state for the next enclave.
-    pub fn save_context(&mut self) -> SavedContext {
-        let entries: Vec<MetaEntry> = self.table.entries().cloned().collect();
-        self.clear();
-        SavedContext { entries }
-    }
-
-    /// Context switch, restore phase: reloads a previously saved Meta
-    /// Table image.
-    pub fn restore_context(&mut self, ctx: SavedContext) {
-        self.table.clear();
-        for e in ctx.entries {
-            self.table.insert(e);
-        }
-    }
-
-    /// Context switch without save/restore: drop all on-chip state.
-    pub fn clear(&mut self) {
-        self.table.clear();
-        self.filter.clear();
     }
 }
 
@@ -339,7 +256,7 @@ mod tests {
             assert_eq!(a.on_read(i * 64), ReadDecision::Miss);
             a.observe_miss_vn(i * 64, 0);
         }
-        assert_eq!(a.table().len(), 0);
+        assert!((0..512).all(|slot| a.table.entry(slot).is_none()));
         assert_eq!(a.on_writeback(0), WriteDecision::Miss);
     }
 
@@ -377,7 +294,6 @@ mod tests {
             ReadDecision::HitIn { vn } => assert_eq!(vn, 9),
             other => panic!("{other:?}"),
         }
-        assert_eq!(a.export_metadata(0x8000), Some((9, MacTag::from_raw(0xAB))));
     }
 
     #[test]
@@ -388,7 +304,6 @@ mod tests {
         a.on_writeback(64);
         // Double write violates Assert1; entry invalidated.
         assert_eq!(a.on_writeback(64), WriteDecision::Miss);
-        assert_eq!(a.stats().get("violations"), 1);
         assert_eq!(a.on_read(0), ReadDecision::Miss, "coverage lost");
     }
 
@@ -400,28 +315,5 @@ mod tests {
         assert_eq!(h + b + m, 8);
         let (h2, b2, m2) = a.take_read_stats();
         assert_eq!((h2, b2, m2), (0, 0, 0));
-    }
-
-    #[test]
-    fn context_save_restore_round_trips() {
-        let mut a = analyzer();
-        stream_pass(&mut a, 0, 32, 0);
-        assert!(matches!(a.on_read(64), ReadDecision::HitIn { .. }));
-        // Switch away: state leaves the chip.
-        let saved = a.save_context();
-        assert!(!saved.is_empty());
-        assert_eq!(a.on_read(64), ReadDecision::Miss);
-        // Switch back: coverage returns.
-        a.restore_context(saved);
-        assert!(matches!(a.on_read(64), ReadDecision::HitIn { .. }));
-    }
-
-    #[test]
-    fn clear_drops_state() {
-        let mut a = analyzer();
-        stream_pass(&mut a, 0, 16, 0);
-        a.clear();
-        assert_eq!(a.table().len(), 0);
-        assert_eq!(a.on_read(0), ReadDecision::Miss);
     }
 }

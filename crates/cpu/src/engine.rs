@@ -38,18 +38,6 @@ pub enum TeeMode {
     TensorTee(TenAnalyzerConfig),
 }
 
-impl TeeMode {
-    /// Short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            TeeMode::NonSecure => "non-secure",
-            TeeMode::Sgx => "sgx",
-            TeeMode::SoftVn(_) => "softvn",
-            TeeMode::TensorTee(_) => "tensortee",
-        }
-    }
-}
-
 /// Per-iteration measurements.
 #[derive(Debug, Clone, Copy)]
 pub struct IterationStats {
@@ -116,8 +104,6 @@ impl AdamReport {
 /// Result of a GEMM run (§6.2).
 #[derive(Debug, Clone, Copy)]
 pub struct GemmReport {
-    /// Total run latency.
-    pub latency: Time,
     /// Meta Table hit_in reads.
     pub hit_in: u64,
     /// Meta Table boundary hits.
@@ -191,45 +177,15 @@ impl CpuEngine {
         }
     }
 
-    /// The engine's TEE mode.
-    pub fn mode(&self) -> &TeeMode {
-        &self.mode
-    }
-
-    /// The TenAnalyzer, when running TensorTEE.
-    pub fn analyzer(&self) -> Option<&TenAnalyzer> {
-        self.analyzer.as_ref()
-    }
-
-    /// Attaches an observability probe to the TenAnalyzer (no-op in other
-    /// TEE modes). Probes only observe — engine results are unchanged.
-    pub fn set_probe(&mut self, probe: tee_sim::probe::SharedProbe) {
-        if let Some(a) = self.analyzer.as_mut() {
-            a.set_probe(probe);
-        }
-    }
-
-    /// The memory controller (traffic statistics).
-    pub fn mc(&self) -> &MemoryController {
-        &self.mc
-    }
-
-    /// The MEE (metadata statistics, adversarial hooks in tests).
-    pub fn mee(&self) -> &SgxMee {
-        &self.mee
-    }
-
-    /// Mutable MEE access for attack injection in security tests.
-    pub fn mee_mut(&mut self) -> &mut SgxMee {
-        &mut self.mee
-    }
-
-    /// The physical memory image (attack injection in security tests).
+    /// The physical memory image. Fault hook: only the attack tests of
+    /// `tests/cpu_tee_security.rs` reach it, to tamper with DRAM.
     pub fn mem_mut(&mut self) -> &mut PhysMem {
         &mut self.mem
     }
 
-    /// The first integrity error observed, if any.
+    /// The first integrity error observed, if any. Read only by tests
+    /// (`tests/cpu_tee_security.rs` and the engine tests check which
+    /// integrity check fired).
     pub fn last_integrity_error(&self) -> Option<IntegrityError> {
         self.last_integrity_error
     }
@@ -642,17 +598,12 @@ impl CpuEngine {
         for va in gemm.read_stream() {
             self.access(0, &mut ctx, va, false);
         }
-        let mut end = ctx.t;
-        for &o in &ctx.outstanding {
-            end = end.max(o);
-        }
         let (hit_in, hit_boundary, miss) = self
             .analyzer
             .as_mut()
             .map(|a| a.take_read_stats())
             .unwrap_or((0, 0, 0));
         GemmReport {
-            latency: end,
             hit_in,
             hit_boundary,
             miss,
@@ -676,7 +627,7 @@ mod tests {
     }
 
     fn small_workload() -> AdamWorkload {
-        AdamWorkload::synthetic(2, 16 << 10) // 2 tensors × 16 KB × 4 streams
+        AdamWorkload::from_tensor_sizes(&[16 << 10; 2]) // 2 tensors × 16 KB × 4 streams
     }
 
     #[test]
@@ -745,7 +696,7 @@ mod tests {
 
     #[test]
     fn functional_run_verifies_clean() {
-        let w = AdamWorkload::synthetic(1, 4 << 10);
+        let w = AdamWorkload::from_tensor_sizes(&[4 << 10; 1]);
         let mut tt = CpuEngine::new(
             small_cfg(true),
             TeeMode::TensorTee(TenAnalyzerConfig::default()),
@@ -761,7 +712,7 @@ mod tests {
 
     #[test]
     fn functional_sgx_run_verifies_clean() {
-        let w = AdamWorkload::synthetic(1, 4 << 10);
+        let w = AdamWorkload::from_tensor_sizes(&[4 << 10; 1]);
         let mut sgx = CpuEngine::new(small_cfg(true), TeeMode::Sgx);
         let rep = sgx.run_adam(&w, 2, 3);
         assert_eq!(rep.integrity_errors, 0, "{:?}", sgx.last_integrity_error());
@@ -769,7 +720,7 @@ mod tests {
 
     #[test]
     fn functional_softvn_run_verifies_clean() {
-        let w = AdamWorkload::synthetic(1, 4 << 10);
+        let w = AdamWorkload::from_tensor_sizes(&[4 << 10; 1]);
         let mut sv = CpuEngine::new(small_cfg(true), TeeMode::SoftVn(SoftVnConfig::default()));
         let rep = sv.run_adam(&w, 2, 3);
         assert_eq!(rep.integrity_errors, 0, "{:?}", sv.last_integrity_error());
@@ -808,7 +759,7 @@ mod tests {
 
     #[test]
     fn more_threads_is_faster_non_secure() {
-        let w = AdamWorkload::synthetic(4, 16 << 10);
+        let w = AdamWorkload::from_tensor_sizes(&[16 << 10; 4]);
         let mut e1 = CpuEngine::new(small_cfg(false), TeeMode::NonSecure);
         let mut e4 = CpuEngine::new(small_cfg(false), TeeMode::NonSecure);
         let t1 = e1.run_adam(&w, 1, 2).steady_latency(0);

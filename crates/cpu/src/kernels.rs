@@ -22,13 +22,6 @@ pub struct AdamTensorSet {
     pub v: TensorDesc,
 }
 
-impl AdamTensorSet {
-    /// Total bytes across the four streams.
-    pub fn bytes(&self) -> u64 {
-        self.w.bytes + self.g.bytes + self.m.bytes + self.v.bytes
-    }
-}
-
 /// A full Adam workload: one tensor set per parameter tensor.
 #[derive(Debug, Clone)]
 pub struct AdamWorkload {
@@ -77,21 +70,6 @@ impl AdamWorkload {
             })
             .collect();
         AdamWorkload { tensors }
-    }
-
-    /// Uniform synthetic workload: `count` tensors of `bytes` each.
-    pub fn synthetic(count: usize, bytes: u64) -> Self {
-        Self::from_tensor_sizes(&vec![bytes; count])
-    }
-
-    /// Total bytes across every stream (4× the parameter bytes).
-    pub fn total_bytes(&self) -> u64 {
-        self.tensors.iter().map(AdamTensorSet::bytes).sum()
-    }
-
-    /// Total parameter elements (fp32).
-    pub fn elements(&self) -> u64 {
-        self.tensors.iter().map(|t| t.w.bytes / 4).sum()
     }
 
     /// The four flattened regions (w, g, m, v) as single spanning
@@ -221,7 +199,7 @@ mod tests {
 
     #[test]
     fn layout_is_disjoint() {
-        let w = AdamWorkload::synthetic(3, 1 << 16);
+        let w = AdamWorkload::from_tensor_sizes(&[1 << 16; 3]);
         let mut spans: Vec<(u64, u64)> = Vec::new();
         for s in &w.tensors {
             for d in [s.w, s.g, s.m, s.v] {
@@ -235,27 +213,20 @@ mod tests {
     }
 
     #[test]
-    fn totals_add_up() {
-        let w = AdamWorkload::synthetic(2, 1 << 20);
-        assert_eq!(w.total_bytes(), 8 << 20);
-        assert_eq!(w.elements(), 2 * ((1 << 20) / 4));
-    }
-
-    #[test]
     fn partition_covers_all_lines() {
-        let w = AdamWorkload::synthetic(2, 64 * 10);
+        let w = AdamWorkload::from_tensor_sizes(&[64 * 10; 2]);
         let parts = w.partition(3);
         let lines: u64 = parts
             .iter()
             .flatten()
             .map(|s| s.w.lines() + s.g.lines() + s.m.lines() + s.v.lines())
             .sum();
-        assert_eq!(lines, w.total_bytes() / 64);
+        assert_eq!(lines, 2 * 4 * 10, "2 tensors x 4 streams x 10 lines");
     }
 
     #[test]
     fn partition_single_thread_is_whole() {
-        let w = AdamWorkload::synthetic(1, 640);
+        let w = AdamWorkload::from_tensor_sizes(&[640; 1]);
         let parts = w.partition(1);
         assert_eq!(parts[0][0].w, w.tensors[0].w);
     }

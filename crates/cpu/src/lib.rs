@@ -21,7 +21,7 @@
 //! use tee_cpu::kernels::AdamWorkload;
 //! use tee_cpu::config::CpuConfig;
 //!
-//! let workload = AdamWorkload::synthetic(2, 8 << 10);
+//! let workload = AdamWorkload::from_tensor_sizes(&[8 << 10; 2]);
 //! let mut engine = CpuEngine::new(
 //!     CpuConfig::default(),
 //!     TeeMode::TensorTee(TenAnalyzerConfig::default()),

@@ -9,7 +9,6 @@
 
 use crate::tensor::TensorDesc;
 use serde::{Deserialize, Serialize};
-use tee_sim::StatSet;
 
 /// SoftVN configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -47,7 +46,6 @@ impl Default for SoftVnConfig {
 pub struct SoftVnTable {
     cfg: SoftVnConfig,
     declared: Vec<(TensorDesc, u64)>,
-    stats: StatSet,
 }
 
 impl SoftVnTable {
@@ -56,7 +54,6 @@ impl SoftVnTable {
         SoftVnTable {
             cfg,
             declared: Vec::new(),
-            stats: StatSet::new("softvn"),
         }
     }
 
@@ -64,36 +61,18 @@ impl SoftVnTable {
     /// table is full — that tensor falls back to the off-chip path.
     pub fn declare(&mut self, desc: TensorDesc) -> bool {
         if self.declared.len() >= self.cfg.entries {
-            self.stats.bump("declare_overflow");
             return false;
         }
         self.declared.push((desc, 0));
         true
     }
 
-    /// Number of declared entries.
-    pub fn len(&self) -> usize {
-        self.declared.len()
-    }
-
-    /// Whether nothing is declared.
-    pub fn is_empty(&self) -> bool {
-        self.declared.is_empty()
-    }
-
     /// Looks up the VN covering `va`, if declared.
-    pub fn lookup(&mut self, va: u64) -> Option<u64> {
-        let hit = self
-            .declared
+    pub fn lookup(&self, va: u64) -> Option<u64> {
+        self.declared
             .iter()
             .find(|(d, _)| d.contains(va))
-            .map(|&(_, vn)| vn);
-        if hit.is_some() {
-            self.stats.bump("hit");
-        } else {
-            self.stats.bump("miss");
-        }
-        hit
+            .map(|&(_, vn)| vn)
     }
 
     /// Software bumps a tensor's VN after its update completes (the
@@ -119,11 +98,6 @@ impl SoftVnTable {
         (self.declared.len() as u64)
             .div_ceil(64)
             .saturating_mul(self.cfg.lookup_cycles_per_64)
-    }
-
-    /// Table statistics.
-    pub fn stats(&self) -> &StatSet {
-        &self.stats
     }
 
     /// Drops all declarations (kernel exit).
@@ -154,7 +128,7 @@ mod tests {
         assert!(t.declare(TensorDesc::new_1d(0, 64)));
         assert!(t.declare(TensorDesc::new_1d(0x1000, 64)));
         assert!(!t.declare(TensorDesc::new_1d(0x2000, 64)));
-        assert_eq!(t.stats().get("declare_overflow"), 1);
+        assert_eq!(t.lookup(0x2000), None, "overflowed tensor stays off-chip");
     }
 
     #[test]
@@ -184,6 +158,7 @@ mod tests {
         let mut t = SoftVnTable::new(SoftVnConfig::default());
         t.declare(TensorDesc::new_1d(0, 64));
         t.clear();
-        assert!(t.is_empty());
+        assert!(t.declared.is_empty());
+        assert_eq!(t.lookup(0), None);
     }
 }

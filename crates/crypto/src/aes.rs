@@ -117,7 +117,9 @@ impl Aes128 {
         state
     }
 
-    /// Decrypts one 16-byte block.
+    /// Decrypts one 16-byte block. Test oracle: the simulator only runs
+    /// AES forward (counter mode); the `aes` unit tests and the
+    /// `aes_block_round_trip` proptest check encryption against this inverse.
     pub fn decrypt_block(&self, mut state: [u8; 16]) -> [u8; 16] {
         add_round_key(&mut state, &self.round_keys[10]);
         for round in (1..10).rev() {

@@ -41,31 +41,24 @@ impl std::error::Error for AttestationError {}
 /// ```
 /// use tee_crypto::{EnclaveIdentity, Key};
 /// let device = Key::from_seed(1);
-/// let enclave = EnclaveIdentity::measure("npu-kernel", b"...code image...", device);
+/// let enclave = EnclaveIdentity::measure(b"...code image...", device);
 /// let report = enclave.report(7);
 /// assert!(report.verify(&enclave.measurement(), 7, device).is_ok());
 /// ```
 #[derive(Debug, Clone)]
 pub struct EnclaveIdentity {
-    name: String,
     measurement: MacTag,
     device_key: Key,
 }
 
 impl EnclaveIdentity {
     /// Measures an enclave image under the platform's device key.
-    pub fn measure(name: impl Into<String>, image: &[u8], device_key: Key) -> Self {
+    pub fn measure(image: &[u8], device_key: Key) -> Self {
         let mk = MacKey(device_key.derive("measure").0);
         EnclaveIdentity {
-            name: name.into(),
             measurement: message_mac(&mk, image),
             device_key,
         }
-    }
-
-    /// The enclave's diagnostic name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// The measurement tag.
@@ -166,8 +159,8 @@ mod tests {
 
     fn setup() -> (EnclaveIdentity, EnclaveIdentity, Key) {
         let device = Key::from_seed(0xD00D);
-        let cpu = EnclaveIdentity::measure("cpu-adam", b"cpu enclave image", device);
-        let npu = EnclaveIdentity::measure("npu-train", b"npu enclave image", device);
+        let cpu = EnclaveIdentity::measure(b"cpu enclave image", device);
+        let npu = EnclaveIdentity::measure(b"npu enclave image", device);
         (cpu, npu, device)
     }
 
@@ -212,8 +205,8 @@ mod tests {
     #[test]
     fn tampered_image_changes_measurement() {
         let device = Key::from_seed(0xD00D);
-        let clean = EnclaveIdentity::measure("e", b"image", device);
-        let evil = EnclaveIdentity::measure("e", b"imagE", device);
+        let clean = EnclaveIdentity::measure(b"image", device);
+        let evil = EnclaveIdentity::measure(b"imagE", device);
         assert_ne!(clean.measurement(), evil.measurement());
     }
 

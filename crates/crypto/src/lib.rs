@@ -41,16 +41,6 @@ pub use kex::DhKeyPair;
 pub use mac::{MacKey, MacTag, TensorMac};
 pub use merkle::VnMerkleTree;
 
-/// AES pipeline latency in engine cycles (Table 1: "AES Encryption …
-/// 40 cycle lat." for both CPU and NPU engines).
-pub const AES_LATENCY_CYCLES: u64 = 40;
-
-/// MAC computation latency in engine cycles (Table 1).
-pub const MAC_LATENCY_CYCLES: u64 = 40;
-
-/// Version-number width in bits (SGX MEE uses a 56-bit VN per 64 B line).
-pub const VN_BITS: u32 = 56;
-
 /// MAC tag width in bits (§4.3: 56-bit MAC output space).
 pub const MAC_BITS: u32 = 56;
 

@@ -176,7 +176,9 @@ impl TensorMac {
         self.acc
     }
 
-    /// Number of line MACs absorbed.
+    /// Number of line MACs absorbed. Read only by tests
+    /// (`crates/crypto/tests/round_trip.rs` uses it to expose the
+    /// XOR-collapse caveat a bare tensor tag cannot catch).
     pub fn lines(&self) -> u64 {
         self.lines
     }

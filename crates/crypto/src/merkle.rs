@@ -78,17 +78,6 @@ impl VnMerkleTree {
         tree
     }
 
-    /// Number of VN leaves.
-    pub fn num_leaves(&self) -> usize {
-        self.vns.len()
-    }
-
-    /// Number of hash levels above the leaves (= DRAM accesses saved per
-    /// read when VNs move on-chip).
-    pub fn depth(&self) -> usize {
-        self.hash_levels.len()
-    }
-
     /// Reads a leaf VN (no verification).
     ///
     /// # Panics
@@ -98,7 +87,8 @@ impl VnMerkleTree {
         self.vns[idx]
     }
 
-    /// The on-chip root tag.
+    /// The on-chip root tag. Read only by tests (`corrupt_leaf_detected`,
+    /// `root_changes_with_updates`, the `merkle_root_sensitivity` proptest).
     pub fn root(&self) -> MacTag {
         *self
             .hash_levels
@@ -115,13 +105,6 @@ impl VnMerkleTree {
     /// Panics if `idx` is out of bounds.
     pub fn increment(&mut self, idx: usize) -> usize {
         self.vns[idx] += 1;
-        self.update_path(idx)
-    }
-
-    /// Overwrites the VN at `idx` legitimately (used when restoring a
-    /// saved enclave context) and updates the path.
-    pub fn set_vn(&mut self, idx: usize, vn: u64) -> usize {
-        self.vns[idx] = vn;
         self.update_path(idx)
     }
 
@@ -170,7 +153,9 @@ impl VnMerkleTree {
     }
 
     /// Adversarial hook: flip bits in a stored interior tag (levels below
-    /// the root; the root is on-chip and untouchable).
+    /// the root; the root is on-chip and untouchable). Only tests call it
+    /// (`corrupt_inner_node_detected`, the `merkle_interior_corruption`
+    /// proptest).
     ///
     /// # Panics
     ///
@@ -254,12 +239,14 @@ mod tests {
 
     #[test]
     fn depth_grows_logarithmically() {
-        assert_eq!(tree(1).depth(), 1);
-        assert_eq!(tree(8).depth(), 1);
-        assert_eq!(tree(9).depth(), 2);
-        assert_eq!(tree(64).depth(), 2);
-        assert_eq!(tree(65).depth(), 3);
-        assert_eq!(tree(4096).depth(), 4);
+        // A write-back touches every hash level once.
+        let depth = |leaves| tree(leaves).increment(0);
+        assert_eq!(depth(1), 1);
+        assert_eq!(depth(8), 1);
+        assert_eq!(depth(9), 2);
+        assert_eq!(depth(64), 2);
+        assert_eq!(depth(65), 3);
+        assert_eq!(depth(4096), 4);
     }
 
     #[test]
@@ -314,14 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn set_vn_restores_context() {
-        let mut t = tree(16);
-        t.set_vn(3, 77);
-        assert_eq!(t.vn(3), 77);
-        assert!(t.verify(3).is_ok());
-    }
-
-    #[test]
     fn update_touches_depth_levels() {
         let mut t = tree(4096);
         assert_eq!(t.increment(0), 4);
@@ -336,8 +315,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn root_cannot_be_corrupted() {
-        let mut t = tree(64);
-        let top = t.depth() - 1;
-        t.corrupt_node(top, 0);
+        let mut t = tree(64); // depth 2: level 1 is the root
+        t.corrupt_node(1, 0);
     }
 }

@@ -42,16 +42,6 @@ impl Executor {
         }
     }
 
-    /// The worker count.
-    pub fn threads(&self) -> u32 {
-        self.threads
-    }
-
-    /// The root seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Evaluates every point, returning results in point order. The
     /// evaluator receives `(index, point, rng)` where `rng` is the
     /// point's private sub-stream; it must not rely on any other shared
@@ -209,9 +199,10 @@ mod tests {
     #[test]
     fn zero_threads_clamps_and_empty_points_are_fine() {
         let e = Executor::new(0, 9);
-        assert_eq!(e.threads(), 1);
-        assert_eq!(e.seed(), 9);
         let out: Vec<u64> = e.run(&[], &|_, _, _| 0u64);
         assert!(out.is_empty());
+        // Zero workers clamp to one: every item is still evaluated.
+        let out: Vec<usize> = e.run_items(&[(), ()], &|i, _, _| i);
+        assert_eq!(out, vec![0, 1]);
     }
 }

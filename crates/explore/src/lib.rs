@@ -10,8 +10,8 @@
 //! design-space scheduling studies (see PAPERS.md):
 //!
 //! * [`Space`] — named [`Knob`]s with discrete labelled levels, the full
-//!   cartesian [`Space::grid`], and seeded [`Space::random`] /
-//!   [`Space::latin_hypercube`] sampling plans,
+//!   cartesian [`Space::grid`], and the seeded
+//!   [`Space::latin_hypercube`] sampling plan,
 //! * [`Executor`] — partitions points across `std::thread` workers; each
 //!   point evaluates under its own [`tee_sim::SplitMix64`] sub-stream
 //!   (derived statelessly from `(seed, point index)`), so results are

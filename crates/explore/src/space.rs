@@ -1,6 +1,5 @@
 //! Design spaces: named knobs with discrete levels, concrete points, and
-//! deterministic sampling plans (full grid, seeded random, seeded Latin
-//! hypercube).
+//! deterministic sampling plans (full grid, seeded Latin hypercube).
 //!
 //! The engine is domain-agnostic: a [`Knob`] level carries a display
 //! label and an `f64` value, and the *meaning* of each knob position is
@@ -67,16 +66,6 @@ impl Knob {
             .collect();
         assert!(!levels.is_empty(), "knob {name:?} needs at least one level");
         Knob { name, levels }
-    }
-
-    /// Number of levels.
-    pub fn len(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// Whether the knob has no levels (never true for a constructed knob).
-    pub fn is_empty(&self) -> bool {
-        self.levels.is_empty()
     }
 }
 
@@ -145,7 +134,7 @@ impl Space {
     pub fn size(&self) -> u64 {
         self.knobs
             .iter()
-            .fold(1u64, |acc, k| acc.saturating_mul(k.len() as u64))
+            .fold(1u64, |acc, k| acc.saturating_mul(k.levels.len() as u64))
     }
 
     /// The decoded value of knob `knob` at `point`.
@@ -171,7 +160,7 @@ impl Space {
     /// The mid-level point (each knob at `len/2`) — the one-at-a-time
     /// sensitivity baseline.
     pub fn center(&self) -> Point {
-        Point(self.knobs.iter().map(|k| k.len() / 2).collect())
+        Point(self.knobs.iter().map(|k| k.levels.len() / 2).collect())
     }
 
     /// Every point of the space, in mixed-radix order (last knob fastest).
@@ -194,36 +183,12 @@ impl Space {
                 }
                 k -= 1;
                 current[k] += 1;
-                if current[k] < self.knobs[k].len() {
+                if current[k] < self.knobs[k].levels.len() {
                     break;
                 }
                 current[k] = 0;
             }
         }
-    }
-
-    /// `n` distinct seeded uniform-random points (the whole grid when the
-    /// space has at most `n` points).
-    pub fn random(&self, n: usize, seed: u64) -> Vec<Point> {
-        if self.size() <= n as u64 {
-            return self.grid();
-        }
-        let mut rng = SplitMix64::new(seed).split(0);
-        let mut seen = std::collections::BTreeSet::new();
-        let mut points = Vec::with_capacity(n);
-        // Rejection-sample distinct points; n < size guarantees progress.
-        while points.len() < n {
-            let p = Point(
-                self.knobs
-                    .iter()
-                    .map(|k| rng.next_below(k.len() as u64) as usize)
-                    .collect(),
-            );
-            if seen.insert(p.clone()) {
-                points.push(p);
-            }
-        }
-        points
     }
 
     /// `n` seeded Latin-hypercube points: each knob's levels are covered
@@ -245,7 +210,10 @@ impl Space {
             .map(|(k, knob)| {
                 let mut strata: Vec<usize> = (0..n).collect();
                 root.split(k as u64).shuffle(&mut strata);
-                strata.into_iter().map(|s| s * knob.len() / n).collect()
+                strata
+                    .into_iter()
+                    .map(|s| s * knob.levels.len() / n)
+                    .collect()
             })
             .collect();
         (0..n)
@@ -269,7 +237,7 @@ impl Space {
     pub fn one_at_a_time(&self, baseline: &Point) -> Vec<Point> {
         let mut points = vec![baseline.clone()];
         for (k, knob) in self.knobs.iter().enumerate() {
-            for level in 0..knob.len() {
+            for level in 0..knob.levels.len() {
                 if level == baseline.level(k) {
                     continue;
                 }
@@ -325,29 +293,16 @@ mod tests {
     #[test]
     fn samplers_are_deterministic_and_distinct_per_seed() {
         let s = demo();
-        for sampler in [Space::random, Space::latin_hypercube] {
-            let a = sampler(&s, 8, 42);
-            let b = sampler(&s, 8, 42);
-            assert_eq!(a, b);
-            assert_eq!(a.len(), 8);
-            assert_ne!(a, sampler(&s, 8, 43), "seed matters");
-        }
-    }
-
-    #[test]
-    fn random_points_are_distinct() {
-        let s = demo();
-        let mut pts = s.random(10, 7);
-        pts.sort();
-        pts.dedup();
-        assert_eq!(pts.len(), 10);
+        let a = s.latin_hypercube(8, 42);
+        assert_eq!(a, s.latin_hypercube(8, 42));
+        assert_eq!(a.len(), 8);
+        assert_ne!(a, s.latin_hypercube(8, 43), "seed matters");
     }
 
     #[test]
     fn small_spaces_collapse_to_the_grid() {
         let s = demo();
         assert_eq!(s.sample(12, 1), s.grid());
-        assert_eq!(s.random(100, 1), s.grid());
         assert_eq!(s.latin_hypercube(100, 1), s.grid());
         assert_eq!(s.sample(6, 1).len(), 6, "over-full space is sampled");
     }
@@ -359,13 +314,13 @@ mod tests {
         let pts = s.latin_hypercube(n, 5);
         assert_eq!(pts.len(), n);
         for (k, knob) in s.knobs().iter().enumerate() {
-            let mut counts = vec![0usize; knob.len()];
+            let mut counts = vec![0usize; knob.levels.len()];
             for p in &pts {
                 counts[p.level(k)] += 1;
             }
             for (level, &c) in counts.iter().enumerate() {
-                let lo = n / knob.len();
-                let hi = n.div_ceil(knob.len());
+                let lo = n / knob.levels.len();
+                let hi = n.div_ceil(knob.levels.len());
                 assert!(
                     (lo..=hi).contains(&c),
                     "knob {k} level {level} hit {c} times (want {lo}..={hi})"

@@ -33,11 +33,6 @@ impl Policy {
     pub fn all() -> [Policy; 3] {
         [Policy::RoundRobin, Policy::LeastLoaded, Policy::KvAware]
     }
-
-    /// Parses a label produced by [`Self::label`].
-    pub fn parse(s: &str) -> Option<Policy> {
-        Policy::all().into_iter().find(|p| p.label() == s)
-    }
 }
 
 /// Threshold autoscaling: the router samples mean outstanding work per
@@ -114,26 +109,6 @@ impl FleetConfig {
         self.policy = policy;
         self
     }
-
-    /// Enables threshold autoscaling with `min_active` as the floor
-    /// (builder form).
-    pub fn with_autoscale(mut self, min_active: usize, autoscale: AutoscaleConfig) -> Self {
-        assert!(
-            (1..=self.n_instances).contains(&min_active),
-            "autoscaling floor {min_active} out of 1..={}",
-            self.n_instances
-        );
-        self.min_active = min_active;
-        self.autoscale = Some(autoscale);
-        self
-    }
-
-    /// Replaces the per-instance admission bound (builder form).
-    pub fn with_queue_bound(mut self, bound: usize) -> Self {
-        assert!(bound >= 1, "queue bound must admit at least one request");
-        self.queue_bound = bound;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -148,21 +123,10 @@ mod tests {
     }
 
     #[test]
-    fn policy_labels_round_trip() {
-        for p in Policy::all() {
-            assert_eq!(Policy::parse(p.label()), Some(p));
-        }
-        assert_eq!(Policy::parse("nope"), None);
-    }
-
-    #[test]
     fn builders_validate() {
-        let cfg = FleetConfig::new(serve(), 4)
-            .with_policy(Policy::RoundRobin)
-            .with_queue_bound(8)
-            .with_autoscale(2, AutoscaleConfig::default());
-        assert_eq!(cfg.min_active, 2);
-        assert_eq!(cfg.queue_bound, 8);
+        let cfg = FleetConfig::new(serve(), 4).with_policy(Policy::RoundRobin);
+        assert_eq!(cfg.min_active, 4, "every instance starts active");
+        assert_eq!(cfg.autoscale, None);
         assert_eq!(cfg.policy, Policy::RoundRobin);
     }
 
@@ -170,11 +134,5 @@ mod tests {
     #[should_panic]
     fn empty_fleet_rejected() {
         FleetConfig::new(serve(), 0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn floor_above_fleet_rejected() {
-        FleetConfig::new(serve(), 2).with_autoscale(3, AutoscaleConfig::default());
     }
 }

@@ -351,10 +351,7 @@ impl Component for Router {
     fn receive(&mut self, now: Time, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
         match msg {
             Msg::Arrive(req) => self.route(now, req, ctx),
-            Msg::Done {
-                instance,
-                session: _,
-            } => {
+            Msg::Done(instance) => {
                 self.outstanding[instance] -= 1;
                 self.completed += 1;
                 if self.state[instance] == InstState::Draining && self.outstanding[instance] == 0 {

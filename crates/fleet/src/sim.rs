@@ -27,13 +27,9 @@ pub enum Msg {
     /// Router → instance: non-overlappable handoff time serializing
     /// against the destination's compute.
     Stall(Time),
-    /// Instance → router: one turn finished generating.
-    Done {
-        /// Fleet index of the reporting instance.
-        instance: usize,
-        /// Session the finished turn belongs to.
-        session: u64,
-    },
+    /// Instance → router: one turn finished generating on the instance
+    /// with this fleet index.
+    Done(usize),
     /// Router → router (delayed): a cold start finished.
     Warmed(usize),
 }
@@ -63,10 +59,7 @@ impl Component for Node {
             Node::Router(r) => r.tick(now, ctx),
             Node::Instance(index, inst) => {
                 let instance = *index;
-                inst.tick(now, |req| {
-                    let session = req.session;
-                    ctx.send(ROUTER, Msg::Done { instance, session });
-                });
+                inst.tick(now, |_| ctx.send(ROUTER, Msg::Done(instance)));
             }
         }
     }

@@ -115,7 +115,10 @@ fn bounded_queues_reject_overload() {
     // One instance, tiny queue, a burst of co-arrivals: admission control
     // must shed load rather than queue unboundedly.
     let t = SessionTraceConfig::poisson(64, 400.0, 2, 9).generate();
-    let cfg = fleet(1).with_queue_bound(4);
+    let cfg = FleetConfig {
+        queue_bound: 4,
+        ..fleet(1)
+    };
     let r = run(&cfg, &SecurityProfile::non_secure(), &t);
     assert!(r.rejected_requests > 0, "overload must reject");
     assert_eq!(r.completed_requests + r.rejected_requests, 64);
@@ -137,7 +140,12 @@ fn autoscaling_rides_a_diurnal_wave() {
         low_outstanding: 1.0,
         cold_start: Time::from_ms(200),
     };
-    let cfg = fleet(4).with_autoscale(1, scale).with_queue_bound(64);
+    let cfg = FleetConfig {
+        min_active: 1,
+        autoscale: Some(scale),
+        queue_bound: 64,
+        ..fleet(4)
+    };
     let r = run(&cfg, &SecurityProfile::tensor_tee(), &t);
     assert!(
         r.router_stats.get("scale_up") > 0,
@@ -170,10 +178,12 @@ fn tracing_does_not_perturb_the_fleet_report() {
         low_outstanding: 1.0,
         cold_start: Time::from_ms(200),
     };
-    let cfg = fleet(4)
-        .with_policy(Policy::RoundRobin)
-        .with_autoscale(1, scale)
-        .with_queue_bound(64);
+    let cfg = FleetConfig {
+        min_active: 1,
+        autoscale: Some(scale),
+        queue_bound: 64,
+        ..fleet(4).with_policy(Policy::RoundRobin)
+    };
     let profile = SecurityProfile::tensor_tee();
     let plain = run(&cfg, &profile, &t);
     let recorder = SharedProbe::recording();
@@ -227,7 +237,10 @@ fn instances_are_priced_on_the_configured_npu() {
 /// `Instance::run`: round-robin, no autoscaling, a queue bound that
 /// never rejects.
 fn one_instance(n: usize) -> FleetConfig {
-    fleet(1).with_policy(Policy::RoundRobin).with_queue_bound(n)
+    FleetConfig {
+        queue_bound: n,
+        ..fleet(1).with_policy(Policy::RoundRobin)
+    }
 }
 
 /// `trace` served by `Instance::run` on a calibrated instance with no KV

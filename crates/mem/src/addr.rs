@@ -33,8 +33,6 @@ pub const PAGE_BYTES: u64 = 4096;
 pub struct PageMapper {
     table: HashMap<u64, u64>,
     rng: SplitMix64,
-    next_sequential_frame: u64,
-    scatter: bool,
 }
 
 impl PageMapper {
@@ -44,19 +42,6 @@ impl PageMapper {
         PageMapper {
             table: HashMap::new(),
             rng: SplitMix64::new(seed),
-            next_sequential_frame: 0,
-            scatter: true,
-        }
-    }
-
-    /// Creates an identity-like mapper that hands out frames sequentially —
-    /// useful for tests that need predictable physical addresses.
-    pub fn sequential() -> Self {
-        PageMapper {
-            table: HashMap::new(),
-            rng: SplitMix64::new(0),
-            next_sequential_frame: 0,
-            scatter: false,
         }
     }
 
@@ -67,31 +52,15 @@ impl PageMapper {
         let frame = match self.table.get(&vpn) {
             Some(&f) => f,
             None => {
-                let f = if self.scatter {
-                    // 2^20 frames = 4 GiB of physical space; collisions are
-                    // harmless for simulation (two VPNs sharing a frame would
-                    // only make traffic *more* regular, never less).
-                    self.rng.next_below(1 << 20)
-                } else {
-                    let f = self.next_sequential_frame;
-                    self.next_sequential_frame += 1;
-                    f
-                };
+                // 2^20 frames = 4 GiB of physical space; collisions are
+                // harmless for simulation (two VPNs sharing a frame would
+                // only make traffic *more* regular, never less).
+                let f = self.rng.next_below(1 << 20);
                 self.table.insert(vpn, f);
                 f
             }
         };
         frame * PAGE_BYTES + offset
-    }
-
-    /// Number of pages touched so far.
-    pub fn mapped_pages(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Whether translating `vaddr` would hit an existing mapping.
-    pub fn is_mapped(&self, vaddr: u64) -> bool {
-        self.table.contains_key(&(vaddr / PAGE_BYTES))
     }
 }
 
@@ -133,25 +102,6 @@ mod tests {
             contiguous < n / 8,
             "scattered mapping should rarely be contiguous ({contiguous}/{n})"
         );
-    }
-
-    #[test]
-    fn sequential_mapper_is_contiguous() {
-        let mut m = PageMapper::sequential();
-        let a = m.translate(0);
-        let b = m.translate(PAGE_BYTES);
-        assert_eq!(b, a + PAGE_BYTES);
-    }
-
-    #[test]
-    fn mapped_pages_counts_unique_pages() {
-        let mut m = PageMapper::new(3);
-        m.translate(0);
-        m.translate(64);
-        m.translate(PAGE_BYTES);
-        assert_eq!(m.mapped_pages(), 2);
-        assert!(m.is_mapped(32));
-        assert!(!m.is_mapped(10 * PAGE_BYTES));
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! the functional ciphertext lives in [`crate::store::PhysMem`].
 
 use serde::{Deserialize, Serialize};
-use tee_sim::StatSet;
 
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -81,7 +80,6 @@ pub struct Cache {
     cfg: CacheConfig,
     sets: Vec<Vec<WayState>>,
     tick: u64,
-    stats: StatSet,
 }
 
 impl Cache {
@@ -92,18 +90,7 @@ impl Cache {
             cfg,
             sets: vec![vec![WayState::default(); cfg.ways as usize]; sets],
             tick: 0,
-            stats: StatSet::new("cache"),
         }
-    }
-
-    /// The configured geometry.
-    pub fn config(&self) -> CacheConfig {
-        self.cfg
-    }
-
-    /// Access statistics (`hit`, `miss`, `writeback`).
-    pub fn stats(&self) -> &StatSet {
-        &self.stats
     }
 
     #[inline]
@@ -124,10 +111,8 @@ impl Cache {
         if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
             way.lru = self.tick;
             way.dirty |= is_write;
-            self.stats.bump("hit");
             return AccessOutcome::Hit;
         }
-        self.stats.bump("miss");
         // Choose victim: first invalid way, else LRU.
         let victim_idx = set.iter().position(|w| !w.valid).unwrap_or_else(|| {
             set.iter()
@@ -138,7 +123,6 @@ impl Cache {
         });
         let victim = &set[victim_idx];
         let evicted = if victim.valid && victim.dirty {
-            self.stats.bump("writeback");
             Some((victim.tag * sets_count + idx as u64) * self.cfg.line_bytes)
         } else {
             None
@@ -173,7 +157,9 @@ impl Cache {
         }
     }
 
-    /// Whether the line is currently resident.
+    /// Whether the line is currently resident, without touching LRU
+    /// state. Read only by tests (the cache unit tests, the `tee-mem`
+    /// proptests and `tests/property_based.rs`).
     pub fn contains(&self, line_addr: u64) -> bool {
         let (idx, tag) = self.index_tag(line_addr);
         self.sets[idx].iter().any(|w| w.valid && w.tag == tag)
@@ -284,11 +270,6 @@ impl CacheHierarchy {
         }
     }
 
-    /// The configured geometry.
-    pub fn config(&self) -> &HierarchyConfig {
-        &self.cfg
-    }
-
     /// Issues one line access from `core`.
     ///
     /// Misses allocate at every level on the way down; dirty victims
@@ -378,11 +359,6 @@ impl CacheHierarchy {
         out.dedup();
         out
     }
-
-    /// Aggregate L3 statistics.
-    pub fn l3_stats(&self) -> &StatSet {
-        self.l3.stats()
-    }
 }
 
 #[cfg(test)]
@@ -399,7 +375,7 @@ mod tests {
 
     #[test]
     fn geometry() {
-        assert_eq!(small().config().sets(), 8);
+        assert_eq!(small().sets.len(), 8);
     }
 
     #[test]
@@ -407,8 +383,6 @@ mod tests {
         let mut c = small();
         assert!(!c.access(0, false).is_hit());
         assert!(c.access(0, false).is_hit());
-        assert_eq!(c.stats().get("hit"), 1);
-        assert_eq!(c.stats().get("miss"), 1);
     }
 
     #[test]

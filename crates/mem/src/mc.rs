@@ -47,12 +47,6 @@ impl MemoryController {
         }
     }
 
-    /// Overrides the fixed queue latency.
-    pub fn with_queue_latency(mut self, lat: Time) -> Self {
-        self.queue_latency = lat;
-        self
-    }
-
     /// Issues one 64 B request; returns completion time.
     pub fn request(&mut self, pa: u64, class: RequestClass, at: Time) -> Time {
         match class {
@@ -67,30 +61,9 @@ impl MemoryController {
         &self.stats
     }
 
-    /// The underlying DRAM model (row-hit stats, idle horizon).
-    pub fn dram(&self) -> &DramModel {
-        &self.dram
-    }
-
-    /// Total bytes moved (demand + metadata).
-    pub fn total_bytes(&self) -> u64 {
-        self.dram.total_bytes()
-    }
-
     /// Time when all channels drain.
     pub fn idle_at(&self) -> Time {
         self.dram.all_idle_at()
-    }
-
-    /// Ratio of metadata requests to all requests.
-    pub fn metadata_fraction(&self) -> f64 {
-        let m = self.stats.get("metadata");
-        let d = self.stats.get("demand");
-        if m + d == 0 {
-            0.0
-        } else {
-            m as f64 / (m + d) as f64
-        }
     }
 }
 
@@ -106,24 +79,14 @@ mod tests {
         mc.request(128, RequestClass::Metadata, Time::ZERO);
         assert_eq!(mc.stats().get("demand"), 1);
         assert_eq!(mc.stats().get("metadata"), 2);
-        assert!((mc.metadata_fraction() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn queue_latency_delays_completion() {
-        let fast =
-            MemoryController::new(DramConfig::ddr4_2400_2ch()).with_queue_latency(Time::ZERO);
-        let mut fast = fast;
-        let mut slow = MemoryController::new(DramConfig::ddr4_2400_2ch())
-            .with_queue_latency(Time::from_ns(100));
-        let t_fast = fast.request(0, RequestClass::Demand, Time::ZERO);
-        let t_slow = slow.request(0, RequestClass::Demand, Time::ZERO);
-        assert_eq!(t_slow - t_fast, Time::from_ns(100));
-    }
-
-    #[test]
-    fn empty_controller_fraction_zero() {
-        let mc = MemoryController::new(DramConfig::gddr5_128gbs());
-        assert_eq!(mc.metadata_fraction(), 0.0);
+        let cfg = DramConfig::ddr4_2400_2ch();
+        let bare = DramModel::new(cfg).access(0, Time::from_ns(10));
+        let mut mc = MemoryController::new(cfg);
+        // The controller adds its fixed 10 ns before the DRAM sees the request.
+        assert_eq!(mc.request(0, RequestClass::Demand, Time::ZERO), bare);
     }
 }

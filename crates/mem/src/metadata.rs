@@ -80,27 +80,6 @@ impl MetadataCache {
         let line = kind.region_base() + (index / self.entries_per_line) * LINE_BYTES;
         self.cache.access(line, true).is_hit()
     }
-
-    /// Hit count so far.
-    pub fn hits(&self) -> u64 {
-        self.cache.stats().get("hit")
-    }
-
-    /// Miss count so far.
-    pub fn misses(&self) -> u64 {
-        self.cache.stats().get("miss")
-    }
-
-    /// Hit rate in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let h = self.hits();
-        let m = self.misses();
-        if h + m == 0 {
-            0.0
-        } else {
-            h as f64 / (h + m) as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -135,13 +114,5 @@ mod tests {
             mc.access(MetaKind::Vn, i * 8);
         }
         assert!(!mc.access(MetaKind::Vn, 0), "first line must be evicted");
-    }
-
-    #[test]
-    fn hit_rate_reports() {
-        let mut mc = MetadataCache::table1_default();
-        mc.access(MetaKind::Vn, 0);
-        mc.access(MetaKind::Vn, 1);
-        assert!((mc.hit_rate() - 0.5).abs() < 1e-12);
     }
 }

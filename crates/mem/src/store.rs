@@ -28,8 +28,6 @@ pub type LineData = [u8; LINE_BYTES as usize];
 #[derive(Debug, Clone, Default)]
 pub struct PhysMem {
     lines: HashMap<u64, LineData>,
-    reads: u64,
-    writes: u64,
 }
 
 impl PhysMem {
@@ -45,7 +43,6 @@ impl PhysMem {
     /// Panics if `pa` is not line-aligned.
     pub fn read_line(&mut self, pa: u64) -> LineData {
         assert_eq!(pa % LINE_BYTES, 0, "unaligned line read at {pa:#x}");
-        self.reads += 1;
         self.lines.get(&pa).copied().unwrap_or([0u8; 64])
     }
 
@@ -56,31 +53,15 @@ impl PhysMem {
     /// Panics if `pa` is not line-aligned.
     pub fn write_line(&mut self, pa: u64, data: LineData) {
         assert_eq!(pa % LINE_BYTES, 0, "unaligned line write at {pa:#x}");
-        self.writes += 1;
         self.lines.insert(pa, data);
     }
 
-    /// Number of distinct lines resident.
-    pub fn resident_lines(&self) -> usize {
-        self.lines.len()
-    }
-
-    /// Addresses of all resident lines, sorted (attack-surface enumeration
-    /// for the security tests).
+    /// Addresses of all resident lines, sorted. Adversary hook: the
+    /// attack-surface enumeration of `tests/cpu_tee_security.rs`.
     pub fn resident_addrs(&self) -> Vec<u64> {
         let mut v: Vec<u64> = self.lines.keys().copied().collect();
         v.sort_unstable();
         v
-    }
-
-    /// Total line reads served (includes adversarial snoops).
-    pub fn read_count(&self) -> u64 {
-        self.reads
-    }
-
-    /// Total line writes absorbed.
-    pub fn write_count(&self) -> u64 {
-        self.writes
     }
 
     // ------------------------------------------------------------------
@@ -89,7 +70,7 @@ impl PhysMem {
     // names used by the attack tests.
     // ------------------------------------------------------------------
 
-    /// Bus snoop: observe the raw stored bytes without disturbing counters.
+    /// Bus snoop: observe the raw stored bytes.
     pub fn snoop(&self, pa: u64) -> LineData {
         self.lines.get(&pa).copied().unwrap_or([0u8; 64])
     }
@@ -119,7 +100,7 @@ mod tests {
     fn zero_fill_semantics() {
         let mut m = PhysMem::new();
         assert_eq!(m.read_line(0), [0u8; 64]);
-        assert_eq!(m.resident_lines(), 0);
+        assert!(m.resident_addrs().is_empty(), "reads allocate nothing");
     }
 
     #[test]
@@ -129,25 +110,17 @@ mod tests {
         data[13] = 0xEE;
         m.write_line(0x1000, data);
         assert_eq!(m.read_line(0x1000), data);
-        assert_eq!(m.resident_lines(), 1);
-    }
-
-    #[test]
-    fn counters_track_traffic() {
-        let mut m = PhysMem::new();
-        m.write_line(0, [1; 64]);
-        m.read_line(0);
-        m.read_line(64);
-        assert_eq!(m.write_count(), 1);
-        assert_eq!(m.read_count(), 2);
+        assert_eq!(m.resident_addrs(), vec![0x1000]);
     }
 
     #[test]
     fn snoop_does_not_count() {
+        // A snoop is passive: it reads stored bytes without allocating.
         let mut m = PhysMem::new();
         m.write_line(0, [1; 64]);
-        let _ = m.snoop(0);
-        assert_eq!(m.read_count(), 0);
+        assert_eq!(m.snoop(0), [1; 64]);
+        assert_eq!(m.snoop(64), [0; 64]);
+        assert_eq!(m.resident_addrs(), vec![0]);
     }
 
     #[test]

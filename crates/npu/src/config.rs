@@ -28,8 +28,6 @@ pub struct NpuConfig {
     /// unverified lines may not enter the scratchpad in non-delayed
     /// schemes, which is what creates the Figure-13(b) stalls.
     pub verify_buffer_bytes: u64,
-    /// Element size in bytes (fp16 activations/weights on the NPU).
-    pub elem_bytes: u64,
 }
 
 impl Default for NpuConfig {
@@ -44,7 +42,6 @@ impl Default for NpuConfig {
             mac_latency: 40,
             mac_lines_per_cycle: 2.0,
             verify_buffer_bytes: 8 << 10,
-            elem_bytes: 2,
         }
     }
 }

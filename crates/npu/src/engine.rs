@@ -25,26 +25,6 @@ pub struct Layer {
 }
 
 impl Layer {
-    /// A GEMM layer `M×K × K×N` with the given element size.
-    pub fn gemm(m: u64, k: u64, n: u64, elem: u64) -> Self {
-        Layer {
-            macs: m * k * n,
-            in_bytes: m * k * elem,
-            w_bytes: k * n * elem,
-            out_bytes: m * n * elem,
-        }
-    }
-
-    /// An element-wise layer over `bytes` of data (memory-bound).
-    pub fn elementwise(bytes: u64) -> Self {
-        Layer {
-            macs: bytes / 2, // ~1 op per element
-            in_bytes: bytes,
-            w_bytes: 0,
-            out_bytes: bytes,
-        }
-    }
-
     /// Ideal compute time on the PE array.
     pub fn compute_time(&self, cfg: &NpuConfig) -> Time {
         let cycles = self.macs.div_ceil(cfg.macs_per_cycle());
@@ -78,7 +58,9 @@ pub struct NpuRunReport {
 /// use tee_npu::mac::MacScheme;
 ///
 /// let engine = NpuEngine::new(NpuConfig::default(), MacScheme::TensorDelayed);
-/// let report = engine.run(&[Layer::gemm(512, 512, 512, 2)]);
+/// let tile = 512 * 512 * 2; // one fp16 512x512 matrix
+/// let gemm = Layer { macs: 512 * 512 * 512, in_bytes: tile, w_bytes: tile, out_bytes: tile };
+/// let report = engine.run(&[gemm]);
 /// assert!(report.total > tee_sim::Time::ZERO);
 /// ```
 #[derive(Debug, Clone)]
@@ -97,16 +79,6 @@ impl NpuEngine {
             scheme,
             code_bytes_per_layer: 16 << 10,
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &NpuConfig {
-        &self.cfg
-    }
-
-    /// The active MAC scheme.
-    pub fn scheme(&self) -> MacScheme {
-        self.scheme
     }
 
     /// Simulates one layer; returns its stream timing and total layer time.
@@ -183,6 +155,26 @@ impl NpuEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A GEMM layer `M×K × K×N` with the given element size.
+    fn gemm(m: u64, k: u64, n: u64, elem: u64) -> Layer {
+        Layer {
+            macs: m * k * n,
+            in_bytes: m * k * elem,
+            w_bytes: k * n * elem,
+            out_bytes: m * n * elem,
+        }
+    }
+
+    /// An element-wise layer over `bytes` of data (memory-bound).
+    fn elementwise(bytes: u64) -> Layer {
+        Layer {
+            macs: bytes / 2,
+            in_bytes: bytes,
+            w_bytes: 0,
+            out_bytes: bytes,
+        }
+    }
     use crate::mac::figure20_sweep;
 
     /// A transformer-ish mix: large GEMMs (compute-bound) plus
@@ -190,8 +182,8 @@ mod tests {
     fn layer_mix() -> Vec<Layer> {
         let mut layers = Vec::new();
         for _ in 0..4 {
-            layers.push(Layer::gemm(1024, 1024, 1024, 2));
-            layers.push(Layer::elementwise(4 << 20));
+            layers.push(gemm(1024, 1024, 1024, 2));
+            layers.push(elementwise(4 << 20));
         }
         layers
     }
@@ -202,7 +194,7 @@ mod tests {
         // 128 GB/s of GDDR, so GEMMs need very high arithmetic intensity
         // to go compute-bound (dim ≳ 8K at fp16 with ideal reuse).
         let cfg = NpuConfig::default();
-        let l = Layer::gemm(16384, 16384, 16384, 2);
+        let l = gemm(16384, 16384, 16384, 2);
         let compute = l.compute_time(&cfg).as_secs_f64();
         let fetch = l.stream_bytes() as f64 / cfg.dram_bandwidth();
         assert!(compute > fetch, "large GEMM should be compute-bound");
@@ -211,7 +203,7 @@ mod tests {
     #[test]
     fn elementwise_is_memory_bound() {
         let cfg = NpuConfig::default();
-        let l = Layer::elementwise(8 << 20);
+        let l = elementwise(8 << 20);
         let compute = l.compute_time(&cfg).as_secs_f64();
         let fetch = l.stream_bytes() as f64 / cfg.dram_bandwidth();
         assert!(compute < fetch);
@@ -281,7 +273,7 @@ mod tests {
     #[test]
     fn run_accumulates_bytes() {
         let cfg = NpuConfig::default();
-        let layers = vec![Layer::elementwise(1 << 20); 3];
+        let layers = vec![elementwise(1 << 20); 3];
         let r = NpuEngine::new(cfg, MacScheme::TensorDelayed).run(&layers);
         assert_eq!(r.data_bytes, 3 * (2 << 20));
         assert_eq!(r.verify_stall, Time::ZERO);
@@ -292,7 +284,7 @@ mod tests {
         // Even the tensor-delayed engine pays the per-cacheline path for
         // instruction fetches — visible as a tiny constant per layer.
         let cfg = NpuConfig::default();
-        let layers = vec![Layer::elementwise(1 << 20)];
+        let layers = vec![elementwise(1 << 20)];
         let ours = NpuEngine::new(cfg.clone(), MacScheme::TensorDelayed).run(&layers);
         let plain = NpuEngine::new(cfg, MacScheme::None).run(&layers);
         assert!(ours.total > plain.total);

@@ -24,7 +24,8 @@
 //! use tee_npu::mac::MacScheme;
 //!
 //! let engine = NpuEngine::new(NpuConfig::default(), MacScheme::TensorDelayed);
-//! let slowdown = engine.slowdown(&[Layer::elementwise(1 << 20)]);
+//! let copy = Layer { macs: 1 << 19, in_bytes: 1 << 20, w_bytes: 0, out_bytes: 1 << 20 };
+//! let slowdown = engine.slowdown(&[copy]);
 //! assert!(slowdown < 1.10);
 //! ```
 

@@ -27,6 +27,7 @@ impl std::fmt::Display for TensorMacMismatch {
 impl std::error::Error for TensorMacMismatch {}
 
 /// Metadata exported over the trusted channel during direct transfer.
+/// Like [`NpuMemory::import_ciphertext`], only tests build it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TensorMeta {
     /// Tensor base address (sender address space).
@@ -159,6 +160,10 @@ impl NpuMemory {
     /// The ciphertext must have been produced under counters using *this*
     /// address space's line addresses (the protocol rebases counters by
     /// transferring `addr` metadata; we model matching layouts).
+    ///
+    /// Only tests run this functional half of the direct protocol
+    /// (`tests/secure_transfer.rs`, the `tee-npu` proptests); the
+    /// simulators price transfers through `tee-comm` instead.
     pub fn import_ciphertext(&mut self, meta: TensorMeta, lines: &[[u8; LINE_BYTES]]) {
         for (l, ct) in lines.iter().enumerate() {
             self.gddr
@@ -170,7 +175,8 @@ impl NpuMemory {
             .insert(meta.base, (lines.len() * LINE_BYTES) as u64);
     }
 
-    /// Direct-transfer export: ciphertext lines + trusted metadata.
+    /// Direct-transfer export: ciphertext lines + trusted metadata. Like
+    /// [`Self::import_ciphertext`], only tests run it.
     ///
     /// # Panics
     ///
@@ -187,16 +193,6 @@ impl NpuMemory {
             .map(|l| self.gddr.read_line(base + l * LINE_BYTES as u64))
             .collect();
         (meta, lines)
-    }
-
-    /// The metadata that would cross the trusted channel.
-    pub fn metadata(&self, base: u64) -> Option<TensorMeta> {
-        Some(TensorMeta {
-            base,
-            bytes: *self.lens.get(&base)?,
-            vn: *self.vns.get(&base)?,
-            mac: *self.macs.get(&base)?,
-        })
     }
 
     /// Adversarial access to the raw GDDR image (bus/DIMM control).
@@ -234,9 +230,9 @@ mod tests {
     fn rewrite_bumps_vn() {
         let mut m = mem();
         m.write_tensor(0, &[1; 64]);
-        let v1 = m.metadata(0).unwrap().vn;
+        let v1 = m.export_ciphertext(0).0.vn;
         m.write_tensor(0, &[2; 64]);
-        let v2 = m.metadata(0).unwrap().vn;
+        let v2 = m.export_ciphertext(0).0.vn;
         assert_eq!(v2, v1 + 1);
         assert_eq!(m.read_tensor(0).unwrap(), vec![2; 64]);
     }

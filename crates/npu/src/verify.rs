@@ -4,11 +4,9 @@
 //! *poison bit* tracks which tensors (and everything computed from them)
 //! might be tainted. The `verification_barrier` pragma compiles to a
 //! synchronization that blocks communication until the poison bits of the
-//! involved tensors clear. A bounded unverified-tensor counter prevents
-//! unbounded wasted work after a failed verification.
+//! involved tensors clear.
 
 use std::collections::HashSet;
-use tee_sim::StatSet;
 
 /// Identifies a tensor in flight (its GDDR base address).
 pub type TensorId = u64;
@@ -52,7 +50,7 @@ impl std::error::Error for BarrierError {}
 /// ```
 /// use tee_npu::verify::PoisonTracker;
 ///
-/// let mut p = PoisonTracker::new(512);
+/// let mut p = PoisonTracker::new();
 /// p.load_unverified(0x1000);
 /// p.compute(&[0x1000], 0x2000); // output inherits the poison
 /// assert!(p.is_poisoned(0x2000));
@@ -60,49 +58,25 @@ impl std::error::Error for BarrierError {}
 /// p.verification_passed(0x2000);
 /// assert!(p.barrier(&[0x2000]).is_ok());
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PoisonTracker {
     poisoned: HashSet<TensorId>,
     failed: HashSet<TensorId>,
-    limit: usize,
-    stats: StatSet,
 }
 
 impl PoisonTracker {
-    /// Creates a tracker that allows at most `limit` simultaneously
-    /// unverified tensors (§6.5 sizes poison-bit storage for 512).
-    pub fn new(limit: usize) -> Self {
-        PoisonTracker {
-            poisoned: HashSet::new(),
-            failed: HashSet::new(),
-            limit,
-            stats: StatSet::new("poison"),
-        }
-    }
-
-    /// Number of currently poisoned tensors.
-    pub fn unverified_count(&self) -> usize {
-        self.poisoned.len()
-    }
-
-    /// Whether the limit would stall a new unverified load (the counter of
-    /// §4.3 that bounds post-failure wasted computation).
-    pub fn at_limit(&self) -> bool {
-        self.poisoned.len() >= self.limit
-    }
-
-    /// Statistics (`loads`, `propagations`, `cleared`, `failures`).
-    pub fn stats(&self) -> &StatSet {
-        &self.stats
+    /// Creates a tracker with no tensor in flight.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// A tensor entered compute with verification still pending.
     pub fn load_unverified(&mut self, t: TensorId) {
-        self.stats.bump("loads");
         self.poisoned.insert(t);
     }
 
-    /// Whether a tensor is currently poisoned.
+    /// Whether a tensor is currently poisoned. Read only by tests (the
+    /// poison-propagation tests and the `poison_transitive` proptest).
     pub fn is_poisoned(&self, t: TensorId) -> bool {
         self.poisoned.contains(&t)
     }
@@ -111,7 +85,6 @@ impl PoisonTracker {
     /// propagates if any input is poisoned.
     pub fn compute(&mut self, inputs: &[TensorId], output: TensorId) {
         if inputs.iter().any(|i| self.poisoned.contains(i)) {
-            self.stats.bump("propagations");
             self.poisoned.insert(output);
         } else {
             self.poisoned.remove(&output);
@@ -128,13 +101,11 @@ impl PoisonTracker {
     /// bookkeeping or by explicit per-tensor clears, as the hardware does
     /// when the barrier re-checks).
     pub fn verification_passed(&mut self, t: TensorId) {
-        self.stats.bump("cleared");
         self.poisoned.remove(&t);
     }
 
     /// Delayed verification of `t` failed: mark the enclave compromised.
     pub fn verification_failed(&mut self, t: TensorId) {
-        self.stats.bump("failures");
         self.failed.insert(t);
         self.poisoned.remove(&t);
     }
@@ -166,7 +137,7 @@ mod tests {
 
     #[test]
     fn poison_propagates_through_compute() {
-        let mut p = PoisonTracker::new(8);
+        let mut p = PoisonTracker::new();
         p.load_unverified(1);
         p.compute(&[1, 2], 3);
         p.compute(&[3], 4);
@@ -177,14 +148,14 @@ mod tests {
 
     #[test]
     fn clean_inputs_give_clean_output() {
-        let mut p = PoisonTracker::new(8);
+        let mut p = PoisonTracker::new();
         p.compute(&[10, 11], 12);
         assert!(!p.is_poisoned(12));
     }
 
     #[test]
     fn barrier_blocks_until_verified() {
-        let mut p = PoisonTracker::new(8);
+        let mut p = PoisonTracker::new();
         p.load_unverified(1);
         p.compute(&[1], 2);
         assert_eq!(p.barrier(&[2]), Err(BarrierError::Poisoned { tensor: 2 }));
@@ -195,7 +166,7 @@ mod tests {
 
     #[test]
     fn failed_verification_aborts_communication() {
-        let mut p = PoisonTracker::new(8);
+        let mut p = PoisonTracker::new();
         p.load_unverified(1);
         p.verification_failed(1);
         assert_eq!(
@@ -211,19 +182,8 @@ mod tests {
     }
 
     #[test]
-    fn limit_counter() {
-        let mut p = PoisonTracker::new(2);
-        p.load_unverified(1);
-        assert!(!p.at_limit());
-        p.load_unverified(2);
-        assert!(p.at_limit());
-        p.verification_passed(1);
-        assert!(!p.at_limit());
-    }
-
-    #[test]
     fn overwrite_with_clean_inputs_clears_poison() {
-        let mut p = PoisonTracker::new(8);
+        let mut p = PoisonTracker::new();
         p.load_unverified(1);
         p.compute(&[1], 5);
         assert!(p.is_poisoned(5));

@@ -94,7 +94,7 @@ proptest! {
     /// Poison propagation is transitive through arbitrary DAGs.
     #[test]
     fn poison_transitive(edges in vec((0u64..16, 0u64..16), 1..64), src in 0u64..16) {
-        let mut p = PoisonTracker::new(64);
+        let mut p = PoisonTracker::new();
         p.load_unverified(src);
         let mut tainted: std::collections::HashSet<u64> = [src].into();
         for &(from, to) in &edges {

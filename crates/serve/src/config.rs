@@ -168,11 +168,6 @@ impl SecurityProfile {
             kv_protocol: KvProtocol::Direct,
         }
     }
-
-    /// All three, in the paper's presentation order.
-    pub fn all() -> [SecurityProfile; 3] {
-        [Self::non_secure(), Self::sgx_mgx(), Self::tensor_tee()]
-    }
 }
 
 #[cfg(test)]
@@ -208,7 +203,11 @@ mod tests {
 
     #[test]
     fn profiles_cover_the_three_modes() {
-        let all = SecurityProfile::all();
+        let all = [
+            SecurityProfile::non_secure(),
+            SecurityProfile::sgx_mgx(),
+            SecurityProfile::tensor_tee(),
+        ];
         assert_eq!(all.len(), 3);
         assert_eq!(all[1].label, "SGX+MGX");
         assert_eq!(all[2].kv_protocol, KvProtocol::Direct);

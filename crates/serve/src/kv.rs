@@ -67,26 +67,6 @@ impl KvPool {
         self.clock += 1;
     }
 
-    /// HBM bytes currently resident.
-    pub fn hbm_used(&self) -> u64 {
-        self.hbm_used
-    }
-
-    /// The HBM budget.
-    pub fn budget(&self) -> u64 {
-        self.budget
-    }
-
-    /// The residency of `id`'s KV, if it exists.
-    pub fn residency(&self, id: u32) -> Option<Residency> {
-        self.entries.get(&id).map(|e| e.residency)
-    }
-
-    /// Current KV bytes of `id` (0 when absent).
-    pub fn bytes_of(&self, id: u32) -> u64 {
-        self.entries.get(&id).map_or(0, |e| e.bytes)
-    }
-
     /// Occupancy/migration counters (`fetches`, `offloads`,
     /// `fetched_bytes`, `offloaded_bytes`).
     pub fn stats(&self) -> &StatSet {
@@ -189,6 +169,10 @@ impl KvPool {
 mod tests {
     use super::*;
 
+    fn residency(p: &KvPool, id: u32) -> Option<Residency> {
+        p.entries.get(&id).map(|e| e.residency)
+    }
+
     fn protect(ids: &[u32]) -> BTreeSet<u32> {
         ids.iter().copied().collect()
     }
@@ -204,9 +188,9 @@ mod tests {
             p.reserve(1, 150, &protect(&[1]), false).unwrap(),
             ReserveOutcome::default()
         );
-        assert_eq!(p.hbm_used(), 150);
-        assert_eq!(p.residency(1), Some(Residency::Hbm));
-        assert_eq!(p.bytes_of(1), 150);
+        assert_eq!(p.hbm_used, 150);
+        assert_eq!(residency(&p, 1), Some(Residency::Hbm));
+        assert_eq!(p.entries[&1].bytes, 150);
     }
 
     #[test]
@@ -222,8 +206,8 @@ mod tests {
         p.reserve(1, 100, &protect(&[]), false).unwrap();
         let out = p.reserve(4, 100, &protect(&[]), false).unwrap();
         assert_eq!(out.offloaded_bytes, 100);
-        assert_eq!(p.residency(2), Some(Residency::Dram));
-        assert_eq!(p.residency(1), Some(Residency::Hbm));
+        assert_eq!(residency(&p, 2), Some(Residency::Dram));
+        assert_eq!(residency(&p, 1), Some(Residency::Hbm));
         assert_eq!(p.stats().get("offloads"), 1);
     }
 
@@ -233,12 +217,12 @@ mod tests {
         p.reserve(1, 150, &protect(&[]), false).unwrap();
         p.tick();
         p.reserve(2, 150, &protect(&[]), false).unwrap(); // evicts 1
-        assert_eq!(p.residency(1), Some(Residency::Dram));
+        assert_eq!(residency(&p, 1), Some(Residency::Dram));
         p.tick();
         let out = p.reserve(1, 160, &protect(&[]), false).unwrap();
         assert_eq!(out.fetched_bytes, 150, "old bytes travel back");
         assert_eq!(out.offloaded_bytes, 150, "2 got evicted in turn");
-        assert_eq!(p.bytes_of(1), 160);
+        assert_eq!(p.entries[&1].bytes, 160);
         assert_eq!(p.stats().get("fetched_bytes"), 150);
     }
 
@@ -246,19 +230,19 @@ mod tests {
     fn protected_entries_never_evict_and_reserve_can_fail() {
         let mut p = KvPool::new(200);
         p.reserve(1, 150, &protect(&[]), false).unwrap();
-        let before = p.hbm_used();
+        let before = p.hbm_used;
         assert_eq!(p.reserve(2, 100, &protect(&[1]), false), None);
-        assert_eq!(p.hbm_used(), before, "failed reserve changes nothing");
+        assert_eq!(p.hbm_used, before, "failed reserve changes nothing");
         assert_eq!(
-            p.residency(2),
+            residency(&p, 2),
             None,
             "a failed reserve must not materialize a phantom entry"
         );
-        assert_eq!(p.residency(1), Some(Residency::Hbm));
+        assert_eq!(residency(&p, 1), Some(Residency::Hbm));
         // Forcing over-budget succeeds for the scheduler's head request.
         let out = p.reserve(2, 100, &protect(&[1]), true).unwrap();
         assert_eq!(out, ReserveOutcome::default());
-        assert!(p.hbm_used() > p.budget());
+        assert!(p.hbm_used > p.budget);
     }
 
     #[test]
@@ -269,7 +253,7 @@ mod tests {
         p.reserve(2, 150, &protect(&[]), false).unwrap(); // 1 → DRAM
         assert_eq!(p.release(1), 0, "offloaded KV frees no HBM");
         assert_eq!(p.release(2), 150);
-        assert_eq!(p.hbm_used(), 0);
+        assert_eq!(p.hbm_used, 0);
         assert_eq!(p.release(99), 0, "unknown id is a no-op");
     }
 }

@@ -82,21 +82,6 @@ impl ServeReport {
     pub fn tpot_mean(&self) -> Time {
         Time::from_secs_f64(self.tpot_ns.mean() * 1e-9)
     }
-
-    /// Mean time to first token.
-    pub fn ttft_mean(&self) -> Time {
-        Time::from_secs_f64(self.ttft_ns.mean() * 1e-9)
-    }
-
-    /// Fraction of the makespan lost to exposed KV migration.
-    pub fn kv_exposed_fraction(&self) -> f64 {
-        let total = self.makespan.as_secs_f64();
-        if total <= 0.0 {
-            0.0
-        } else {
-            self.kv_exposed_time.as_secs_f64() / total
-        }
-    }
 }
 
 #[cfg(test)]
@@ -108,7 +93,6 @@ mod tests {
         let r = ServeReport::new();
         assert_eq!(r.goodput_tps(), 0.0);
         assert_eq!(r.ttft_percentile(0.99), None);
-        assert_eq!(r.kv_exposed_fraction(), 0.0);
         assert_eq!(r.tpot_mean(), Time::ZERO);
     }
 

@@ -245,13 +245,6 @@ pub struct SessionRequest {
     pub context_tokens: u64,
 }
 
-impl SessionRequest {
-    /// Total KV context once this turn has fully generated.
-    pub fn context_after(&self) -> u64 {
-        self.context_tokens + self.request.final_context()
-    }
-}
-
 impl From<Request> for SessionRequest {
     /// A single-turn session (id = the request id) with no carried
     /// context.
@@ -314,16 +307,6 @@ impl SessionTraceConfig {
     /// Adds diurnal modulation to the session-start rate.
     pub fn with_diurnal(mut self, diurnal: Diurnal) -> Self {
         self.diurnal = Some(diurnal);
-        self
-    }
-
-    /// Switches session starts to a bursty process at the same long-run
-    /// rate.
-    pub fn with_bursty(mut self, burst: u32) -> Self {
-        self.arrivals = ArrivalProcess::Bursty {
-            rate_rps: self.arrivals.rate_rps(),
-            burst: burst.max(1),
-        };
         self
     }
 
@@ -540,7 +523,6 @@ mod tests {
             for (k, r) in turns.iter().enumerate() {
                 assert_eq!(r.turn, k as u32, "turns dense per session");
                 assert_eq!(r.context_tokens, context, "context accumulates");
-                assert_eq!(r.context_after(), context + r.request.final_context());
                 context += r.request.final_context();
             }
             if turns.len() > 1 {
@@ -562,9 +544,12 @@ mod tests {
         // And a bursty mix at the same rate still lands its groups together.
         let c = SessionTraceConfig {
             turns_mean: 1,
+            arrivals: ArrivalProcess::Bursty {
+                rate_rps: 10.0,
+                burst: 4,
+            },
             ..SessionTraceConfig::poisson(400, 10.0, 2, 3)
-        }
-        .with_bursty(4);
+        };
         let trace = c.generate();
         let starts: Vec<Time> = trace
             .iter()

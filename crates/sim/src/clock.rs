@@ -105,12 +105,6 @@ impl Time {
         Time(self.0.saturating_sub(rhs.0))
     }
 
-    /// Checked addition.
-    #[inline]
-    pub fn checked_add(self, rhs: Time) -> Option<Time> {
-        self.0.checked_add(rhs.0).map(Time)
-    }
-
     /// The later of two times.
     #[inline]
     pub fn max(self, rhs: Time) -> Time {
@@ -119,22 +113,6 @@ impl Time {
         } else {
             rhs
         }
-    }
-
-    /// The earlier of two times.
-    #[inline]
-    pub fn min(self, rhs: Time) -> Time {
-        if self.0 <= rhs.0 {
-            self
-        } else {
-            rhs
-        }
-    }
-
-    /// Multiplies a duration by an integer scale factor.
-    #[inline]
-    pub fn scale(self, factor: u64) -> Time {
-        Time(self.0 * factor)
     }
 }
 
@@ -191,7 +169,7 @@ impl fmt::Display for Time {
     }
 }
 
-/// A fixed-frequency clock domain converting between cycles and [`Time`].
+/// A fixed-frequency clock domain converting cycle counts to [`Time`].
 ///
 /// # Example
 ///
@@ -219,37 +197,10 @@ impl ClockDomain {
         }
     }
 
-    /// Creates a clock domain from a frequency in MHz.
-    pub fn from_mhz(mhz: f64) -> Self {
-        Self::from_ghz(mhz / 1_000.0)
-    }
-
-    /// The clock period.
-    pub fn period(&self) -> Time {
-        Time::from_ps(self.period_ps.round() as u64)
-    }
-
-    /// Frequency in GHz.
-    pub fn freq_ghz(&self) -> f64 {
-        1_000.0 / self.period_ps
-    }
-
     /// Converts a cycle count into simulated time (rounded to ps).
     #[inline]
     pub fn cycles_to_time(&self, cycles: u64) -> Time {
         Time::from_ps((cycles as f64 * self.period_ps).round() as u64)
-    }
-
-    /// Converts a timestamp into whole elapsed cycles (floor).
-    #[inline]
-    pub fn time_to_cycles(&self, t: Time) -> u64 {
-        (t.as_ps() as f64 / self.period_ps).floor() as u64
-    }
-
-    /// The first cycle boundary at or after `t`.
-    pub fn next_edge(&self, t: Time) -> Time {
-        let c = (t.as_ps() as f64 / self.period_ps).ceil() as u64;
-        self.cycles_to_time(c)
     }
 }
 
@@ -274,7 +225,6 @@ mod tests {
         assert_eq!(b.saturating_sub(a), Time::ZERO);
         assert_eq!(a.max(b), a);
         assert_eq!(a.min(b), b);
-        assert_eq!(a.scale(3), Time::from_ns(30));
     }
 
     #[test]
@@ -290,25 +240,6 @@ mod tests {
         assert_eq!(Time::from_us(12).to_string(), "12.000us");
         assert_eq!(Time::from_ms(12).to_string(), "12.000ms");
         assert_eq!(Time::from_secs_f64(1.25).to_string(), "1.250s");
-    }
-
-    #[test]
-    fn clock_domain_round_trips() {
-        let cpu = ClockDomain::from_ghz(3.5);
-        for cycles in [0u64, 1, 7, 35, 1_000_000] {
-            let t = cpu.cycles_to_time(cycles);
-            let back = cpu.time_to_cycles(t);
-            // Rounding may lose at most one cycle at this resolution.
-            assert!(back == cycles || back + 1 == cycles, "{cycles} -> {back}");
-        }
-    }
-
-    #[test]
-    fn clock_domain_next_edge() {
-        let c = ClockDomain::from_ghz(1.0); // 1000 ps period
-        assert_eq!(c.next_edge(Time::from_ps(0)), Time::from_ps(0));
-        assert_eq!(c.next_edge(Time::from_ps(1)), Time::from_ps(1_000));
-        assert_eq!(c.next_edge(Time::from_ps(1_000)), Time::from_ps(1_000));
     }
 
     #[test]

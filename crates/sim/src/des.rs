@@ -48,7 +48,7 @@
 //! sched.send_at(Time::ZERO, 0, 7);
 //! let end = sched.run();
 //! assert_eq!(end, Time::from_ns(10));
-//! assert_eq!(sched.component(b).seen, vec![8]);
+//! assert_eq!(sched.components()[b].seen, vec![8]);
 //! ```
 
 use crate::clock::Time;
@@ -112,11 +112,6 @@ pub struct Ctx<'a, M> {
 }
 
 impl<M> Ctx<'_, M> {
-    /// Current simulated time.
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
     /// Id of the component being run.
     pub fn self_id(&self) -> ComponentId {
         self.self_id
@@ -171,10 +166,10 @@ impl<M> Event<M> {
 ///
 /// `C` is typically an enum over the concrete component kinds of one
 /// simulation, which keeps the scheduler object-safe-free and lets the
-/// caller read final component state back out with [`component`]
+/// caller read final component state back out with [`components`]
 /// (no downcasting).
 ///
-/// [`component`]: Self::component
+/// [`components`]: Self::components
 #[derive(Debug)]
 pub struct Scheduler<C: Component> {
     components: Vec<C>,
@@ -251,16 +246,6 @@ impl<C: Component> Scheduler<C> {
         id
     }
 
-    /// Number of registered components.
-    pub fn n_components(&self) -> usize {
-        self.components.len()
-    }
-
-    /// Read access to a component (e.g. to extract results after a run).
-    pub fn component(&self, id: ComponentId) -> &C {
-        &self.components[id]
-    }
-
     /// All components, in id order.
     pub fn components(&self) -> &[C] {
         &self.components
@@ -272,11 +257,6 @@ impl<C: Component> Scheduler<C> {
     pub fn send_at(&mut self, at: Time, to: ComponentId, msg: C::Msg) {
         assert!(to < self.components.len(), "unknown component {to}");
         self.queue.schedule(at, Event::Deliver(to, msg));
-    }
-
-    /// Current simulated time (timestamp of the last dispatched event).
-    pub fn now(&self) -> Time {
-        self.queue.now()
     }
 
     /// Ticks and deliveries dispatched so far.
@@ -454,7 +434,7 @@ mod tests {
         let mut order = Vec::new();
         sched.run();
         for id in 0..4 {
-            for &(t, msg) in &sched.component(id).log {
+            for &(t, msg) in &sched.components()[id].log {
                 assert_eq!(t, Time::from_ns(5));
                 order.push(msg);
             }
@@ -471,7 +451,7 @@ mod tests {
             sched.send_at(Time::from_ns(1), id, i);
         }
         sched.run();
-        let msgs: Vec<u32> = sched.component(id).log.iter().map(|&(_, m)| m).collect();
+        let msgs: Vec<u32> = sched.components()[id].log.iter().map(|&(_, m)| m).collect();
         assert_eq!(msgs, (0..10).collect::<Vec<_>>());
     }
 
@@ -489,7 +469,7 @@ mod tests {
         sched.send_at(Time::from_ns(3), 0, 9);
         let end = sched.run();
         assert_eq!(end, Time::from_ns(3));
-        assert_eq!(sched.component(b).log, vec![(Time::from_ns(3), 10)]);
+        assert_eq!(sched.components()[b].log, vec![(Time::from_ns(3), 10)]);
     }
 
     /// Ticks `period`-ically `remaining` times, recording tick times.
@@ -528,7 +508,7 @@ mod tests {
         });
         let end = sched.run();
         assert_eq!(
-            sched.component(id).fired,
+            sched.components()[id].fired,
             vec![Time::from_ns(2), Time::from_ns(7), Time::from_ns(12)]
         );
         assert_eq!(end, Time::from_ns(12));
@@ -566,7 +546,7 @@ mod tests {
         // At t=1 the component postpones to t=21; the t=10 wake goes stale.
         sched.send_at(Time::from_ns(1), id, 20);
         sched.run();
-        assert_eq!(sched.component(id).ticked, vec![Time::from_ns(21)]);
+        assert_eq!(sched.components()[id].ticked, vec![Time::from_ns(21)]);
         // 1 delivery + 1 real tick; the stale wake is not an event.
         assert_eq!(sched.events_processed(), 2);
     }
@@ -581,9 +561,9 @@ mod tests {
             fired: Vec::new(),
         });
         sched.run_until(Time::from_ns(25));
-        assert_eq!(sched.component(id).fired.len(), 2);
+        assert_eq!(sched.components()[id].fired.len(), 2);
         sched.run();
-        assert_eq!(sched.component(id).fired.len(), 5);
+        assert_eq!(sched.components()[id].fired.len(), 5);
     }
 
     #[test]

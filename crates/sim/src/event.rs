@@ -126,16 +126,6 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.in_calendar + usize::from(self.front.is_some())
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     fn virtual_bucket(&self, at: Time) -> u64 {
         at.as_ps() >> self.bucket_bits
     }
@@ -280,11 +270,6 @@ impl<E> EventQueue<E> {
         self.cursor_vb = if self.in_calendar == 0 { 0 } else { min_vb };
     }
 
-    /// Schedules `payload` to fire `delay` after the current time.
-    pub fn schedule_after(&mut self, delay: Time, payload: E) {
-        self.schedule(self.now + delay, payload);
-    }
-
     /// Removes and returns the earliest event, advancing the queue clock.
     pub fn pop(&mut self) -> Option<(Time, E)> {
         let popped = self.front.take()?;
@@ -301,16 +286,10 @@ impl<E> EventQueue<E> {
         self.front.as_ref().map(|e| e.at)
     }
 
-    /// Drains and returns every event scheduled at exactly the next
-    /// timestamp (a full "delta cycle"), in FIFO order.
-    pub fn pop_batch(&mut self) -> Vec<(Time, E)> {
-        let mut out = Vec::new();
-        self.pop_batch_into(&mut out);
-        out
-    }
-
-    /// [`Self::pop_batch`] into a caller-owned buffer (cleared first), so
-    /// a scheduler loop can reuse one allocation across delta cycles.
+    /// Drains every event scheduled at exactly the next timestamp (a full
+    /// "delta cycle") into `out` (cleared first), in FIFO order. The
+    /// caller owns the buffer, so a scheduler loop reuses one allocation
+    /// across delta cycles.
     pub fn pop_batch_into(&mut self, out: &mut Vec<(Time, E)>) {
         out.clear();
         let Some(t) = self.peek_time() else {
@@ -325,8 +304,9 @@ impl<E> EventQueue<E> {
 /// The original binary-heap event queue, kept as the executable
 /// reference implementation for [`EventQueue`].
 ///
-/// Identical API and `(time, seq)` ordering contract; the differential
-/// tests here and the `tee-sim` proptest drive both side by side.
+/// Test oracle: nothing outside tests runs it; the differential tests here
+/// (`calendar_matches_heap_*`) and the `calendar_queue_matches_heap_reference`
+/// proptest drive both queues side by side under one `(time, seq)` order.
 #[derive(Debug)]
 pub struct HeapQueue<E> {
     heap: BinaryHeap<Entry<E>>,
@@ -355,16 +335,6 @@ impl<E> HeapQueue<E> {
         self.now
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Schedules `payload` for delivery at absolute time `at`.
     ///
     /// # Panics
@@ -381,11 +351,6 @@ impl<E> HeapQueue<E> {
         self.heap.push(Entry { at, seq, payload });
     }
 
-    /// Schedules `payload` to fire `delay` after the current time.
-    pub fn schedule_after(&mut self, delay: Time, payload: E) {
-        self.schedule(self.now + delay, payload);
-    }
-
     /// Removes and returns the earliest event, advancing the queue clock.
     pub fn pop(&mut self) -> Option<(Time, E)> {
         self.heap.pop().map(|e| {
@@ -400,7 +365,8 @@ impl<E> HeapQueue<E> {
     }
 
     /// Drains and returns every event scheduled at exactly the next
-    /// timestamp, in FIFO order.
+    /// timestamp, in FIFO order: the reference for
+    /// [`EventQueue::pop_batch_into`].
     pub fn pop_batch(&mut self) -> Vec<(Time, E)> {
         let Some(t) = self.peek_time() else {
             return Vec::new();
@@ -448,15 +414,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_after_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(Time::from_ns(10), "a");
-        q.pop();
-        q.schedule_after(Time::from_ns(5), "b");
-        assert_eq!(q.peek_time(), Some(Time::from_ns(15)));
-    }
-
-    #[test]
     #[should_panic]
     fn scheduling_into_the_past_panics() {
         let mut q = EventQueue::new();
@@ -471,19 +428,23 @@ mod tests {
         q.schedule(Time::from_ns(1), 'a');
         q.schedule(Time::from_ns(1), 'b');
         q.schedule(Time::from_ns(2), 'c');
-        let batch = q.pop_batch();
+        let mut batch = Vec::new();
+        q.pop_batch_into(&mut batch);
         assert_eq!(batch.len(), 2);
         assert_eq!(batch[0].1, 'a');
         assert_eq!(batch[1].1, 'b');
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((Time::from_ns(2), 'c')));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn empty_queue_behaviour() {
         let mut q: EventQueue<()> = EventQueue::new();
-        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
         assert_eq!(q.pop(), None);
-        assert!(q.pop_batch().is_empty());
+        let mut batch = vec![(Time::ZERO, ())];
+        q.pop_batch_into(&mut batch);
+        assert!(batch.is_empty());
     }
 
     #[test]
@@ -506,10 +467,11 @@ mod tests {
         let mut cal: EventQueue<u64> = EventQueue::new();
         let mut heap: HeapQueue<u64> = HeapQueue::new();
         let mut tag = 0u64;
+        let mut batch = Vec::new();
         for op in 0..n_ops {
             // Mixed workload: bursts of schedules, bursts of pops, and
             // occasional same-timestamp pileups to stress FIFO ties.
-            if rng.next_below(3) > 0 || cal.is_empty() {
+            if rng.next_below(3) > 0 || cal.peek_time().is_none() {
                 let base = cal.now().as_ps();
                 let at = if rng.next_below(8) == 0 {
                     Time::from_ps(base) // exactly "now": a delta event
@@ -520,18 +482,18 @@ mod tests {
                 heap.schedule(at, tag);
                 tag += 1;
             } else if rng.next_bool(0.3) {
-                assert_eq!(cal.pop_batch(), heap.pop_batch(), "op {op} batch");
+                cal.pop_batch_into(&mut batch);
+                assert_eq!(batch, heap.pop_batch(), "op {op} batch");
             } else {
                 assert_eq!(cal.pop(), heap.pop(), "op {op}");
                 assert_eq!(cal.now(), heap.now(), "op {op} now");
             }
-            assert_eq!(cal.len(), heap.len(), "op {op} len");
             assert_eq!(cal.peek_time(), heap.peek_time(), "op {op} peek");
         }
         while let Some(got) = cal.pop() {
             assert_eq!(Some(got), heap.pop(), "drain");
         }
-        assert!(heap.is_empty());
+        assert_eq!(heap.pop(), None);
     }
 
     #[test]
@@ -562,7 +524,7 @@ mod tests {
             assert_eq!(q.pop().map(|(_, e)| e), Some(i));
         }
         assert_eq!(q.pop().map(|(_, e)| e), Some(u64::MAX));
-        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

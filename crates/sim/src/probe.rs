@@ -12,8 +12,7 @@
 //! * [`Probe`] — the event vocabulary: spans (named intervals on a
 //!   track), instants (zero-width markers), monotonic counters, and
 //!   gauges (sampled values). Every method has a no-op default.
-//! * [`NullProbe`] / [`TraceProbe`] — the no-op default and the
-//!   recording implementation. [`TraceProbe`] accumulates a flat
+//! * [`TraceProbe`] — the recording implementation: a flat
 //!   [`ProbeEvent`] log plus a [`MetricsRegistry`] of counters.
 //! * [`SharedProbe`] — the cloneable handle threaded through
 //!   schedulers and run contexts. Its `Null` variant is a bare enum
@@ -37,12 +36,6 @@ use std::sync::{Arc, Mutex};
 /// they record. `track` names a timeline (one row in a trace viewer);
 /// `name` labels the event on it.
 pub trait Probe {
-    /// Whether events will actually be recorded. Callers may use this
-    /// to skip event-construction work (string formatting) entirely.
-    fn enabled(&self) -> bool {
-        false
-    }
-
     /// A complete interval `[start, end]` on `track`.
     fn span(&mut self, _track: &str, _name: &str, _start: Time, _end: Time) {}
 
@@ -61,12 +54,6 @@ pub trait Probe {
     /// Samples `value` for series `name` on `track` at `at`.
     fn gauge(&mut self, _track: &str, _name: &str, _at: Time, _value: u64) {}
 }
-
-/// The default probe: records nothing, costs nothing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullProbe;
-
-impl Probe for NullProbe {}
 
 /// One recorded event in a [`TraceProbe`] log, in emission order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -191,16 +178,6 @@ impl MetricsRegistry {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
-    /// Number of distinct counters.
-    pub fn len(&self) -> usize {
-        self.counters.len()
-    }
-
-    /// Whether no counter was ever bumped.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-    }
-
     /// Adds every counter of `other` into `self`. Addition is
     /// commutative and associative, so merge order cannot matter.
     pub fn merge(&mut self, other: &MetricsRegistry) {
@@ -235,10 +212,6 @@ impl TraceProbe {
 }
 
 impl Probe for TraceProbe {
-    fn enabled(&self) -> bool {
-        true
-    }
-
     fn span(&mut self, track: &str, name: &str, start: Time, end: Time) {
         debug_assert!(end >= start, "span ends before it starts");
         self.events.push(ProbeEvent::Span {
@@ -365,19 +338,16 @@ mod tests {
 
     #[test]
     fn null_probe_is_disabled_and_silent() {
-        let mut p = NullProbe;
-        assert!(!p.enabled());
-        p.span("t", "a", Time::ZERO, Time::from_ns(1));
-        p.count("c", 3);
         let shared = SharedProbe::default();
         assert!(!shared.enabled());
+        shared.span("t", "a", Time::ZERO, Time::from_ns(1));
+        shared.count("c", 3);
         assert!(shared.snapshot().is_none());
     }
 
     #[test]
     fn trace_probe_records_in_emission_order() {
         let mut p = TraceProbe::new();
-        assert!(p.enabled());
         p.span("NPU0", "tick", Time::from_ns(1), Time::from_ns(2));
         p.instant("link", "send", Time::from_ns(1));
         p.count("events", 2);
@@ -434,6 +404,6 @@ mod tests {
         assert_eq!(a.get("x"), 5);
         assert_eq!(a.get("y"), 1);
         assert_eq!(a.get("z"), 4);
-        assert_eq!(a.len(), 3);
+        assert_eq!(a.iter().count(), 3);
     }
 }

@@ -119,72 +119,6 @@ impl SplitMix64 {
         // next_f64() is in [0, 1); flip to (0, 1] so ln() stays finite.
         -mean * (1.0 - self.next_f64()).ln()
     }
-
-    /// Normally distributed value with the given mean and standard
-    /// deviation (Box–Muller, cosine branch; one draw per call).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean` is not finite or `sd` is negative or not finite.
-    #[inline]
-    pub fn next_normal(&mut self, mean: f64, sd: f64) -> f64 {
-        assert!(mean.is_finite(), "normal mean must be finite: {mean}");
-        assert!(
-            sd.is_finite() && sd >= 0.0,
-            "normal sd must be finite and non-negative: {sd}"
-        );
-        // next_f64() is in [0, 1); flip to (0, 1] so ln() stays finite.
-        let u1 = 1.0 - self.next_f64();
-        let u2 = self.next_f64();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        mean + sd * z
-    }
-
-    /// Above this mean, [`Self::next_poisson`] switches from Knuth's exact
-    /// product method to a normal approximation. Knuth's limit
-    /// `(-mean).exp()` underflows to zero near mean ≈ 745, and the loop
-    /// cost is O(mean) draws; at 500 the limit is still ≈ 7e-218 and the
-    /// normal approximation's relative error (~1/√mean) is already below
-    /// 5%, far under the sampling noise of any consumer in this repo.
-    pub const POISSON_NORMAL_THRESHOLD: f64 = 500.0;
-
-    /// Poisson-distributed count with the given mean.
-    ///
-    /// Means up to [`Self::POISSON_NORMAL_THRESHOLD`] use Knuth's product
-    /// method (exact, and stream-compatible with earlier releases — the
-    /// serving trace generators all draw small means). Larger means use a
-    /// rounded normal approximation `N(mean, √mean)` clamped at zero:
-    /// Knuth's limit `(-mean).exp()` underflows to 0.0 for mean ≳ 745,
-    /// which used to degenerate into a loop that only exited when the
-    /// running product itself underflowed, returning a garbage count near
-    /// 700 no matter how large the mean.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean` is negative or not finite.
-    pub fn next_poisson(&mut self, mean: f64) -> u64 {
-        assert!(
-            mean.is_finite() && mean >= 0.0,
-            "Poisson mean must be finite and non-negative: {mean}"
-        );
-        if mean == 0.0 {
-            return 0;
-        }
-        if mean > Self::POISSON_NORMAL_THRESHOLD {
-            let k = self.next_normal(mean, mean.sqrt());
-            return if k <= 0.0 { 0 } else { k.round() as u64 };
-        }
-        let limit = (-mean).exp();
-        let mut k = 0u64;
-        let mut p = 1.0f64;
-        loop {
-            p *= self.next_f64();
-            if p <= limit {
-                return k;
-            }
-            k += 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -323,106 +257,8 @@ mod tests {
     }
 
     #[test]
-    fn poisson_is_deterministic_with_matching_mean() {
-        let mut a = SplitMix64::new(9);
-        let mut b = SplitMix64::new(9);
-        let n = 20_000;
-        let mut sum = 0u64;
-        for _ in 0..n {
-            let k = a.next_poisson(2.5);
-            assert_eq!(k, b.next_poisson(2.5));
-            sum += k;
-        }
-        let mean = sum as f64 / n as f64;
-        assert!((mean - 2.5).abs() < 0.1, "sample mean {mean}");
-    }
-
-    #[test]
-    fn poisson_zero_mean_is_zero() {
-        assert_eq!(SplitMix64::new(1).next_poisson(0.0), 0);
-    }
-
-    #[test]
-    fn poisson_large_means_converge_and_stay_deterministic() {
-        // Regression for the product-method underflow: `(-mean).exp()`
-        // is 0.0 for mean ≳ 745, and the old loop then returned a count
-        // near 700 regardless of the requested mean. Check the sample
-        // mean converges (tolerances are many sigmas wide) and that the
-        // same seed reproduces the same stream, at mean = 1e3 and 1e6.
-        for (mean, n, tol) in [(1e3, 2_000, 10.0), (1e6, 500, 1_000.0)] {
-            let mut a = SplitMix64::new(31);
-            let mut b = SplitMix64::new(31);
-            let mut sum = 0u64;
-            for _ in 0..n {
-                let k = a.next_poisson(mean);
-                assert_eq!(
-                    k,
-                    b.next_poisson(mean),
-                    "mean {mean}: same seed, same stream"
-                );
-                sum += k;
-            }
-            let sample = sum as f64 / n as f64;
-            assert!(
-                (sample - mean).abs() < tol,
-                "mean {mean}: sample mean {sample} off by more than {tol}"
-            );
-        }
-    }
-
-    #[test]
-    fn poisson_small_mean_stream_is_pinned() {
-        // The exact Knuth path must keep producing the streams earlier
-        // releases produced (serving traces embed them in golden output):
-        // pin the first few counts at the largest small-path mean region.
-        let mut r = SplitMix64::new(42);
-        let first: Vec<u64> = (0..4).map(|_| r.next_poisson(2.5)).collect();
-        let mut again = SplitMix64::new(42);
-        let repeat: Vec<u64> = (0..4).map(|_| again.next_poisson(2.5)).collect();
-        assert_eq!(first, repeat);
-        let mean = SplitMix64::POISSON_NORMAL_THRESHOLD;
-        assert!((-mean).exp() > 0.0, "threshold must stay below underflow");
-    }
-
-    #[test]
-    fn normal_is_deterministic_and_converges() {
-        let mut a = SplitMix64::new(13);
-        let mut b = SplitMix64::new(13);
-        let n = 20_000;
-        let (mut sum, mut sum_sq) = (0.0f64, 0.0f64);
-        for _ in 0..n {
-            let x = a.next_normal(5.0, 2.0);
-            assert_eq!(x, b.next_normal(5.0, 2.0), "same seed, same stream");
-            assert!(x.is_finite());
-            sum += x;
-            sum_sq += x * x;
-        }
-        let mean = sum / n as f64;
-        let var = sum_sq / n as f64 - mean * mean;
-        assert!((mean - 5.0).abs() < 0.1, "sample mean {mean}");
-        assert!((var - 4.0).abs() < 0.2, "sample variance {var}");
-    }
-
-    #[test]
-    fn normal_zero_sd_is_the_mean() {
-        assert_eq!(SplitMix64::new(1).next_normal(3.25, 0.0), 3.25);
-    }
-
-    #[test]
-    #[should_panic]
-    fn negative_normal_sd_panics() {
-        SplitMix64::new(1).next_normal(0.0, -1.0);
-    }
-
-    #[test]
     #[should_panic]
     fn negative_exponential_mean_panics() {
         SplitMix64::new(1).next_exp(-1.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn negative_poisson_mean_panics() {
-        SplitMix64::new(1).next_poisson(-0.5);
     }
 }

@@ -1,4 +1,4 @@
-//! Simulation statistics: counters, ratios and histograms.
+//! Simulation statistics: counters, counter sets and histograms.
 //!
 //! Every figure in the paper is regenerated from these primitives, so they
 //! favour exactness (integer counters) over sampling.
@@ -15,48 +15,23 @@ use std::fmt;
 /// use tee_sim::Counter;
 /// let mut hits = Counter::default();
 /// hits.add(3);
-/// hits.incr();
+/// hits.add(1);
 /// assert_eq!(hits.get(), 4);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Counter(u64);
 
 impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
     /// Adds `n` events.
     #[inline]
     pub fn add(&mut self, n: u64) {
         self.0 += n;
     }
 
-    /// Adds one event.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
     /// Current count.
     #[inline]
     pub fn get(&self) -> u64 {
         self.0
-    }
-
-    /// Resets to zero.
-    pub fn reset(&mut self) {
-        self.0 = 0;
-    }
-
-    /// This counter as a fraction of `total` (0.0 when `total` is zero).
-    pub fn fraction_of(&self, total: u64) -> f64 {
-        if total == 0 {
-            0.0
-        } else {
-            self.0 as f64 / total as f64
-        }
     }
 }
 
@@ -106,14 +81,10 @@ impl Histogram {
         *self.buckets.entry(idx).or_insert(0) += 1;
     }
 
-    /// Number of samples recorded.
+    /// Number of samples recorded. Read only by tests (the serve
+    /// scheduler tests and `crates/fleet/tests/fleet.rs` count requests).
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> u128 {
-        self.sum
     }
 
     /// Arithmetic mean (0.0 when empty).
@@ -125,23 +96,16 @@ impl Histogram {
         }
     }
 
-    /// Smallest sample, if any.
+    /// Smallest sample, if any. Read only by tests (the serve scheduler
+    /// tests and `crates/fleet/tests/fleet.rs` compare TTFT extremes).
     pub fn min(&self) -> Option<u64> {
         self.min
     }
 
-    /// Largest sample, if any.
+    /// Largest sample, if any. Read only by tests (the serve scheduler
+    /// tests and `crates/fleet/tests/fleet.rs` compare TTFT extremes).
     pub fn max(&self) -> Option<u64> {
         self.max
-    }
-
-    /// Iterates `(bucket_floor, count)` pairs in ascending order, where
-    /// `bucket_floor` is the smallest sample value that maps to the bucket.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets.iter().map(|(&idx, &n)| {
-            let floor = if idx == 0 { 0 } else { 1u64 << (idx - 1) };
-            (floor, n)
-        })
     }
 
     /// Estimates the `q`-quantile (`q` clamped to `[0, 1]`) from the
@@ -245,11 +209,6 @@ impl StatSet {
         }
     }
 
-    /// The set's diagnostic name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Adds one to the named counter, creating it if absent.
     pub fn bump(&mut self, key: &str) {
         self.add(key, 1);
@@ -265,27 +224,9 @@ impl StatSet {
         self.counters.get(key).map_or(0, Counter::get)
     }
 
-    /// `numerator / (numerator + complement)`; 0.0 when both are zero.
-    pub fn ratio(&self, numerator: &str, complement: &str) -> f64 {
-        let n = self.get(numerator);
-        let d = n + self.get(complement);
-        if d == 0 {
-            0.0
-        } else {
-            n as f64 / d as f64
-        }
-    }
-
     /// Iterates `(name, value)` in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
         self.counters.iter().map(|(k, v)| (k.as_str(), v.get()))
-    }
-
-    /// Resets every counter to zero (names are kept).
-    pub fn reset(&mut self) {
-        for v in self.counters.values_mut() {
-            v.reset();
-        }
     }
 }
 
@@ -309,14 +250,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_fraction() {
-        let mut c = Counter::new();
-        c.add(25);
-        assert_eq!(c.fraction_of(100), 0.25);
-        assert_eq!(c.fraction_of(0), 0.0);
-    }
-
-    #[test]
     fn histogram_stats() {
         let mut h = Histogram::new();
         assert_eq!(h.mean(), 0.0);
@@ -324,20 +257,8 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.count(), 3);
-        assert_eq!(h.sum(), 60);
         assert_eq!(h.mean(), 20.0);
         assert_eq!((h.min(), h.max()), (Some(10), Some(30)));
-    }
-
-    #[test]
-    fn histogram_bucket_floors() {
-        let mut h = Histogram::new();
-        h.record(0); // bucket 0, floor 0
-        h.record(1); // bitlen 1, floor 1
-        h.record(2); // bitlen 2, floor 2
-        h.record(7); // bitlen 3, floor 4
-        let floors: Vec<u64> = h.buckets().map(|(f, _)| f).collect();
-        assert_eq!(floors, vec![0, 1, 2, 4]);
     }
 
     #[test]
@@ -459,7 +380,6 @@ mod tests {
         }
         low.merge(&high);
         assert_eq!(low.count(), 5);
-        assert_eq!(low.sum(), 3_000_006);
         assert_eq!((low.min(), low.max()), (Some(1), Some(2_000_000)));
         // The merged histogram is exactly what recording the union gives.
         let mut union = Histogram::new();
@@ -478,29 +398,10 @@ mod tests {
         let snapshot = h.clone();
         h.merge(&snapshot);
         assert_eq!(h.count(), 2 * snapshot.count());
-        assert_eq!(h.sum(), 2 * snapshot.sum());
         assert_eq!(h.min(), snapshot.min());
         assert_eq!(h.max(), snapshot.max());
         assert_eq!(h.mean(), snapshot.mean(), "doubling weights keeps the mean");
         assert_eq!(h.percentile(0.5), snapshot.percentile(0.5));
-    }
-
-    #[test]
-    fn statset_ratio() {
-        let mut s = StatSet::new("t");
-        s.add("hit", 80);
-        s.add("miss", 20);
-        assert_eq!(s.ratio("hit", "miss"), 0.8);
-        assert_eq!(s.ratio("nope", "also_nope"), 0.0);
-    }
-
-    #[test]
-    fn statset_reset_keeps_names() {
-        let mut s = StatSet::new("t");
-        s.bump("x");
-        s.reset();
-        assert_eq!(s.get("x"), 0);
-        assert_eq!(s.iter().count(), 1);
     }
 
     #[test]

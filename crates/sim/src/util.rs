@@ -17,21 +17,6 @@ pub fn align_up(x: u64, align: u64) -> u64 {
     x.div_ceil(align) * align
 }
 
-/// Rounds `x` down to a multiple of `align`.
-///
-/// # Panics
-///
-/// Panics if `align` is zero.
-pub fn align_down(x: u64, align: u64) -> u64 {
-    assert!(align > 0, "alignment must be positive");
-    (x / align) * align
-}
-
-/// Integer ceil-division.
-pub fn ceil_div(a: u64, b: u64) -> u64 {
-    a.div_ceil(b)
-}
-
 /// Formats a byte count with binary units ("1.5 MiB").
 ///
 /// # Example
@@ -66,30 +51,6 @@ pub fn fmt_bandwidth(bytes_per_sec: f64) -> String {
     format!("{v:.2} {}", UNITS[unit])
 }
 
-/// Formats a ratio as a percentage string ("12.3%").
-pub fn fmt_pct(fraction: f64) -> String {
-    format!("{:.1}%", fraction * 100.0)
-}
-
-/// Geometric mean of a slice (1.0 for an empty slice).
-///
-/// # Panics
-///
-/// Panics if any element is non-positive.
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 1.0;
-    }
-    let log_sum: f64 = xs
-        .iter()
-        .map(|&x| {
-            assert!(x > 0.0, "geomean requires positive values, got {x}");
-            x.ln()
-        })
-        .sum();
-    (log_sum / xs.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,21 +61,6 @@ mod tests {
         assert_eq!(align_up(1, 64), 64);
         assert_eq!(align_up(64, 64), 64);
         assert_eq!(align_up(65, 64), 128);
-    }
-
-    #[test]
-    fn align_down_cases() {
-        assert_eq!(align_down(0, 64), 0);
-        assert_eq!(align_down(63, 64), 0);
-        assert_eq!(align_down(64, 64), 64);
-        assert_eq!(align_down(130, 64), 128);
-    }
-
-    #[test]
-    fn ceil_div_cases() {
-        assert_eq!(ceil_div(10, 3), 4);
-        assert_eq!(ceil_div(9, 3), 3);
-        assert_eq!(ceil_div(0, 3), 0);
     }
 
     #[test]
@@ -129,23 +75,5 @@ mod tests {
     fn bandwidth_formatting() {
         assert_eq!(fmt_bandwidth(128.0e9), "128.00 GB/s");
         assert_eq!(fmt_bandwidth(500.0), "500.00 B/s");
-    }
-
-    #[test]
-    fn pct_formatting() {
-        assert_eq!(fmt_pct(0.021), "2.1%");
-    }
-
-    #[test]
-    fn geomean_values() {
-        assert_eq!(geomean(&[]), 1.0);
-        assert!((geomean(&[4.0]) - 4.0).abs() < 1e-12);
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic]
-    fn geomean_rejects_nonpositive() {
-        geomean(&[1.0, 0.0]);
     }
 }

@@ -102,19 +102,6 @@ pub fn training_step(model: &ModelConfig) -> Vec<LayerSpec> {
     layers
 }
 
-/// Total MACs of a layer list.
-pub fn total_macs(layers: &[LayerSpec]) -> u64 {
-    layers.iter().map(|l| l.macs).sum()
-}
-
-/// Total streamed bytes of a layer list.
-pub fn total_bytes(layers: &[LayerSpec]) -> u64 {
-    layers
-        .iter()
-        .map(|l| l.in_bytes + l.w_bytes + l.out_bytes)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,19 +116,25 @@ mod tests {
 
     #[test]
     fn backward_doubles_compute() {
-        let m = by_name("GPT2-M").unwrap();
-        let step = training_step(&m);
-        let fwd: u64 = step.iter().step_by(12).take(6).map(|l| l.macs).sum();
-        let total = total_macs(&step);
-        // fwd ≈ 1/3 of total (fwd + 2×fwd backward).
-        let _ = fwd;
-        assert!(total > 0);
+        let step = training_step(&by_name("GPT2-M").unwrap());
+        // Each block is 6 forward specs followed by their 6 backward specs.
+        for block in step.chunks(12) {
+            let (fwd, bwd) = block.split_at(6);
+            for (f, b) in fwd.iter().zip(bwd) {
+                assert_eq!(b.macs, 2 * f.macs);
+            }
+        }
     }
 
     #[test]
     fn flops_scale_with_model() {
-        let small = total_macs(&training_step(&by_name("GPT").unwrap()));
-        let large = total_macs(&training_step(&by_name("OPT-6.7B").unwrap()));
+        let macs = |name| -> u64 {
+            training_step(&by_name(name).unwrap())
+                .iter()
+                .map(|l| l.macs)
+                .sum()
+        };
+        let (small, large) = (macs("GPT"), macs("OPT-6.7B"));
         // 6.7B at batch 2 still far outworks 117M at batch 60 per token?
         // Not necessarily per step — just require the same order or more.
         assert!(large > small / 4);
@@ -154,17 +147,5 @@ mod tests {
         assert_eq!(g.in_bytes, 128 * 256 * 2);
         assert_eq!(g.w_bytes, 256 * 512 * 2);
         assert_eq!(g.out_bytes, 128 * 512 * 2);
-    }
-
-    #[test]
-    fn totals_add_up() {
-        let m = by_name("GPT").unwrap();
-        let step = training_step(&m);
-        assert_eq!(
-            total_bytes(&step),
-            step.iter()
-                .map(|l| l.in_bytes + l.w_bytes + l.out_bytes)
-                .sum::<u64>()
-        );
     }
 }

@@ -227,14 +227,12 @@ mod tests {
 
     #[test]
     fn every_workload_layer_shapes_consistent() {
-        use crate::layers::{total_bytes, total_macs, training_step, LayerKind};
+        use crate::layers::{training_step, LayerKind};
 
         for m in TABLE2 {
             let step = training_step(&m);
             // Forward (6 specs) + backward (6 specs) per transformer block.
             assert_eq!(step.len() as u64, m.layers * 12, "{}", m.name);
-            assert!(total_macs(&step) > 0, "{}", m.name);
-            assert!(total_bytes(&step) > 0, "{}", m.name);
 
             for (i, l) in step.iter().enumerate() {
                 assert!(l.macs > 0, "{} layer {i}: zero MACs", m.name);

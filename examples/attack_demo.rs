@@ -61,7 +61,11 @@ fn main() {
     let mut clean = NpuMemory::new(session.key());
     clean.write_tensor(0x20000, &secret);
     clean.gddr_mut().tamper_byte(0x20000, 0, 0xFF);
-    let mut poison = PoisonTracker::new(512);
+    let mut poison = PoisonTracker::new();
+    // An untampered tensor clears its poison bit once verified.
+    poison.load_unverified(0x10000);
+    poison.verification_passed(0x10000);
+    assert!(poison.barrier(&[0x10000]).is_ok(), "verified tensor passes");
     let (data, verdict) = clean.read_tensor_deferred(0x20000);
     poison.load_unverified(0x20000);
     // Compute proceeds on unverified data (that is the point of delayed
@@ -93,8 +97,8 @@ fn main() {
     println!("[5] forged trusted-channel packet rejected ({err}) ... OK");
 
     // 6. Evil enclave fails attestation.
-    let cpu_ok = tee_crypto::EnclaveIdentity::measure("cpu", b"cpu image", Key::from_seed(0xD00D));
-    let evil = tee_crypto::EnclaveIdentity::measure("npu", b"EVIL image", Key::from_seed(0xD00D));
+    let cpu_ok = tee_crypto::EnclaveIdentity::measure(b"cpu image", Key::from_seed(0xD00D));
+    let evil = tee_crypto::EnclaveIdentity::measure(b"EVIL image", Key::from_seed(0xD00D));
     let report = evil.report(99);
     let err = report
         .verify(&cpu_ok.measurement(), 99, Key::from_seed(0xD00D))

@@ -286,7 +286,7 @@ fn write_trace(probe: &SharedProbe, path: &str, quiet: bool) -> Result<(), ExitC
                 eprintln!(
                     "wrote {path} ({} events, {} counters); load it at ui.perfetto.dev",
                     snap.events().len(),
-                    snap.metrics().len()
+                    snap.metrics().iter().count()
                 );
             }
             Ok(())

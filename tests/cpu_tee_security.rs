@@ -16,7 +16,7 @@ fn functional_cfg() -> CpuConfig {
 
 #[test]
 fn sgx_mode_detects_midrun_tamper() {
-    let w = AdamWorkload::synthetic(1, 8 << 10);
+    let w = AdamWorkload::from_tensor_sizes(&[8 << 10; 1]);
     let mut engine = CpuEngine::new(functional_cfg(), TeeMode::Sgx);
     // One clean iteration materializes ciphertext.
     let rep = engine.run_adam(&w, 2, 1);
@@ -40,7 +40,7 @@ fn sgx_mode_detects_midrun_tamper() {
 
 #[test]
 fn tensortee_mode_detects_midrun_tamper() {
-    let w = AdamWorkload::synthetic(1, 8 << 10);
+    let w = AdamWorkload::from_tensor_sizes(&[8 << 10; 1]);
     let mut engine = CpuEngine::new(
         functional_cfg(),
         TeeMode::TensorTee(TenAnalyzerConfig::default()),
@@ -68,7 +68,7 @@ fn tensortee_mode_detects_midrun_tamper() {
 fn long_functional_run_stays_consistent() {
     // Six iterations with detection, merging, round closure and flushes:
     // every decrypted line must verify against its live VN.
-    let w = AdamWorkload::synthetic(3, 4 << 10);
+    let w = AdamWorkload::from_tensor_sizes(&[4 << 10; 3]);
     let mut engine = CpuEngine::new(
         functional_cfg(),
         TeeMode::TensorTee(TenAnalyzerConfig::default()),
@@ -80,9 +80,7 @@ fn long_functional_run_stays_consistent() {
         "VN bookkeeping diverged: {:?}",
         engine.last_integrity_error()
     );
-    // Detection really happened.
-    let analyzer = engine.analyzer().expect("tensortee mode");
-    assert!(!analyzer.table().is_empty());
+    // Detection really happened: steady-state reads hit in.
     let last = rep.iterations.last().unwrap();
     assert!(
         last.hit_in_rate() > 0.5,
@@ -95,7 +93,7 @@ fn long_functional_run_stays_consistent() {
 fn non_secure_mode_has_no_crypto_protection() {
     // Sanity contrast: without TEE the tamper goes unnoticed (and data is
     // plaintext at rest) — the reason the paper needs a TEE at all.
-    let w = AdamWorkload::synthetic(1, 4 << 10);
+    let w = AdamWorkload::from_tensor_sizes(&[4 << 10; 1]);
     let mut cfg = functional_cfg();
     cfg.functional_crypto = false;
     let mut engine = CpuEngine::new(cfg, TeeMode::NonSecure);

