@@ -10,12 +10,12 @@
 //! * [`KvShield`] re-encrypts spilled KV into fixed-size shielded
 //!   slots on spill and verifies on fetch; its price is the crypto
 //!   delta of one staged pass over the spilled/fetched bytes, taken
-//!   from [`KvProtocol`] — the same component the serving protocols
-//!   are priced with.
+//!   from [`kv_transfer_time`] — the same component the serving
+//!   protocols are priced with.
 
 use crate::observation::{LinkEvent, Observation};
 use serde::{Deserialize, Serialize};
-use tee_serve::config::KvProtocol;
+use tee_serve::{kv_transfer_time, Protocol};
 use tee_sim::Time;
 
 /// The adversary's measurement resolution: wire occupancy is observed
@@ -178,9 +178,8 @@ impl KvShield {
             KvShield::Plain => Time::ZERO,
             KvShield::Shielded => {
                 let crypto_delta = |bytes: u64| {
-                    KvProtocol::Staged
-                        .transfer_time(bytes)
-                        .saturating_sub(KvProtocol::Plain.transfer_time(bytes))
+                    kv_transfer_time(Protocol::Staged, bytes)
+                        .saturating_sub(kv_transfer_time(Protocol::Plain, bytes))
                 };
                 crypto_delta(spilled_bytes) + crypto_delta(fetched_bytes)
             }

@@ -24,7 +24,7 @@
 //!   (padded/constant-rate link shaping, priced as padding time) and
 //!   [`KvShield`] (shielded-at-rest spilled KV: re-encrypt on spill,
 //!   verify on fetch, priced through
-//!   [`KvProtocol`](tee_serve::config::KvProtocol)).
+//!   [`kv_transfer_time`](tee_serve::kv_transfer_time)).
 //!
 //! Everything is a pure function of the recording and the knobs —
 //! byte-identical across thread counts, with probes on or off.

@@ -11,8 +11,8 @@
 //!
 //! Unlike [`tee_sim::BandwidthResource`] (which prices bytes), a
 //! `FabricLink` arbitrates pre-priced durations: the caller prices a hop
-//! with the exact protocol numbers (e.g. [`crate::ring::HopCost`]) and
-//! the link only decides *when* that duration gets the wire. Keeping
+//! with the exact protocol numbers (e.g. [`crate::ring::RingAllReduce::hops`])
+//! and the link only decides *when* that duration gets the wire. Keeping
 //! pricing and arbitration separate is what lets a contention-free DES
 //! run reproduce the analytic fold bit-for-bit.
 

@@ -1,11 +1,11 @@
-//! Timing models of the two transfer protocols (§3.3, §4.4, Figures 6 & 21).
+//! Timing models of the transfer protocols (§3.3, §4.4, Figures 6 & 21).
 
 use crate::link::{AesEngine, PcieLink};
 use serde::{Deserialize, Serialize};
 use tee_sim::Time;
 
 /// Per-phase breakdown of one transfer (Figure 21's stacked bars).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TransferBreakdown {
     /// Sender-side re-encryption into the non-secure staging region
     /// (decrypt with the enclave key + encrypt with the transit key).
@@ -23,8 +23,55 @@ impl TransferBreakdown {
     }
 }
 
+/// How a payload crosses a link between two TEEs: the one plain /
+/// staged / direct decision every training, cluster and serving path
+/// hands down instead of matching on a security mode.
+///
+/// A protocol decides two things: what a transfer costs
+/// ([`Protocol::transfer`]) and whether it hides behind compute
+/// ([`Protocol::overlaps_compute`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub enum Protocol {
+    /// Plain DMA (non-secure reference).
+    Plain,
+    /// The Graviton-like staging protocol (Figure 6a, §3.3): secure →
+    /// non-secure → bus → non-secure → secure, re-encrypting at both
+    /// edges.
+    Staged,
+    /// TensorTEE's direct protocol (Figure 6b, §4.4): the ciphertext is
+    /// valid on both sides, so a transfer is one DMA plus a trusted
+    /// metadata packet.
+    Direct,
+}
+
+impl Protocol {
+    /// Prices one `bytes`-byte transfer on an idle `link`, with the
+    /// single AES engine per side of §3.3 for the staged protocol.
+    pub fn transfer(self, mut link: PcieLink, bytes: u64) -> TransferBreakdown {
+        match self {
+            Protocol::Plain => TransferBreakdown {
+                comm: link.transfer(Time::ZERO, bytes),
+                ..TransferBreakdown::default()
+            },
+            Protocol::Staged => StagingProtocol::on_link(link).transfer(Time::ZERO, bytes),
+            Protocol::Direct => DirectProtocol::on_link(link).transfer(Time::ZERO, bytes),
+        }
+    }
+
+    /// Whether transfers can hide behind compute. The staging protocol
+    /// contends with compute for the AES engines and DRAM bandwidth
+    /// (§3.3), so it serializes; plain DMA and the direct protocol
+    /// overlap.
+    pub fn overlaps_compute(self) -> bool {
+        !matches!(self, Protocol::Staged)
+    }
+}
+
 /// The Graviton-like staging protocol (Figure 6a): secure → non-secure →
 /// bus → non-secure → secure, with cryptographic conversion at each edge.
+///
+/// A stateful engine: successive transfers queue on its AES engines and
+/// link. [`Protocol::Staged`] prices one transfer on a fresh engine.
 #[derive(Debug)]
 pub struct StagingProtocol {
     sender_aes: AesEngine,
@@ -33,17 +80,8 @@ pub struct StagingProtocol {
 }
 
 impl StagingProtocol {
-    /// Builds the protocol with single AES engines per side (§3.3) and a
-    /// Gen4 ×16 link.
-    pub fn new() -> Self {
-        StagingProtocol {
-            sender_aes: AesEngine::single(),
-            receiver_aes: AesEngine::single(),
-            link: PcieLink::gen4_x16(),
-        }
-    }
-
-    /// Builds with custom AES bandwidth (ablation: more engines).
+    /// Builds with custom AES bandwidth on a Gen4 ×16 link (ablation:
+    /// more engines).
     pub fn with_aes_bandwidth(bytes_per_sec: f64) -> Self {
         StagingProtocol {
             sender_aes: AesEngine::new(bytes_per_sec),
@@ -52,9 +90,9 @@ impl StagingProtocol {
         }
     }
 
-    /// Builds the protocol over a custom link (used by the ring all-reduce
-    /// to run hops on the NPU-side interconnect, [`crate::ring`]).
-    pub fn on_link(link: PcieLink) -> Self {
+    /// Builds the protocol with single AES engines per side (§3.3) over
+    /// `link`.
+    pub(crate) fn on_link(link: PcieLink) -> Self {
         StagingProtocol {
             sender_aes: AesEngine::single(),
             receiver_aes: AesEngine::single(),
@@ -85,17 +123,14 @@ impl StagingProtocol {
     }
 }
 
-impl Default for StagingProtocol {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// TensorTEE's direct protocol (Figure 6b): unified tensor granularity
 /// and a shared session key make the ciphertext valid on both sides, so
 /// the transfer is a DMA plus one small trusted-channel packet.
+///
+/// A stateful engine like [`StagingProtocol`]; crate-visible only so the
+/// ring's hop-replay oracle can drive it.
 #[derive(Debug)]
-pub struct DirectProtocol {
+pub(crate) struct DirectProtocol {
     link: PcieLink,
     trusted_link: PcieLink,
 }
@@ -105,18 +140,9 @@ pub struct DirectProtocol {
 pub const META_PACKET_BYTES: u64 = 64;
 
 impl DirectProtocol {
-    /// Builds the protocol on a Gen4 ×16 link; metadata shares the link but
+    /// Builds the protocol over `link`; metadata shares the link class but
     /// is negligible.
-    pub fn new() -> Self {
-        DirectProtocol {
-            link: PcieLink::gen4_x16(),
-            trusted_link: PcieLink::gen4_x16(),
-        }
-    }
-
-    /// Builds the protocol over a custom link (used by the ring all-reduce
-    /// to run hops on the NPU-side interconnect, [`crate::ring`]).
-    pub fn on_link(link: PcieLink) -> Self {
+    pub(crate) fn on_link(link: PcieLink) -> Self {
         DirectProtocol {
             trusted_link: link.clone(),
             link,
@@ -126,7 +152,7 @@ impl DirectProtocol {
     /// Transfers `bytes` starting at `at`. The metadata packet and the
     /// ciphertext DMA proceed in parallel (§4.4.2), synchronizing at the
     /// end.
-    pub fn transfer(&mut self, at: Time, bytes: u64) -> TransferBreakdown {
+    pub(crate) fn transfer(&mut self, at: Time, bytes: u64) -> TransferBreakdown {
         let meta_done = self.trusted_link.transfer(at, META_PACKET_BYTES);
         let data_done = self.link.transfer(at, bytes);
         TransferBreakdown {
@@ -137,28 +163,24 @@ impl DirectProtocol {
     }
 }
 
-impl Default for DirectProtocol {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn gen4(protocol: Protocol, bytes: u64) -> TransferBreakdown {
+        protocol.transfer(PcieLink::gen4_x16(), bytes)
+    }
+
     #[test]
     fn staging_dominated_by_crypto() {
-        let mut p = StagingProtocol::new();
-        let b = p.transfer(Time::ZERO, 256 << 20);
+        let b = gen4(Protocol::Staged, 256 << 20);
         assert!(b.re_encryption > b.comm, "8 GB/s AES slower than PCIe");
         assert!(b.decryption > b.comm);
     }
 
     #[test]
     fn direct_is_comm_only() {
-        let mut p = DirectProtocol::new();
-        let b = p.transfer(Time::ZERO, 256 << 20);
+        let b = gen4(Protocol::Direct, 256 << 20);
         assert_eq!(b.re_encryption, Time::ZERO);
         assert_eq!(b.decryption, Time::ZERO);
         assert!(b.comm > Time::ZERO);
@@ -167,8 +189,8 @@ mod tests {
     #[test]
     fn direct_much_faster_serialized() {
         let bytes = 512 << 20;
-        let staging = StagingProtocol::new().transfer(Time::ZERO, bytes);
-        let direct = DirectProtocol::new().transfer(Time::ZERO, bytes);
+        let staging = gen4(Protocol::Staged, bytes);
+        let direct = gen4(Protocol::Direct, bytes);
         let speedup = staging.total().as_secs_f64() / direct.total().as_secs_f64();
         assert!(
             speedup > 5.0,
@@ -178,18 +200,25 @@ mod tests {
 
     #[test]
     fn metadata_packet_negligible() {
-        let mut p = DirectProtocol::new();
-        let big = p.transfer(Time::ZERO, 64 << 20);
+        let big = gen4(Protocol::Direct, 64 << 20);
         // Metadata is hidden behind the data DMA.
         let solo_data = PcieLink::gen4_x16().transfer(Time::ZERO, 64 << 20);
         assert_eq!(big.comm, solo_data);
+        assert_eq!(gen4(Protocol::Plain, 64 << 20).total(), solo_data);
     }
 
     #[test]
     fn more_aes_engines_help_staging() {
         let bytes = 128 << 20;
-        let one = StagingProtocol::new().transfer(Time::ZERO, bytes);
+        let one = gen4(Protocol::Staged, bytes);
         let many = StagingProtocol::with_aes_bandwidth(64.0e9).transfer(Time::ZERO, bytes);
         assert!(many.total() < one.total());
+    }
+
+    #[test]
+    fn overlap_capabilities_mirror_training_protocols() {
+        assert!(Protocol::Plain.overlaps_compute());
+        assert!(Protocol::Direct.overlaps_compute());
+        assert!(!Protocol::Staged.overlaps_compute());
     }
 }

@@ -8,21 +8,24 @@
 //! `⌈bytes/n⌉`-byte chunks (reduce-scatter then all-gather), so every rank
 //! puts `2·(n−1)/n · bytes` on the wire.
 //!
-//! Security modes map onto the same protocol split as the CPU↔NPU link:
+//! Every hop is one chunk under the caller's [`Protocol`]:
 //!
-//! * [`RingAllReduce::staged`] — each hop pays the Graviton-like staging
-//!   conversion ([`StagingProtocol`]): decrypt + re-encrypt into the
-//!   transit key on the sender, the bus, then decrypt + re-encrypt on the
-//!   receiver, per chunk, per step (§3.3).
-//! * [`RingAllReduce::direct`] — TensorTEE's unified tensor granularity
-//!   makes the ciphertext valid on every rank, so a hop is one chunk DMA
-//!   plus a trusted-channel metadata packet carrying the chunk MAC
-//!   ([`DirectProtocol`], §4.4.2); hops overlap backward via
-//!   [`crate::schedule::exposed_time`].
-//! * [`RingAllReduce::plain`] — no protection (performance reference).
+//! * [`Protocol::Staged`] — each hop pays the Graviton-like staging
+//!   conversion: decrypt + re-encrypt into the transit key on the sender,
+//!   the bus, then decrypt + re-encrypt on the receiver, per chunk, per
+//!   step (§3.3).
+//! * [`Protocol::Direct`] — TensorTEE's unified tensor granularity makes
+//!   the ciphertext valid on every rank, so a hop is one chunk DMA plus a
+//!   trusted-channel metadata packet carrying the chunk MAC (§4.4.2);
+//!   hops overlap backward via [`crate::schedule::exposed_time`].
+//! * [`Protocol::Plain`] — no protection (performance reference).
+//!
+//! Ring steps are barriers, so each hop starts on an idle link and, in
+//! integer-picosecond [`Time`], every hop costs exactly the same:
+//! [`RingAllReduce::hops`] prices one chunk and repeats it.
 
 use crate::link::PcieLink;
-use crate::protocol::{DirectProtocol, StagingProtocol, TransferBreakdown};
+use crate::protocol::{Protocol, TransferBreakdown};
 use serde::Serialize;
 use tee_sim::Time;
 
@@ -86,24 +89,6 @@ impl Default for Interconnect {
     }
 }
 
-/// Cost of one synchronized ring step (one chunk hop) under a protocol.
-///
-/// The hop sequence is the contract between the analytic collective
-/// ([`RingAllReduce::staged`] etc., which fold the hops serially) and the
-/// discrete-event cluster engine (which replays the same hops as explicit
-/// re-encrypt / bus / decrypt events on a shared fabric) — both consume
-/// identical per-hop numbers, which is what makes DES-lockstep reproduce
-/// the analytic breakdown bit-for-bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct HopCost {
-    /// Staging conversion on the send side (zero for direct/plain).
-    pub re_encryption: Time,
-    /// Interconnect bus time of the chunk DMA.
-    pub comm: Time,
-    /// Staging conversion on the receive side (zero for direct/plain).
-    pub decryption: Time,
-}
-
 /// Per-phase cost of one ring all-reduce, per rank (all ranks operate in
 /// lockstep, so this is also the wall-clock cost of the collective).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -140,23 +125,6 @@ impl AllReduceBreakdown {
     pub fn wire_bytes(&self) -> u64 {
         self.steps as u64 * self.chunk_bytes
     }
-
-    /// Accumulates a hop sequence into the per-phase breakdown (the
-    /// serial fold both the analytic path and the DES use — per-field
-    /// sums in hop order, so the result is bit-identical between them).
-    pub fn from_hops(steps: u32, chunk_bytes: u64, hops: &[HopCost]) -> AllReduceBreakdown {
-        let mut acc = AllReduceBreakdown {
-            steps,
-            chunk_bytes,
-            ..AllReduceBreakdown::NOOP
-        };
-        for hop in hops {
-            acc.re_encryption += hop.re_encryption;
-            acc.comm += hop.comm;
-            acc.decryption += hop.decryption;
-        }
-        acc
-    }
 }
 
 /// A bandwidth-optimal ring all-reduce schedule over `n_ranks` NPU TEEs.
@@ -190,172 +158,72 @@ impl RingAllReduce {
         bytes.div_ceil(self.n_ranks as u64)
     }
 
-    /// Plain (non-secure) all-reduce: each step is one chunk DMA; steps
-    /// barrier on the slowest hop, which on a homogeneous ring is any hop.
-    pub fn plain(&self, bytes: u64) -> AllReduceBreakdown {
-        let mut link = self.interconnect.link();
-        self.run(bytes, move |at, chunk| {
-            let done = link.transfer(at, chunk);
-            (Time::ZERO, done - at, Time::ZERO)
-        })
+    /// The price of one hop: one chunk of a `bytes`-byte buffer under
+    /// `protocol`, on an idle link.
+    fn hop(&self, protocol: Protocol, bytes: u64) -> TransferBreakdown {
+        protocol.transfer(self.interconnect.link(), self.chunk_bytes(bytes))
     }
 
-    /// Staged (SGX+MGX-style) all-reduce: every hop re-encrypts into the
-    /// transit key, crosses the bus, and converts back — per chunk, per
-    /// step. Each rank's single AES engine (§3.3) serializes the
-    /// conversions, so nothing overlaps inside a step.
-    pub fn staged(&self, bytes: u64) -> AllReduceBreakdown {
-        let mut proto = StagingProtocol::on_link(self.interconnect.link());
-        self.run(bytes, move |at, chunk| {
-            let b = proto.transfer(at, chunk);
-            (b.re_encryption, b.comm, b.decryption)
-        })
+    /// Per-hop prices of a `bytes`-byte all-reduce under `protocol`, in
+    /// step order (empty for a single rank — the collective is a no-op).
+    /// The discrete-event cluster engine replays them as explicit
+    /// re-encrypt / bus / decrypt events.
+    pub fn hops(&self, protocol: Protocol, bytes: u64) -> Vec<TransferBreakdown> {
+        vec![self.hop(protocol, bytes); self.steps() as usize]
     }
 
-    /// Direct (TensorTEE) all-reduce: ciphertext chunks are valid on every
-    /// rank, so a hop is one chunk DMA plus the trusted-channel metadata
-    /// packet carrying the chunk's `(addr, VN, MAC)` (§4.4.2), which hides
-    /// behind the DMA.
-    pub fn direct(&self, bytes: u64) -> AllReduceBreakdown {
-        let mut proto = DirectProtocol::on_link(self.interconnect.link());
-        self.run(bytes, move |at, chunk| {
-            let b = proto.transfer(at, chunk);
-            (b.re_encryption, b.comm, b.decryption)
-        })
-    }
-
-    /// Pipelined ring broadcast of `bytes` from one rank to the other
-    /// `n−1` (the fp16 weight redistribution after the CPU update):
-    /// chunks stream hop-to-hop, so the wall-clock cost is one traversal
-    /// of the payload through a single link under `hop`'s protocol — the
-    /// per-hop fill latency of the remaining hops is negligible against
-    /// the payload. Zero for a single rank (nothing to redistribute).
-    fn pipelined_broadcast(
-        &self,
-        bytes: u64,
-        hop: impl FnOnce(u64) -> TransferBreakdown,
-    ) -> TransferBreakdown {
-        if self.n_ranks == 1 {
-            return TransferBreakdown {
-                re_encryption: Time::ZERO,
-                comm: Time::ZERO,
-                decryption: Time::ZERO,
-            };
-        }
-        hop(bytes)
-    }
-
-    /// Plain broadcast: one pipelined traversal of the payload, no
-    /// conversion anywhere.
-    pub fn broadcast_plain(&self, bytes: u64) -> TransferBreakdown {
-        let mut link = self.interconnect.link();
-        self.pipelined_broadcast(bytes, |b| TransferBreakdown {
-            re_encryption: Time::ZERO,
-            comm: link.transfer(Time::ZERO, b),
-            decryption: Time::ZERO,
-        })
-    }
-
-    /// Staged broadcast: every hop pays the §3.3 conversion, and the
-    /// conversions pipeline with the bus just like the payload chunks, so
-    /// one [`StagingProtocol`] hop bounds the traversal.
-    pub fn broadcast_staged(&self, bytes: u64) -> TransferBreakdown {
-        let mut proto = StagingProtocol::on_link(self.interconnect.link());
-        self.pipelined_broadcast(bytes, |b| proto.transfer(Time::ZERO, b))
-    }
-
-    /// Direct broadcast: one ciphertext DMA plus the trusted metadata
-    /// packet (§4.4.2).
-    pub fn broadcast_direct(&self, bytes: u64) -> TransferBreakdown {
-        let mut proto = DirectProtocol::on_link(self.interconnect.link());
-        self.pipelined_broadcast(bytes, |b| proto.transfer(Time::ZERO, b))
-    }
-
-    /// Per-hop costs of a plain `bytes`-byte all-reduce (empty for a
-    /// single rank — the collective is a no-op).
-    pub fn hops_plain(&self, bytes: u64) -> Vec<HopCost> {
-        let mut link = self.interconnect.link();
-        self.hop_costs(bytes, move |at, chunk| {
-            let done = link.transfer(at, chunk);
-            (Time::ZERO, done - at, Time::ZERO)
-        })
-    }
-
-    /// Per-hop costs of a staged all-reduce: every hop carries its §3.3
-    /// conversion explicitly (what the DES turns into re-encrypt events).
-    pub fn hops_staged(&self, bytes: u64) -> Vec<HopCost> {
-        let mut proto = StagingProtocol::on_link(self.interconnect.link());
-        self.hop_costs(bytes, move |at, chunk| {
-            let b = proto.transfer(at, chunk);
-            (b.re_encryption, b.comm, b.decryption)
-        })
-    }
-
-    /// Per-hop costs of a direct (TensorTEE) all-reduce.
-    pub fn hops_direct(&self, bytes: u64) -> Vec<HopCost> {
-        let mut proto = DirectProtocol::on_link(self.interconnect.link());
-        self.hop_costs(bytes, move |at, chunk| {
-            let b = proto.transfer(at, chunk);
-            (b.re_encryption, b.comm, b.decryption)
-        })
-    }
-
-    /// Drives the per-step hop model: ring steps are barriers (the chunk a
-    /// rank forwards in step `s+1` is the one it received and reduced in
-    /// step `s`), so step costs accumulate serially along the fold.
-    fn hop_costs(
-        &self,
-        bytes: u64,
-        mut hop: impl FnMut(Time, u64) -> (Time, Time, Time),
-    ) -> Vec<HopCost> {
-        if self.n_ranks == 1 {
-            return Vec::new();
-        }
-        let chunk = self.chunk_bytes(bytes);
-        let mut hops = Vec::with_capacity(self.steps() as usize);
-        let mut at = Time::ZERO;
-        for _ in 0..self.steps() {
-            let (re, comm, de) = hop(at, chunk);
-            hops.push(HopCost {
-                re_encryption: re,
-                comm,
-                decryption: de,
-            });
-            at = at + re + comm + de;
-        }
-        hops
-    }
-
-    /// Folds the hop sequence into the collective's breakdown.
-    fn run(
-        &self,
-        bytes: u64,
-        hop: impl FnMut(Time, u64) -> (Time, Time, Time),
-    ) -> AllReduceBreakdown {
+    /// Per-phase cost of a `bytes`-byte all-reduce under `protocol`: the
+    /// [`Self::hops`] summed phase by phase. Under the staged protocol each
+    /// rank's single AES engine (§3.3) serializes the conversions, so
+    /// nothing overlaps inside a step.
+    pub fn all_reduce(&self, protocol: Protocol, bytes: u64) -> AllReduceBreakdown {
         if self.n_ranks == 1 {
             return AllReduceBreakdown::NOOP;
         }
-        let hops = self.hop_costs(bytes, hop);
-        AllReduceBreakdown::from_hops(self.steps(), self.chunk_bytes(bytes), &hops)
+        let hop = self.hop(protocol, bytes);
+        let steps = self.steps();
+        let repeat = |t: Time| Time::from_ps(t.as_ps() * u64::from(steps));
+        AllReduceBreakdown {
+            steps,
+            chunk_bytes: self.chunk_bytes(bytes),
+            re_encryption: repeat(hop.re_encryption),
+            comm: repeat(hop.comm),
+            decryption: repeat(hop.decryption),
+        }
+    }
+
+    /// Pipelined ring broadcast of `bytes` from one rank to the other
+    /// `n−1` under `protocol` (the fp16 weight redistribution after the
+    /// CPU update). Chunks and their conversions stream hop-to-hop, so the
+    /// wall-clock cost is one traversal of the payload through a single
+    /// link — the per-hop fill latency of the remaining hops is negligible
+    /// against the payload. Zero for a single rank (nothing to
+    /// redistribute).
+    pub fn broadcast(&self, protocol: Protocol, bytes: u64) -> TransferBreakdown {
+        if self.n_ranks == 1 {
+            return TransferBreakdown::default();
+        }
+        protocol.transfer(self.interconnect.link(), bytes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{DirectProtocol, StagingProtocol};
+    use proptest::prelude::*;
 
     const MB: u64 = 1 << 20;
+    const PROTOCOLS: [Protocol; 3] = [Protocol::Plain, Protocol::Staged, Protocol::Direct];
 
     #[test]
     fn single_rank_is_noop() {
         let ring = RingAllReduce::new(1, Interconnect::PcieP2p);
-        for b in [
-            ring.plain(64 * MB),
-            ring.staged(64 * MB),
-            ring.direct(64 * MB),
-        ] {
+        for p in PROTOCOLS {
+            let b = ring.all_reduce(p, 64 * MB);
             assert_eq!(b, AllReduceBreakdown::NOOP);
             assert_eq!(b.total(), Time::ZERO);
+            assert!(ring.hops(p, 64 * MB).is_empty());
         }
     }
 
@@ -364,7 +232,7 @@ mod tests {
         for n in [2u32, 3, 4, 8] {
             let ring = RingAllReduce::new(n, Interconnect::PcieP2p);
             let bytes = 96 * MB;
-            let b = ring.direct(bytes);
+            let b = ring.all_reduce(Protocol::Direct, bytes);
             assert_eq!(b.steps, 2 * (n - 1));
             assert_eq!(b.chunk_bytes, bytes.div_ceil(n as u64));
             // 2·(n−1)/n·bytes up to per-chunk ceil rounding.
@@ -377,8 +245,8 @@ mod tests {
     #[test]
     fn staged_pays_conversion_direct_does_not() {
         let ring = RingAllReduce::new(4, Interconnect::PcieP2p);
-        let staged = ring.staged(64 * MB);
-        let direct = ring.direct(64 * MB);
+        let staged = ring.all_reduce(Protocol::Staged, 64 * MB);
+        let direct = ring.all_reduce(Protocol::Direct, 64 * MB);
         assert!(staged.re_encryption > Time::ZERO);
         assert!(staged.decryption > Time::ZERO);
         assert_eq!(direct.re_encryption, Time::ZERO);
@@ -389,10 +257,13 @@ mod tests {
     #[test]
     fn direct_close_to_plain() {
         let ring = RingAllReduce::new(8, Interconnect::PcieP2p);
-        let plain = ring.plain(256 * MB).total().as_secs_f64();
-        let direct = ring.direct(256 * MB).total().as_secs_f64();
+        let plain = ring.all_reduce(Protocol::Plain, 256 * MB).total();
+        let direct = ring.all_reduce(Protocol::Direct, 256 * MB).total();
         assert!(direct >= plain);
-        assert!(direct / plain < 1.05, "metadata hides behind chunk DMA");
+        assert!(
+            direct.as_secs_f64() / plain.as_secs_f64() < 1.05,
+            "metadata hides behind chunk DMA"
+        );
     }
 
     #[test]
@@ -402,7 +273,7 @@ mod tests {
         let bytes = 256 * MB;
         let t = |n| {
             RingAllReduce::new(n, Interconnect::PcieP2p)
-                .direct(bytes)
+                .all_reduce(Protocol::Direct, bytes)
                 .total()
                 .as_secs_f64()
         };
@@ -413,44 +284,88 @@ mod tests {
     #[test]
     fn broadcast_is_one_traversal_and_noop_for_single_rank() {
         let ring = RingAllReduce::new(4, Interconnect::PcieP2p);
-        let plain = ring.broadcast_plain(64 * MB);
-        let staged = ring.broadcast_staged(64 * MB);
-        let direct = ring.broadcast_direct(64 * MB);
+        let plain = ring.broadcast(Protocol::Plain, 64 * MB);
+        let staged = ring.broadcast(Protocol::Staged, 64 * MB);
+        let direct = ring.broadcast(Protocol::Direct, 64 * MB);
         // Pipelining: cost does not scale with rank count.
-        let wider = RingAllReduce::new(8, Interconnect::PcieP2p).broadcast_plain(64 * MB);
+        let wider =
+            RingAllReduce::new(8, Interconnect::PcieP2p).broadcast(Protocol::Plain, 64 * MB);
         assert_eq!(plain, wider);
         assert!(staged.total() > direct.total(), "hops pay the conversion");
         assert!(direct.total() >= plain.total());
         let single = RingAllReduce::new(1, Interconnect::PcieP2p);
-        assert_eq!(single.broadcast_staged(64 * MB).total(), Time::ZERO);
+        assert_eq!(
+            single.broadcast(Protocol::Staged, 64 * MB).total(),
+            Time::ZERO
+        );
     }
 
-    #[test]
-    fn hop_sequences_fold_back_to_the_breakdown() {
-        for n in [2u32, 4, 8] {
-            let ring = RingAllReduce::new(n, Interconnect::PcieP2p);
-            let bytes = 96 * MB;
-            for (hops, breakdown) in [
-                (ring.hops_plain(bytes), ring.plain(bytes)),
-                (ring.hops_staged(bytes), ring.staged(bytes)),
-                (ring.hops_direct(bytes), ring.direct(bytes)),
+    /// The stateful hop fold the one-hop price replaced: one protocol
+    /// engine (`hop`) for the whole collective, each hop starting where
+    /// the previous one ended (ring steps are barriers).
+    fn replay(
+        ring: &RingAllReduce,
+        bytes: u64,
+        mut hop: impl FnMut(Time, u64) -> TransferBreakdown,
+    ) -> Vec<TransferBreakdown> {
+        let mut at = Time::ZERO;
+        (0..ring.steps())
+            .map(|_| {
+                let h = hop(at, ring.chunk_bytes(bytes));
+                at += h.total();
+                h
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::ci())]
+        /// Every hop starts on an idle link, so pricing one chunk and
+        /// repeating it equals the stateful replay bit for bit, and the
+        /// hops fold phase by phase into the all-reduce breakdown.
+        #[test]
+        fn one_hop_price_matches_the_stateful_replay(
+            n in 1u32..=8,
+            fabric in 0u8..3,
+            bytes in 64u64..=(1 << 30),
+            gbs in 1u64..=400,
+            latency_ns in 0u64..=2_000,
+        ) {
+            let interconnect = match fabric {
+                0 => Interconnect::PcieP2p,
+                1 => Interconnect::NvlinkLike,
+                _ => Interconnect::Custom { bytes_per_sec: gbs * 1_000_000_000, latency_ns },
+            };
+            let ring = RingAllReduce::new(n, interconnect);
+            let mut link = interconnect.link();
+            let mut staged = StagingProtocol::on_link(interconnect.link());
+            let mut direct = DirectProtocol::on_link(interconnect.link());
+            for (p, replayed) in [
+                (Protocol::Plain, replay(&ring, bytes, |at, b| TransferBreakdown {
+                    comm: link.transfer(at, b) - at,
+                    ..TransferBreakdown::default()
+                })),
+                (Protocol::Staged, replay(&ring, bytes, |at, b| staged.transfer(at, b))),
+                (Protocol::Direct, replay(&ring, bytes, |at, b| direct.transfer(at, b))),
             ] {
-                assert_eq!(hops.len() as u32, ring.steps());
-                assert_eq!(
-                    AllReduceBreakdown::from_hops(ring.steps(), ring.chunk_bytes(bytes), &hops),
-                    breakdown
+                prop_assert_eq!(&ring.hops(p, bytes), &replayed);
+                let ar = ring.all_reduce(p, bytes);
+                let fold = |phase: fn(&TransferBreakdown) -> Time| replayed.iter().map(phase).sum();
+                prop_assert_eq!(ar.steps as usize, replayed.len());
+                prop_assert_eq!(
+                    (ar.re_encryption, ar.comm, ar.decryption),
+                    (fold(|h| h.re_encryption), fold(|h| h.comm), fold(|h| h.decryption))
                 );
             }
         }
-        let single = RingAllReduce::new(1, Interconnect::PcieP2p);
-        assert!(single.hops_staged(64 * MB).is_empty());
     }
 
     #[test]
     fn faster_fabric_helps() {
         let bytes = 256 * MB;
-        let pcie = RingAllReduce::new(8, Interconnect::PcieP2p).direct(bytes);
-        let nvlink = RingAllReduce::new(8, Interconnect::NvlinkLike).direct(bytes);
+        let pcie = RingAllReduce::new(8, Interconnect::PcieP2p).all_reduce(Protocol::Direct, bytes);
+        let nvlink =
+            RingAllReduce::new(8, Interconnect::NvlinkLike).all_reduce(Protocol::Direct, bytes);
         assert!(nvlink.total() < pcie.total());
     }
 

@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 use tee_comm::channel::{TransferMeta, TrustedChannel};
-use tee_comm::protocol::{DirectProtocol, StagingProtocol};
+use tee_comm::link::PcieLink;
+use tee_comm::protocol::Protocol;
 use tee_comm::schedule::{overlapped_time, serialized_time};
 use tee_crypto::mac::MacTag;
 use tee_crypto::Key;
@@ -41,10 +42,11 @@ proptest! {
     /// the same payload, and both scale monotonically with bytes.
     #[test]
     fn staging_never_beats_direct(bytes in 64u64..(1 << 30)) {
-        let staged = StagingProtocol::new().transfer(Time::ZERO, bytes).total();
-        let direct = DirectProtocol::new().transfer(Time::ZERO, bytes).total();
+        let total = |p: Protocol, b| p.transfer(PcieLink::gen4_x16(), b).total();
+        let staged = total(Protocol::Staged, bytes);
+        let direct = total(Protocol::Direct, bytes);
         prop_assert!(staged >= direct);
-        let bigger = DirectProtocol::new().transfer(Time::ZERO, bytes * 2).total();
+        let bigger = total(Protocol::Direct, bytes * 2);
         prop_assert!(bigger >= direct);
     }
 
@@ -65,7 +67,7 @@ proptest! {
     /// by crypto for single-engine bandwidth.
     #[test]
     fn staged_breakdown_consistent(mb in 1u64..512) {
-        let b = StagingProtocol::new().transfer(Time::ZERO, mb << 20);
+        let b = Protocol::Staged.transfer(PcieLink::gen4_x16(), mb << 20);
         prop_assert!(b.re_encryption > Time::ZERO);
         prop_assert!(b.decryption > Time::ZERO);
         prop_assert!(b.comm > Time::ZERO);

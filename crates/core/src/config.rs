@@ -2,7 +2,7 @@
 //! multi-NPU cluster shape.
 
 use serde::Serialize;
-use tee_comm::{Interconnect, PcieLink};
+use tee_comm::{Interconnect, PcieLink, Protocol};
 use tee_cpu::CpuConfig;
 use tee_npu::NpuConfig;
 use tee_sim::Time;
@@ -27,6 +27,16 @@ impl SecureMode {
             SecureMode::NonSecure => "Non-Secure",
             SecureMode::SgxMgx => "SGX+MGX",
             SecureMode::TensorTee => "TensorTEE",
+        }
+    }
+
+    /// The transfer protocol this mode moves tensors with — the one place
+    /// a mode picks plain, staged (§3.3) or direct (§4.4) transfers.
+    pub fn protocol(&self) -> Protocol {
+        match self {
+            SecureMode::NonSecure => Protocol::Plain,
+            SecureMode::SgxMgx => Protocol::Staged,
+            SecureMode::TensorTee => Protocol::Direct,
         }
     }
 

@@ -14,9 +14,9 @@
 //!   analytic [`ClusterStepBreakdown`] **bit-for-bit** — the analytic
 //!   path stays the correctness oracle (`tests/des_cluster.rs` is the
 //!   differential harness). This works because both paths consume
-//!   identical per-hop prices ([`tee_comm::ring::HopCost`]) and integer
-//!   picosecond arithmetic, and an uncontended fabric grants every hop
-//!   immediately.
+//!   identical per-hop prices ([`tee_comm::ring::RingAllReduce::hops`])
+//!   and integer picosecond arithmetic, and an uncontended fabric grants
+//!   every hop immediately.
 //! * **DES-only scenarios** the analytic model cannot express:
 //!   heterogeneous NPUs (a straggler rank stretches the backward window
 //!   and every barrier), and pipeline-parallel schedules whose
@@ -28,8 +28,8 @@ use serde::Serialize;
 use std::cell::RefCell;
 use std::rc::Rc;
 use tee_comm::des::FabricLink;
-use tee_comm::protocol::{DirectProtocol, StagingProtocol, TransferBreakdown};
-use tee_comm::ring::{HopCost, RingAllReduce};
+use tee_comm::protocol::TransferBreakdown;
+use tee_comm::ring::RingAllReduce;
 use tee_sim::des::{Component, Ctx, Scheduler};
 use tee_sim::probe::SharedProbe;
 use tee_sim::Time;
@@ -223,7 +223,7 @@ impl NpuNode {
 /// phase arbitrated by the shared fabric.
 #[derive(Debug)]
 struct RingNode {
-    hops: Vec<HopCost>,
+    hops: Vec<TransferBreakdown>,
     waiting: u32,
     idx: usize,
     phase: XferPhase,
@@ -706,53 +706,17 @@ impl DesClusterSystem {
         }
     }
 
-    /// Prices the mode's protocol for a point-to-point transfer of
-    /// `bytes` on the NPU fabric (per-microbatch boundary activations).
-    fn fabric_transfer_cost(&self, bytes: u64) -> TransferBreakdown {
-        let link = self.des.cluster.interconnect.link();
-        match self.mode() {
-            SecureMode::NonSecure => {
-                let mut link = link;
-                TransferBreakdown {
-                    re_encryption: Time::ZERO,
-                    comm: link.transfer(Time::ZERO, bytes),
-                    decryption: Time::ZERO,
-                }
-            }
-            SecureMode::SgxMgx => StagingProtocol::on_link(link).transfer(Time::ZERO, bytes),
-            SecureMode::TensorTee => DirectProtocol::on_link(link).transfer(Time::ZERO, bytes),
-        }
-    }
-
-    /// The collective's per-hop prices under this mode (empty for N=1).
-    fn ring_hops(&self, grad_bytes: u64) -> Vec<HopCost> {
-        let ring = RingAllReduce::new(self.des.cluster.n_npus, self.des.cluster.interconnect);
-        match self.mode() {
-            SecureMode::NonSecure => ring.hops_plain(grad_bytes),
-            SecureMode::SgxMgx => ring.hops_staged(grad_bytes),
-            SecureMode::TensorTee => ring.hops_direct(grad_bytes),
-        }
-    }
-
-    /// The weight re-broadcast breakdown under this mode.
-    fn broadcast_cost(&self, weight_bytes: u64) -> TransferBreakdown {
-        let ring = RingAllReduce::new(self.des.cluster.n_npus, self.des.cluster.interconnect);
-        match self.mode() {
-            SecureMode::NonSecure => ring.broadcast_plain(weight_bytes),
-            SecureMode::SgxMgx => ring.broadcast_staged(weight_bytes),
-            SecureMode::TensorTee => ring.broadcast_direct(weight_bytes),
-        }
-    }
-
     /// Builds and runs the data-parallel component graph.
     fn run_data_parallel(&mut self, schedule: &StepSchedule, cpu: Time) -> DesStepReport {
         let n = self.des.cluster.n_npus;
         let replica = schedule.data_parallel_replica(n);
         let npu_base = self.sys.npu_time(&replica);
         let comm = self.sys.comm_costs(&replica);
-        let hops = self.ring_hops(replica.grad_bytes);
-        let broadcast = self.broadcast_cost(replica.weight_bytes);
-        let overlaps = self.sys.overlaps();
+        let protocol = self.mode().protocol();
+        let ring = RingAllReduce::new(n, self.des.cluster.interconnect);
+        let hops = ring.hops(protocol, replica.grad_bytes);
+        let broadcast = ring.broadcast(protocol, replica.weight_bytes);
+        let overlaps = protocol.overlaps_compute();
 
         let ledger: Shared<Ledger> = Rc::new(RefCell::new(Ledger {
             npu_done: vec![Time::ZERO; n as usize],
@@ -830,7 +794,8 @@ impl DesClusterSystem {
         let n = self.des.cluster.n_npus;
         let m = microbatches as usize;
         let comm = self.sys.comm_costs(schedule);
-        let overlaps = self.sys.overlaps();
+        let protocol = self.mode().protocol();
+        let overlaps = protocol.overlaps_compute();
 
         // Split the layer list into N contiguous stages and price each
         // stage's compute with the same NPU engine the analytic path uses.
@@ -887,8 +852,13 @@ impl DesClusterSystem {
             let per_mb: Vec<Time> = (0..m as u64)
                 .map(|k| Time::from_ps(per + u64::from(k < rem)))
                 .collect();
+            // Boundary activations cross the NPU fabric point to point
+            // under the mode's protocol.
             let act = if s + 1 < n as usize {
-                Some(self.fabric_transfer_cost(boundary_bytes[s].div_ceil(m as u64)))
+                Some(protocol.transfer(
+                    self.des.cluster.interconnect.link(),
+                    boundary_bytes[s].div_ceil(m as u64),
+                ))
             } else {
                 None
             };
@@ -927,11 +897,7 @@ impl DesClusterSystem {
                 comm_weight: comm.weight,
                 // No ring re-broadcast either: each stage receives only
                 // its own shard over the CPU link.
-                broadcast: TransferBreakdown {
-                    re_encryption: Time::ZERO,
-                    comm: Time::ZERO,
-                    decryption: Time::ZERO,
-                },
+                broadcast: TransferBreakdown::default(),
                 cpu,
                 overlaps,
                 grad_id,
@@ -1086,7 +1052,7 @@ impl DesClusterSystem {
 #[derive(Debug)]
 struct TailWiring {
     n_compute: u32,
-    hops: Vec<HopCost>,
+    hops: Vec<TransferBreakdown>,
     comm_grad: TransferBreakdown,
     comm_weight: TransferBreakdown,
     broadcast: TransferBreakdown,

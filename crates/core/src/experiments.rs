@@ -11,7 +11,7 @@ use crate::des_cluster::{DesClusterConfig, DesClusterSystem, DesStepReport};
 use crate::hw::HardwareBudget;
 use crate::report::{f2, pct, Report, Table};
 use crate::system::{ClusterStepBreakdown, ClusterSystem, StepBreakdown, TrainingSystem};
-use tee_comm::protocol::{DirectProtocol, StagingProtocol};
+use tee_comm::protocol::{Protocol, StagingProtocol};
 use tee_comm::schedule::{overlapped_time, serialized_time, Timeline};
 use tee_cpu::analyzer::TenAnalyzerConfig;
 use tee_cpu::{AdamWorkload, CpuEngine, GemmWorkload, SoftVnConfig, TeeMode};
@@ -178,8 +178,8 @@ pub fn fig15_overlap(ctx: &RunContext) -> Report {
     let npu =
         TrainingSystem::new(ctx.cfg.clone(), crate::SecureMode::TensorTee).npu_time(&schedule);
     let bwd = Time::from_ps(npu.as_ps() * 2 / 3);
-    let staged = StagingProtocol::new().transfer(Time::ZERO, grad_bytes);
-    let direct = DirectProtocol::new().transfer(Time::ZERO, grad_bytes);
+    let staged = Protocol::Staged.transfer(ctx.cfg.pcie_link(), grad_bytes);
+    let direct = Protocol::Direct.transfer(ctx.cfg.pcie_link(), grad_bytes);
 
     let mut base = Timeline::new();
     base.push(0, "backward", Time::ZERO, bwd);
@@ -537,8 +537,8 @@ pub fn fig21_comm_breakdown(ctx: &RunContext) -> (Vec<Fig21Row>, Report) {
         .iter()
         .map(|m| {
             let schedule = StepSchedule::of(m);
-            let staged = StagingProtocol::new().transfer(Time::ZERO, schedule.grad_bytes);
-            let direct = DirectProtocol::new().transfer(Time::ZERO, schedule.grad_bytes);
+            let staged = Protocol::Staged.transfer(ctx.cfg.pcie_link(), schedule.grad_bytes);
+            let direct = Protocol::Direct.transfer(ctx.cfg.pcie_link(), schedule.grad_bytes);
             // Overlap window: the backward phase under TensorTEE.
             let sys = TrainingSystem::new(ctx.cfg.clone(), crate::SecureMode::TensorTee);
             let npu = sys.npu_time(&schedule);
@@ -1547,6 +1547,32 @@ mod tests {
         let (rows, report) = fig21_comm_breakdown(&context);
         assert!(report.to_markdown().contains("improvement"));
         assert!(rows[0].improvement() > 5.0, "{:.1}", rows[0].improvement());
+    }
+
+    #[test]
+    fn fig21_prices_transfers_on_the_configured_bus() {
+        // Off the Gen4 default, Figure 21's columns must still be the
+        // training system's gradient transfer (fig16/fig17's comm phase).
+        let mut context = ctx();
+        context.cfg.pcie_bytes_per_sec = 16.0e9;
+        let (rows, _) = fig21_comm_breakdown(&context);
+        assert_eq!(rows.len(), context.models.len());
+        for row in &rows {
+            let schedule = StepSchedule::of(&row.model);
+            let grad = |mode| {
+                TrainingSystem::new(context.cfg.clone(), mode)
+                    .comm_costs(&schedule)
+                    .grad
+            };
+            let base = grad(SecureMode::SgxMgx);
+            assert_eq!(
+                (row.base_reenc, row.base_comm, row.base_dec),
+                (base.re_encryption, base.comm, base.decryption),
+                "{}",
+                row.model.name
+            );
+            assert_eq!(row.ours_comm, grad(SecureMode::TensorTee).comm);
+        }
     }
 
     #[test]

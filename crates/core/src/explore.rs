@@ -50,7 +50,8 @@ use tee_explore::{dominator_of, pareto_frontier, tornado, Executor, Knob, Point,
 use tee_fleet::{simulate as fleet_simulate, FleetConfig, Policy};
 use tee_mem::DramConfig;
 use tee_serve::{
-    simulate, simulate_probed, Diurnal, KvProtocol, ServeConfig, SessionTraceConfig, TraceConfig,
+    kv_transfer_time, simulate, simulate_probed, Diurnal, Protocol, ServeConfig,
+    SessionTraceConfig, TraceConfig,
 };
 use tee_sim::probe::SharedProbe;
 use tee_sim::{SplitMix64, Time};
@@ -543,10 +544,10 @@ fn eval_des(ctx: &RunContext, space: &Space, point: &Point) -> Vec<ModeEval> {
 /// The crypto share of one KV transfer under `protocol`: the fraction of
 /// a reference migration's wall-clock that is staging conversion rather
 /// than bus/DRAM time (0 for the plain and direct paths).
-fn kv_crypto_share(protocol: KvProtocol) -> f64 {
+fn kv_crypto_share(protocol: Protocol) -> f64 {
     const REF_BYTES: u64 = 64 << 20;
-    let plain = KvProtocol::Plain.transfer_time(REF_BYTES).as_secs_f64();
-    let own = protocol.transfer_time(REF_BYTES).as_secs_f64();
+    let plain = kv_transfer_time(Protocol::Plain, REF_BYTES).as_secs_f64();
+    let own = kv_transfer_time(protocol, REF_BYTES).as_secs_f64();
     if own <= 0.0 {
         0.0
     } else {
@@ -1119,9 +1120,9 @@ mod tests {
 
     #[test]
     fn kv_crypto_share_orders_protocols() {
-        assert_eq!(kv_crypto_share(KvProtocol::Plain), 0.0);
-        let staged = kv_crypto_share(KvProtocol::Staged);
-        let direct = kv_crypto_share(KvProtocol::Direct);
+        assert_eq!(kv_crypto_share(Protocol::Plain), 0.0);
+        let staged = kv_crypto_share(Protocol::Staged);
+        let direct = kv_crypto_share(Protocol::Direct);
         assert!(staged > 0.5, "{staged}");
         assert!(direct < 0.05, "{direct}");
     }

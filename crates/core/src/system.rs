@@ -21,7 +21,7 @@
 
 use crate::config::{ClusterConfig, SecureMode, SystemConfig};
 use crate::report::PhaseLedger;
-use tee_comm::protocol::{DirectProtocol, StagingProtocol, TransferBreakdown};
+use tee_comm::protocol::TransferBreakdown;
 use tee_comm::ring::{AllReduceBreakdown, RingAllReduce};
 use tee_comm::schedule::exposed_time;
 use tee_cpu::analyzer::TenAnalyzerConfig;
@@ -100,7 +100,9 @@ impl TrainingSystem {
         &self.cfg
     }
 
-    fn npu_scheme(&self) -> MacScheme {
+    /// The NPU MAC scheme this mode runs under (the design-space
+    /// explorer reads its traffic overhead for the crypto objective).
+    pub fn mac_scheme(&self) -> MacScheme {
         match self.mode {
             SecureMode::NonSecure => MacScheme::None,
             // MGX-style coarse MAC blocks (§3.2; Table 1 uses 512 B — the
@@ -142,7 +144,7 @@ impl TrainingSystem {
     /// design-space explorer reads `verify_stall` off it for the
     /// crypto-overhead objective.
     pub fn npu_report(&self, schedule: &StepSchedule) -> tee_npu::engine::NpuRunReport {
-        let engine = NpuEngine::new(self.cfg.npu.clone(), self.npu_scheme());
+        let engine = NpuEngine::new(self.cfg.npu.clone(), self.mac_scheme());
         engine.run(&Self::npu_layers(&schedule.npu_layers))
     }
 
@@ -181,42 +183,11 @@ impl TrainingSystem {
     /// design-space knob; the Table-1 default reproduces the Gen4-×16
     /// numbers bit-for-bit.
     pub fn comm_costs(&self, schedule: &StepSchedule) -> CommCosts {
-        match self.mode {
-            SecureMode::SgxMgx => {
-                let mut p = StagingProtocol::on_link(self.cfg.pcie_link());
-                let grad = p.transfer(Time::ZERO, schedule.grad_bytes);
-                let mut p2 = StagingProtocol::on_link(self.cfg.pcie_link());
-                let weight = p2.transfer(Time::ZERO, schedule.weight_bytes);
-                CommCosts { grad, weight }
-            }
-            SecureMode::TensorTee => {
-                let mut p = DirectProtocol::on_link(self.cfg.pcie_link());
-                let grad = p.transfer(Time::ZERO, schedule.grad_bytes);
-                let mut p2 = DirectProtocol::on_link(self.cfg.pcie_link());
-                let weight = p2.transfer(Time::ZERO, schedule.weight_bytes);
-                CommCosts { grad, weight }
-            }
-            SecureMode::NonSecure => {
-                let plain = |bytes: u64| TransferBreakdown {
-                    re_encryption: Time::ZERO,
-                    comm: self.cfg.pcie_link().transfer(Time::ZERO, bytes),
-                    decryption: Time::ZERO,
-                };
-                CommCosts {
-                    grad: plain(schedule.grad_bytes),
-                    weight: plain(schedule.weight_bytes),
-                }
-            }
+        let protocol = self.mode.protocol();
+        CommCosts {
+            grad: protocol.transfer(self.cfg.pcie_link(), schedule.grad_bytes),
+            weight: protocol.transfer(self.cfg.pcie_link(), schedule.weight_bytes),
         }
-    }
-
-    /// Whether this mode's transfers overlap computation (shared with the
-    /// discrete-event engine so both paths apply one overlap policy).
-    pub(crate) fn overlaps(&self) -> bool {
-        // The staging protocol serializes against compute (AES/DRAM
-        // contention, §3.3). Plain (non-secure) DMA and the direct
-        // protocol overlap.
-        !matches!(self.mode, SecureMode::SgxMgx)
     }
 
     /// Simulates one full training step of `model`.
@@ -254,7 +225,7 @@ impl TrainingSystem {
     /// compose here instead of paying the NPU engine and the protocols a
     /// second time inside [`Self::simulate_schedule_with_cpu_time`].
     pub fn compose_step(&self, npu: Time, cpu: Time, comm: &CommCosts) -> StepBreakdown {
-        let (comm_g, comm_w) = if self.overlaps() {
+        let (comm_g, comm_w) = if self.mode.protocol().overlaps_compute() {
             // Gradients hide behind the backward ~2/3 of the NPU phase;
             // weights pipeline behind the CPU optimizer (§4.4, Figure 15).
             let bwd_window = Time::from_ps(npu.as_ps() * 2 / 3);
@@ -270,12 +241,6 @@ impl TrainingSystem {
             comm_w,
             comm_g,
         }
-    }
-
-    /// The NPU MAC scheme this mode runs under (the design-space
-    /// explorer reads its traffic overhead for the crypto objective).
-    pub fn mac_scheme(&self) -> MacScheme {
-        self.npu_scheme()
     }
 }
 
@@ -353,8 +318,8 @@ impl ClusterStepBreakdown {
 ///
 /// 1. every replica runs forward + backward on its `1/N` batch shard
 ///    (same wall-clock on a homogeneous cluster),
-/// 2. gradients ring-all-reduce across the NPUs under the mode's protocol
-///    ([`RingAllReduce::staged`] vs [`RingAllReduce::direct`]); the direct
+/// 2. gradients ring-all-reduce across the NPUs under the mode's
+///    [`SecureMode::protocol`] ([`RingAllReduce::all_reduce`]); the direct
 ///    protocol overlaps the backward window, the staging protocol
 ///    serializes (§3.3),
 /// 3. the reduced fp32 gradient shards stream NPU → CPU (each rank sends
@@ -363,10 +328,10 @@ impl ClusterStepBreakdown {
 ///    replicated, so this phase is independent of N,
 /// 5. fp16 weights stream CPU → NPU, then re-broadcast over the ring
 ///    pipelined with the CPU→NPU stream: the weight path costs the
-///    *slower* of the two traversals ([`RingAllReduce::broadcast_plain`]
-///    and friends), which collapses to today's CPU-link cost whenever the
-///    ring is at least as fast — and surfaces the fabric as the
-///    bottleneck when it is not (e.g. a slow `Interconnect::Custom`).
+///    *slower* of the two traversals ([`RingAllReduce::broadcast`]),
+///    which collapses to today's CPU-link cost whenever the ring is at
+///    least as fast — and surfaces the fabric as the bottleneck when it
+///    is not (e.g. a slow `Interconnect::Custom`).
 #[derive(Debug)]
 pub struct ClusterSystem {
     sys: TrainingSystem,
@@ -394,25 +359,17 @@ impl ClusterSystem {
 
     /// Cost of ring-all-reducing `grad_bytes` under this mode's protocol.
     pub fn all_reduce_cost(&self, grad_bytes: u64) -> AllReduceBreakdown {
-        let ring = RingAllReduce::new(self.cluster.n_npus, self.cluster.interconnect);
-        match self.mode() {
-            SecureMode::NonSecure => ring.plain(grad_bytes),
-            SecureMode::SgxMgx => ring.staged(grad_bytes),
-            SecureMode::TensorTee => ring.direct(grad_bytes),
-        }
+        RingAllReduce::new(self.cluster.n_npus, self.cluster.interconnect)
+            .all_reduce(self.mode().protocol(), grad_bytes)
     }
 
     /// Cost of re-broadcasting the `weight_bytes` fp16 update from the
     /// CPU-attached rank to the other replicas (pipelined ring traversal;
     /// zero for a single replica).
     pub fn weight_broadcast_cost(&self, weight_bytes: u64) -> Time {
-        let ring = RingAllReduce::new(self.cluster.n_npus, self.cluster.interconnect);
-        match self.mode() {
-            SecureMode::NonSecure => ring.broadcast_plain(weight_bytes),
-            SecureMode::SgxMgx => ring.broadcast_staged(weight_bytes),
-            SecureMode::TensorTee => ring.broadcast_direct(weight_bytes),
-        }
-        .total()
+        RingAllReduce::new(self.cluster.n_npus, self.cluster.interconnect)
+            .broadcast(self.mode().protocol(), weight_bytes)
+            .total()
     }
 
     /// Simulates one full data-parallel training step of `model`.
@@ -460,7 +417,7 @@ impl ClusterSystem {
         // The ring re-broadcast pipelines with the CPU→NPU weight stream,
         // so the weight path is bounded by the slower traversal.
         let weight_path = comm.weight.total().max(weight_broadcast);
-        let (comm_ar, comm_g, comm_w) = if self.sys.overlaps() {
+        let (comm_ar, comm_g, comm_w) = if self.mode().protocol().overlaps_compute() {
             // The all-reduce starts as backward produces gradient buckets,
             // hiding in the same ~2/3 backward window the point-to-point
             // transfer used; the reduced-shard NPU→CPU stream then hides

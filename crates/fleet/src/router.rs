@@ -5,7 +5,7 @@
 use crate::config::{AutoscaleConfig, FleetConfig, Policy};
 use crate::sim::Msg;
 use std::collections::BTreeMap;
-use tee_serve::{KvProtocol, SessionRequest};
+use tee_serve::{kv_transfer_time, Protocol, SessionRequest};
 use tee_sim::des::{Component, Ctx};
 use tee_sim::probe::SharedProbe;
 use tee_sim::{StatSet, Time};
@@ -41,7 +41,7 @@ pub struct Router {
     min_active: usize,
     autoscale: Option<AutoscaleConfig>,
     session_setup: Time,
-    protocol: KvProtocol,
+    protocol: Protocol,
     kv_bytes_per_token: u64,
     /// Per-instance lifecycle state (index = fleet index).
     state: Vec<InstState>,
@@ -73,7 +73,7 @@ impl Router {
     pub fn new(
         cfg: &FleetConfig,
         kv_bytes_per_token: u64,
-        protocol: KvProtocol,
+        protocol: Protocol,
         expected: u32,
     ) -> Self {
         let n = cfg.n_instances;
@@ -188,12 +188,13 @@ impl Router {
             // delayed by the full handoff; only the non-overlappable part
             // stalls the destination's compute.
             let bytes = req.context_tokens * self.kv_bytes_per_token;
-            let setup = match self.protocol {
-                KvProtocol::Plain => Time::ZERO,
-                KvProtocol::Staged | KvProtocol::Direct => self.session_setup,
+            let setup = if self.protocol == Protocol::Plain {
+                Time::ZERO
+            } else {
+                self.session_setup
             };
-            let transfer = self.protocol.transfer_time(bytes);
-            let exposed = if self.protocol.can_overlap_compute() {
+            let transfer = kv_transfer_time(self.protocol, bytes);
+            let exposed = if self.protocol.overlaps_compute() {
                 setup
             } else {
                 setup + transfer

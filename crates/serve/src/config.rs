@@ -1,10 +1,10 @@
 //! Serving-system configuration: the NPU shape, continuous-batching
 //! knobs, the KV-cache HBM budget, and the per-mode security profile
-//! (MAC scheme + KV transfer protocol).
+//! (MAC scheme + KV transfer [`Protocol`]).
 
 use serde::Serialize;
 use tee_comm::link::PcieLink;
-use tee_comm::protocol::{DirectProtocol, StagingProtocol};
+use tee_comm::Protocol;
 use tee_mem::DramConfig;
 use tee_npu::{MacScheme, NpuConfig};
 use tee_sim::Time;
@@ -75,56 +75,17 @@ impl KvSpec {
     }
 }
 
-/// How offloaded KV blocks travel between NPU HBM and CPU DRAM.
-///
-/// Mirrors the CPU↔NPU gradient/weight paths of the training system
-/// (§3.3 vs §4.4): the staging protocol re-encrypts at both edges and
-/// serializes against compute, the direct protocol is a DMA plus one
-/// trusted metadata packet and overlaps compute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum KvProtocol {
-    /// Plain DMA (non-secure reference).
-    Plain,
-    /// Graviton-like staging: decrypt → re-encrypt → bus → decrypt →
-    /// re-encrypt (§3.3). Cannot overlap compute.
-    Staged,
-    /// TensorTEE direct transfer: shared session key, tensor-granularity
-    /// MAC travels on the trusted channel (§4.4). Overlaps compute.
-    Direct,
-}
-
-impl KvProtocol {
-    /// Serialized wall-clock cost of moving `bytes` one way, including the
-    /// CPU-DRAM sink/source bandwidth cap (DDR4 must absorb the stream).
-    pub fn transfer_time(&self, bytes: u64) -> Time {
-        if bytes == 0 {
-            return Time::ZERO;
-        }
-        let link = match self {
-            KvProtocol::Plain => {
-                let mut link = PcieLink::gen4_x16();
-                link.transfer(Time::ZERO, bytes)
-            }
-            KvProtocol::Staged => {
-                let mut p = StagingProtocol::new();
-                p.transfer(Time::ZERO, bytes).total()
-            }
-            KvProtocol::Direct => {
-                let mut p = DirectProtocol::new();
-                p.transfer(Time::ZERO, bytes).total()
-            }
-        };
-        let dram =
-            Time::from_secs_f64(bytes as f64 / DramConfig::ddr4_2400_2ch().total_bytes_per_sec());
-        link.max(dram)
+/// Serialized wall-clock cost of moving `bytes` of KV one way between
+/// NPU HBM and CPU DRAM under `protocol`: the transfer on a Gen4 ×16
+/// link, but never faster than DDR4 can absorb or source the stream.
+pub fn kv_transfer_time(protocol: Protocol, bytes: u64) -> Time {
+    if bytes == 0 {
+        return Time::ZERO;
     }
-
-    /// Whether KV transfers can hide behind the iteration's NPU compute
-    /// (the staging protocol contends for AES engines and DRAM bandwidth,
-    /// §3.3, so it cannot).
-    pub fn can_overlap_compute(&self) -> bool {
-        !matches!(self, KvProtocol::Staged)
-    }
+    let link = protocol.transfer(PcieLink::gen4_x16(), bytes).total();
+    let dram =
+        Time::from_secs_f64(bytes as f64 / DramConfig::ddr4_2400_2ch().total_bytes_per_sec());
+    link.max(dram)
 }
 
 /// One serving security mode: the NPU MAC-granularity scheme pricing
@@ -135,8 +96,10 @@ pub struct SecurityProfile {
     pub label: &'static str,
     /// MAC scheme the NPU engine runs under.
     pub mac: MacScheme,
-    /// KV HBM↔DRAM transfer protocol.
-    pub kv_protocol: KvProtocol,
+    /// KV HBM↔DRAM transfer protocol: the one the matching training mode
+    /// moves gradients and weights with (`tests/serving.rs` keeps the two
+    /// tables in step).
+    pub kv_protocol: Protocol,
 }
 
 impl SecurityProfile {
@@ -145,7 +108,7 @@ impl SecurityProfile {
         SecurityProfile {
             label: "Non-Secure",
             mac: MacScheme::None,
-            kv_protocol: KvProtocol::Plain,
+            kv_protocol: Protocol::Plain,
         }
     }
 
@@ -155,7 +118,7 @@ impl SecurityProfile {
         SecurityProfile {
             label: "SGX+MGX",
             mac: MacScheme::PerBlock { granularity: 512 },
-            kv_protocol: KvProtocol::Staged,
+            kv_protocol: Protocol::Staged,
         }
     }
 
@@ -165,7 +128,7 @@ impl SecurityProfile {
         SecurityProfile {
             label: "TensorTEE",
             mac: MacScheme::TensorDelayed,
-            kv_protocol: KvProtocol::Direct,
+            kv_protocol: Protocol::Direct,
         }
     }
 }
@@ -186,19 +149,12 @@ mod tests {
     #[test]
     fn staged_kv_transfer_costs_more_than_direct() {
         let bytes = 64 << 20;
-        let staged = KvProtocol::Staged.transfer_time(bytes);
-        let direct = KvProtocol::Direct.transfer_time(bytes);
-        let plain = KvProtocol::Plain.transfer_time(bytes);
+        let staged = kv_transfer_time(Protocol::Staged, bytes);
+        let direct = kv_transfer_time(Protocol::Direct, bytes);
+        let plain = kv_transfer_time(Protocol::Plain, bytes);
         assert!(staged > direct, "{staged} vs {direct}");
         assert!(direct >= plain);
-        assert_eq!(KvProtocol::Plain.transfer_time(0), Time::ZERO);
-    }
-
-    #[test]
-    fn overlap_capabilities_mirror_training_protocols() {
-        assert!(KvProtocol::Plain.can_overlap_compute());
-        assert!(KvProtocol::Direct.can_overlap_compute());
-        assert!(!KvProtocol::Staged.can_overlap_compute());
+        assert_eq!(kv_transfer_time(Protocol::Plain, 0), Time::ZERO);
     }
 
     #[test]
@@ -210,7 +166,7 @@ mod tests {
         ];
         assert_eq!(all.len(), 3);
         assert_eq!(all[1].label, "SGX+MGX");
-        assert_eq!(all[2].kv_protocol, KvProtocol::Direct);
+        assert_eq!(all[2].kv_protocol, Protocol::Direct);
         assert!(matches!(all[2].mac, MacScheme::TensorDelayed));
     }
 

@@ -8,9 +8,10 @@
 //!
 //! * [`trace`] — deterministic Poisson/bursty request arrival traces with
 //!   zoo-shaped prompt/output lengths ([`tee_sim::SplitMix64`] seeded),
-//! * [`config`] — serving knobs, the per-token [`KvSpec`], and the
+//! * [`config`] — serving knobs, the per-token [`KvSpec`], the
 //!   [`SecurityProfile`] mapping each paper mode to a MAC scheme + KV
-//!   transfer protocol (coarse-MAC + staging vs tensor-MAC + direct),
+//!   transfer [`Protocol`] (coarse-MAC + staging vs tensor-MAC + direct),
+//!   and [`kv_transfer_time`], the KV path's price,
 //! * [`kv`] — the bounded HBM [`KvPool`] with LRU spill to CPU DRAM,
 //! * [`cost`] — the fused prefill/decode iteration kernel and its
 //!   [`Pricer`]: exact through [`tee_npu::NpuEngine`], or the calibrated
@@ -43,11 +44,14 @@ pub mod report;
 pub mod scheduler;
 pub mod trace;
 
-pub use config::{KvProtocol, KvSpec, SecurityProfile, ServeConfig};
+pub use config::{kv_transfer_time, KvSpec, SecurityProfile, ServeConfig};
 pub use cost::{IterCost, Pricer};
 pub use kv::{KvPool, Residency};
 pub use report::ServeReport;
 pub use scheduler::{simulate, simulate_probed, Instance};
+/// The transfer protocol type, re-exported so serving callers (the fleet
+/// router, the attack shield) name it without a `tee-comm` dependency.
+pub use tee_comm::Protocol;
 pub use trace::{
     ArrivalProcess, Diurnal, Request, SessionRequest, SessionTraceConfig, TraceConfig,
 };

@@ -25,13 +25,14 @@
 //! pool as discrete-event components behind its router. Both are
 //! bit-reproducible: same inputs → the same report.
 
-use crate::config::{KvProtocol, KvSpec, SecurityProfile, ServeConfig};
+use crate::config::{kv_transfer_time, KvSpec, SecurityProfile, ServeConfig};
 use crate::cost::Pricer;
 use crate::kv::KvPool;
 use crate::report::ServeReport;
 use crate::trace::{Request, SessionRequest};
 use std::collections::{BTreeSet, VecDeque};
 use tee_comm::schedule::exposed_time;
+use tee_comm::Protocol;
 use tee_npu::engine::NpuEngine;
 use tee_sim::probe::SharedProbe;
 use tee_sim::Time;
@@ -64,7 +65,7 @@ impl Active {
 #[derive(Debug)]
 struct Kv {
     pool: KvPool,
-    protocol: KvProtocol,
+    protocol: Protocol,
     bytes_per_token: u64,
 }
 
@@ -131,7 +132,7 @@ impl Instance {
 
     /// Bounds the KV caches to `budget` HBM bytes: KV
     /// beyond it spills to CPU DRAM and pays `protocol` to come back.
-    pub fn with_kv_pool(mut self, budget: u64, protocol: KvProtocol) -> Self {
+    pub fn with_kv_pool(mut self, budget: u64, protocol: Protocol) -> Self {
         self.kv = Some(Kv {
             pool: KvPool::new(budget),
             protocol,
@@ -322,8 +323,9 @@ impl Instance {
         // once under the profile's protocol.
         let (kv_time, kv_exposed) = match &self.kv {
             Some(kv) => {
-                let t = kv.protocol.transfer_time(fetched) + kv.protocol.transfer_time(offloaded);
-                let exposed = if kv.protocol.can_overlap_compute() {
+                let t = kv_transfer_time(kv.protocol, fetched)
+                    + kv_transfer_time(kv.protocol, offloaded);
+                let exposed = if kv.protocol.overlaps_compute() {
                     exposed_time(npu, t)
                 } else {
                     t

@@ -11,6 +11,7 @@
 
 use tee_comm::ring::{Interconnect, RingAllReduce};
 use tee_comm::schedule::Timeline;
+use tee_comm::Protocol;
 use tee_sim::Time;
 use tee_workloads::zoo::by_name;
 use tensortee::experiments::scaling_strong;
@@ -38,11 +39,12 @@ fn main() {
         "{:<10} {:>12} {:>14} {:>14} {:>14}",
         "protocol", "total", "re-encryption", "bus", "decryption"
     );
-    for (label, b) in [
-        ("plain", ring.plain(grad)),
-        ("staged", ring.staged(grad)),
-        ("direct", ring.direct(grad)),
+    for (label, p) in [
+        ("plain", Protocol::Plain),
+        ("staged", Protocol::Staged),
+        ("direct", Protocol::Direct),
     ] {
+        let b = ring.all_reduce(p, grad);
         println!(
             "{label:<10} {:>12} {:>14} {:>14} {:>14}",
             b.total().to_string(),
@@ -53,7 +55,7 @@ fn main() {
     }
     println!(
         "\neach rank wires {} = 2*(N-1)/N of the gradient buffer\n",
-        tee_sim::util::fmt_bytes(ring.direct(grad).wire_bytes())
+        tee_sim::util::fmt_bytes(ring.all_reduce(Protocol::Direct, grad).wire_bytes())
     );
 
     println!("== One data-parallel step, N={n}, TensorTEE ==\n");

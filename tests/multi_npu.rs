@@ -8,6 +8,7 @@
 //! direct protocol's stays near its single-NPU level.
 
 use tee_comm::ring::{Interconnect, RingAllReduce};
+use tee_comm::Protocol;
 use tee_sim::Time;
 use tee_workloads::zoo::by_name;
 use tensortee::{
@@ -46,14 +47,14 @@ fn all_reduce_bytes_follow_ring_formula() {
     // Each rank wires 2·(N−1)/N·grad_bytes, up to per-chunk ceil rounding.
     let grad = by_name("GPT2-M").unwrap().grad_bytes();
     for n in 1u32..=8 {
-        let b = RingAllReduce::new(n, Interconnect::PcieP2p).direct(grad);
+        let b = RingAllReduce::new(n, Interconnect::PcieP2p).all_reduce(Protocol::Direct, grad);
         let ideal = 2 * (u64::from(n) - 1) * grad / u64::from(n);
         assert!(b.wire_bytes() >= ideal, "N={n}");
         assert!(b.wire_bytes() < ideal + 2 * u64::from(n), "N={n}");
         assert_eq!(b.steps, 2 * (n - 1), "N={n}");
     }
     // N=1 is a strict no-op.
-    let noop = RingAllReduce::new(1, Interconnect::PcieP2p).staged(grad);
+    let noop = RingAllReduce::new(1, Interconnect::PcieP2p).all_reduce(Protocol::Staged, grad);
     assert_eq!(noop.wire_bytes(), 0);
     assert_eq!(noop.total(), Time::ZERO);
 }
@@ -135,8 +136,8 @@ fn slow_custom_fabric_surfaces_in_the_weight_phase() {
 #[test]
 fn faster_fabric_shrinks_the_all_reduce_phase() {
     let grad = by_name("GPT2-M").unwrap().grad_bytes();
-    let pcie = RingAllReduce::new(8, Interconnect::PcieP2p).direct(grad);
-    let nvlink = RingAllReduce::new(8, Interconnect::NvlinkLike).direct(grad);
+    let pcie = RingAllReduce::new(8, Interconnect::PcieP2p).all_reduce(Protocol::Direct, grad);
+    let nvlink = RingAllReduce::new(8, Interconnect::NvlinkLike).all_reduce(Protocol::Direct, grad);
     assert!(nvlink.total() < pcie.total());
     assert_eq!(nvlink.wire_bytes(), pcie.wire_bytes(), "same schedule");
 }

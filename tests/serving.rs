@@ -94,18 +94,13 @@ fn serving_simulation_is_deterministic_and_seed_sensitive() {
 
 #[test]
 fn serve_profile_mirrors_the_training_modes() {
-    assert_eq!(
-        serve_profile(SecureMode::TensorTee).label,
-        SecureMode::TensorTee.label()
-    );
-    assert_eq!(
-        serve_profile(SecureMode::SgxMgx).label,
-        SecureMode::SgxMgx.label()
-    );
-    assert_eq!(
-        serve_profile(SecureMode::NonSecure).label,
-        SecureMode::NonSecure.label()
-    );
+    // tee-serve cannot see `SecureMode`, so its three profiles carry their
+    // own label and KV protocol; this keeps both per-mode tables in step.
+    for mode in SecureMode::all() {
+        let profile = serve_profile(mode);
+        assert_eq!(profile.label, mode.label());
+        assert_eq!(profile.kv_protocol, mode.protocol(), "{}", mode.label());
+    }
 }
 
 #[test]
