@@ -1,7 +1,7 @@
 //! KV-residency side channel: spill patterns leak session structure.
 //!
 //! When a serving stack spills session KV to host DRAM and fetches it
-//! back (tee-serve's HBM budget, tee-fleet's migrations and parking),
+//! back (tee-serve's HBM budget, tee-fleet's migrations),
 //! the *sizes* of those at-rest blobs track each session's accumulated
 //! context. An adversary watching spill/fetch traffic can therefore
 //! cluster transfers by size and recover which transfers belong to the

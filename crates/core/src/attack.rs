@@ -69,7 +69,7 @@ pub(crate) fn traced_serve(
     let rep = simulate_probed(
         &cfg,
         model,
-        &serve_profile(crate::SecureMode::TensorTee),
+        &serve_profile(crate::SecureMode::TensorTee, &ctx.cfg),
         &trace,
         &probe,
     );
@@ -228,7 +228,7 @@ pub fn attack_kv_residency(ctx: &RunContext) -> Report {
     let rep = fleet_simulate_probed(
         &fleet_cfg.with_policy(Policy::RoundRobin),
         &model,
-        &serve_profile(crate::SecureMode::TensorTee),
+        &serve_profile(crate::SecureMode::TensorTee, &ctx.cfg),
         &trace,
         &probe,
     );
@@ -361,7 +361,7 @@ pub fn attack_defended(ctx: &RunContext) -> Report {
     let fleet_rep = fleet_simulate_probed(
         &fleet_cfg.with_policy(Policy::RoundRobin),
         &fleet_model,
-        &serve_profile(crate::SecureMode::TensorTee),
+        &serve_profile(crate::SecureMode::TensorTee, &ctx.cfg),
         &trace,
         &fleet_probe,
     );

@@ -4,7 +4,7 @@
 use serde::Serialize;
 use tee_comm::{Interconnect, PcieLink, Protocol};
 use tee_cpu::CpuConfig;
-use tee_npu::NpuConfig;
+use tee_npu::{MacScheme, NpuConfig};
 use tee_sim::Time;
 
 /// The three configurations compared throughout §6.
@@ -37,6 +37,20 @@ impl SecureMode {
             SecureMode::NonSecure => Protocol::Plain,
             SecureMode::SgxMgx => Protocol::Staged,
             SecureMode::TensorTee => Protocol::Direct,
+        }
+    }
+
+    /// The NPU MAC scheme this mode runs under — the one place a mode
+    /// picks its MAC granularity. `SgxMgx` uses MGX-style coarse blocks
+    /// of `mgx_granularity` bytes (§3.2; Table 1 uses 512 B, see
+    /// [`SystemConfig::mgx_mac_granularity`]).
+    pub fn mac_scheme(&self, mgx_granularity: u64) -> MacScheme {
+        match self {
+            SecureMode::NonSecure => MacScheme::None,
+            SecureMode::SgxMgx => MacScheme::PerBlock {
+                granularity: mgx_granularity,
+            },
+            SecureMode::TensorTee => MacScheme::TensorDelayed,
         }
     }
 

@@ -23,7 +23,7 @@
 //!   per-microbatch boundary activations contend for the fabric.
 
 use crate::config::{ClusterConfig, SecureMode, SystemConfig};
-use crate::system::{ClusterStepBreakdown, TrainingSystem};
+use crate::system::{backward_window, ClusterStepBreakdown, TrainingSystem};
 use serde::Serialize;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -746,10 +746,10 @@ impl DesClusterSystem {
             };
             let done_at = scale_duration(npu_base, factor);
             // Under an overlapping protocol the collective may start when
-            // the backward window opens (the last ~2/3 of the phase);
-            // a serialized protocol waits for completion.
+            // the backward window opens; a serialized protocol waits for
+            // completion.
             let ready_at = if overlaps {
-                done_at.saturating_sub(Time::from_ps(done_at.as_ps() * 2 / 3))
+                done_at.saturating_sub(backward_window(done_at))
             } else {
                 done_at
             };

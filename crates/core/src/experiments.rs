@@ -10,13 +10,14 @@ use crate::artifact::RunContext;
 use crate::des_cluster::{DesClusterConfig, DesClusterSystem, DesStepReport};
 use crate::hw::HardwareBudget;
 use crate::report::{f2, pct, Report, Table};
-use crate::system::{ClusterStepBreakdown, ClusterSystem, StepBreakdown, TrainingSystem};
+use crate::system::{
+    backward_window, ClusterStepBreakdown, ClusterSystem, StepBreakdown, TrainingSystem,
+};
 use tee_comm::protocol::{Protocol, StagingProtocol};
 use tee_comm::schedule::{overlapped_time, serialized_time, Timeline};
 use tee_cpu::analyzer::TenAnalyzerConfig;
 use tee_cpu::{AdamWorkload, CpuEngine, GemmWorkload, SoftVnConfig, TeeMode};
 use tee_fleet::{simulate_probed as fleet_simulate, FleetConfig, FleetReport, Policy};
-use tee_npu::engine::Layer as NpuLayer;
 use tee_npu::mac::figure20_sweep;
 use tee_npu::NpuEngine;
 use tee_serve::{
@@ -172,12 +173,12 @@ pub fn fig17_breakdown(ctx: &RunContext) -> Report {
 pub fn fig15_overlap(ctx: &RunContext) -> Report {
     let model = ctx.primary_model();
     let grad_bytes = model.grad_bytes();
-    // Backward window for the primary model at our NPU's pace: ~2/3 of
-    // the simulated fwd+bwd phase (same derivation as Figure 21).
+    // Backward window for the primary model at our NPU's pace (same
+    // derivation as Figure 21).
     let schedule = StepSchedule::of(&model);
     let npu =
         TrainingSystem::new(ctx.cfg.clone(), crate::SecureMode::TensorTee).npu_time(&schedule);
-    let bwd = Time::from_ps(npu.as_ps() * 2 / 3);
+    let bwd = backward_window(npu);
     let staged = Protocol::Staged.transfer(ctx.cfg.pcie_link(), grad_bytes);
     let direct = Protocol::Direct.transfer(ctx.cfg.pcie_link(), grad_bytes);
 
@@ -458,16 +459,7 @@ pub struct Fig20Row {
 /// transformer layer mix.
 pub fn fig20_mac_granularity(ctx: &RunContext) -> (Vec<Fig20Row>, Report) {
     let schedule = StepSchedule::of(&ctx.primary_model()).scaled(64);
-    let layers: Vec<NpuLayer> = schedule
-        .npu_layers
-        .iter()
-        .map(|l| NpuLayer {
-            macs: l.macs,
-            in_bytes: l.in_bytes,
-            w_bytes: l.w_bytes,
-            out_bytes: l.out_bytes,
-        })
-        .collect();
+    let layers = TrainingSystem::npu_layers(&schedule.npu_layers);
     let rows: Vec<Fig20Row> = figure20_sweep()
         .into_iter()
         .map(|scheme| {
@@ -541,8 +533,7 @@ pub fn fig21_comm_breakdown(ctx: &RunContext) -> (Vec<Fig21Row>, Report) {
             let direct = Protocol::Direct.transfer(ctx.cfg.pcie_link(), schedule.grad_bytes);
             // Overlap window: the backward phase under TensorTEE.
             let sys = TrainingSystem::new(ctx.cfg.clone(), crate::SecureMode::TensorTee);
-            let npu = sys.npu_time(&schedule);
-            let bwd_window = Time::from_ps(npu.as_ps() * 2 / 3);
+            let bwd_window = backward_window(sys.npu_time(&schedule));
             Fig21Row {
                 model: *m,
                 base_reenc: staged.re_encryption,
@@ -1053,14 +1044,14 @@ pub fn des_pipeline(ctx: &RunContext) -> Report {
 // (serve_latency / serve_sweep; tee-serve extension).
 // ---------------------------------------------------------------------
 
-/// The serving [`SecurityProfile`] of a training-side [`crate::SecureMode`]:
-/// the same MAC scheme / transfer protocol pairing the step simulator
-/// uses, applied to decode streams and KV migration.
-pub fn serve_profile(mode: crate::SecureMode) -> SecurityProfile {
-    match mode {
-        crate::SecureMode::NonSecure => SecurityProfile::non_secure(),
-        crate::SecureMode::SgxMgx => SecurityProfile::sgx_mgx(),
-        crate::SecureMode::TensorTee => SecurityProfile::tensor_tee(),
+/// The serving [`SecurityProfile`] of a training-side [`crate::SecureMode`]
+/// under `cfg`: the same MAC scheme (at the configured MGX granularity)
+/// and transfer protocol the step simulator uses, applied to decode
+/// streams and KV migration.
+pub fn serve_profile(mode: crate::SecureMode, cfg: &crate::SystemConfig) -> SecurityProfile {
+    SecurityProfile {
+        mac: mode.mac_scheme(cfg.mgx_mac_granularity),
+        kv_protocol: mode.protocol(),
     }
 }
 
@@ -1126,7 +1117,13 @@ pub fn serve_latency(ctx: &RunContext) -> (Vec<ServeRow>, Report) {
         .iter()
         .map(|&mode| ServeRow {
             mode,
-            report: simulate_probed(&cfg, &model, &serve_profile(mode), &trace, &ctx.probe),
+            report: simulate_probed(
+                &cfg,
+                &model,
+                &serve_profile(mode, &ctx.cfg),
+                &trace,
+                &ctx.probe,
+            ),
         })
         .collect();
     let mut table = Table::new([
@@ -1218,8 +1215,8 @@ pub fn serve_sweep(ctx: &RunContext) -> (Vec<ServeSweepRow>, Report) {
             trace_cfg.output_mean = base_trace.output_mean;
             let trace = trace_cfg.generate();
             for &mode in &ctx.modes {
-                let report =
-                    simulate_probed(&cfg, &model, &serve_profile(mode), &trace, &ctx.probe);
+                let profile = serve_profile(mode, &ctx.cfg);
+                let report = simulate_probed(&cfg, &model, &profile, &trace, &ctx.probe);
                 table.row([
                     format!("{:.1}x", factor),
                     trace_cfg.arrivals.label().to_string(),
@@ -1312,7 +1309,13 @@ pub fn fleet_latency(ctx: &RunContext) -> (Vec<FleetRow>, Report) {
         .map(|&mode| FleetRow {
             policy: Policy::KvAware,
             mode,
-            report: fleet_simulate(&cfg, &model, &serve_profile(mode), &trace, &ctx.probe),
+            report: fleet_simulate(
+                &cfg,
+                &model,
+                &serve_profile(mode, &ctx.cfg),
+                &trace,
+                &ctx.probe,
+            ),
         })
         .collect();
     let mut table = Table::new([
@@ -1394,7 +1397,8 @@ pub fn fleet_handoff(ctx: &RunContext) -> (Vec<FleetRow>, Report) {
     for policy in Policy::all() {
         let run_cfg = cfg.clone().with_policy(policy);
         for &mode in &ctx.modes {
-            let report = fleet_simulate(&run_cfg, &model, &serve_profile(mode), &trace, &ctx.probe);
+            let profile = serve_profile(mode, &ctx.cfg);
+            let report = fleet_simulate(&run_cfg, &model, &profile, &trace, &ctx.probe);
             table.row([
                 policy.label().to_string(),
                 mode.label().to_string(),
@@ -1635,6 +1639,33 @@ mod tests {
         let md = report.to_markdown();
         assert!(md.contains("goodput"));
         assert!(report.metric_value("goodput_tensortee").unwrap() > 0.0);
+    }
+
+    #[test]
+    fn serving_prices_the_configured_mgx_granularity() {
+        // A context at 4 KiB MGX blocks prices fig16/fig17 at 4 KiB, so
+        // its SGX+MGX serving row must be priced at 4 KiB too; the other
+        // modes have no MGX blocks and match the Table-1 context.
+        let table1 = serve_latency(&ctx()).0;
+        let mut coarse = ctx();
+        coarse.cfg.mgx_mac_granularity = 4096;
+        let rows = serve_latency(&coarse).0;
+        let (model, cfg, trace_cfg) = serve_setup(&coarse);
+        let sgx_4k = SecurityProfile {
+            mac: tee_npu::MacScheme::PerBlock { granularity: 4096 },
+            ..SecurityProfile::sgx_mgx()
+        };
+        let want = tee_serve::simulate(&cfg, &model, &sgx_4k, &trace_cfg.generate());
+        assert_eq!(rows.len(), table1.len());
+        for (row, base) in rows.iter().zip(&table1) {
+            assert_eq!(row.mode, base.mode);
+            if row.mode == SecureMode::SgxMgx {
+                assert_eq!(row.report, want, "SGX+MGX priced at 4 KiB blocks");
+                assert_ne!(row.report, base.report);
+            } else {
+                assert_eq!(row.report, base.report, "{}", row.mode.label());
+            }
+        }
     }
 
     #[test]

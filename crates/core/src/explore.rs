@@ -528,7 +528,7 @@ fn eval_des(ctx: &RunContext, space: &Space, point: &Point) -> Vec<ModeEval> {
             let report = sys.simulate_with_cpu_time(&schedule, cpu);
             let b = report.breakdown;
             let total = report.makespan;
-            let mac = TrainingSystem::new(ctx.cfg.clone(), mode).mac_scheme();
+            let mac = mode.mac_scheme(ctx.cfg.mgx_mac_granularity);
             ModeEval {
                 mode,
                 throughput_tps: model.tokens_per_step() as f64 / total.as_secs_f64(),
@@ -577,7 +577,7 @@ fn eval_serve(ctx: &RunContext, space: &Space, point: &Point) -> Vec<ModeEval> {
     ctx.modes
         .iter()
         .map(|&mode| {
-            let profile = serve_profile(mode);
+            let profile = serve_profile(mode, &ctx.cfg);
             let rep = simulate(&cfg, &model, &profile, &trace);
             let makespan = rep.makespan.as_secs_f64().max(1e-12);
             let kv_crypto =
@@ -618,7 +618,7 @@ fn eval_fleet(ctx: &RunContext, space: &Space, point: &Point) -> Vec<ModeEval> {
     ctx.modes
         .iter()
         .map(|&mode| {
-            let profile = serve_profile(mode);
+            let profile = serve_profile(mode, &ctx.cfg);
             let rep = fleet_simulate(&cfg, &model, &profile, &trace);
             let makespan = rep.makespan.as_secs_f64().max(1e-12);
             let kv_crypto =
@@ -657,7 +657,7 @@ fn eval_attack(ctx: &RunContext, space: &Space, point: &Point) -> Vec<ModeEval> 
     ctx.modes
         .iter()
         .map(|&mode| {
-            let profile = serve_profile(mode);
+            let profile = serve_profile(mode, &ctx.cfg);
             let probe = SharedProbe::recording();
             let rep = simulate_probed(&cfg, &model, &profile, &trace, &probe);
             let snap = probe.snapshot().expect("freshly created recording probe");

@@ -318,7 +318,7 @@ pub fn obs_utilization(ctx: &RunContext) -> Report {
     let fleet = fleet_simulate_probed(
         &fleet_cfg.with_policy(Policy::RoundRobin),
         &fleet_model,
-        &serve_profile(crate::SecureMode::TensorTee),
+        &serve_profile(crate::SecureMode::TensorTee, &ctx.cfg),
         &trace,
         &fleet_probe,
     );

@@ -77,6 +77,13 @@ pub struct CommCosts {
     pub weight: TransferBreakdown,
 }
 
+/// The backward share of a forward+backward NPU phase of length `npu`:
+/// its last ~2/3, the window in which backward produces gradients that an
+/// overlapping protocol streams out (§4.4, Figure 15).
+pub(crate) fn backward_window(npu: Time) -> Time {
+    Time::from_ps(npu.as_ps() * 2 / 3)
+}
+
 /// The end-to-end system under one security mode.
 #[derive(Debug)]
 pub struct TrainingSystem {
@@ -100,18 +107,11 @@ impl TrainingSystem {
         &self.cfg
     }
 
-    /// The NPU MAC scheme this mode runs under (the design-space
-    /// explorer reads its traffic overhead for the crypto objective).
+    /// The NPU MAC scheme this mode runs under at the configured MGX
+    /// granularity (the design-space explorer reads its traffic overhead
+    /// for the crypto objective).
     pub fn mac_scheme(&self) -> MacScheme {
-        match self.mode {
-            SecureMode::NonSecure => MacScheme::None,
-            // MGX-style coarse MAC blocks (§3.2; Table 1 uses 512 B — the
-            // granularity is a design-space knob).
-            SecureMode::SgxMgx => MacScheme::PerBlock {
-                granularity: self.cfg.mgx_mac_granularity,
-            },
-            SecureMode::TensorTee => MacScheme::TensorDelayed,
-        }
+        self.mode.mac_scheme(self.cfg.mgx_mac_granularity)
     }
 
     fn cpu_mode(&self) -> TeeMode {
@@ -123,7 +123,7 @@ impl TrainingSystem {
     }
 
     /// Converts workload layer specs into NPU engine layers.
-    fn npu_layers(specs: &[LayerSpec]) -> Vec<NpuLayer> {
+    pub(crate) fn npu_layers(specs: &[LayerSpec]) -> Vec<NpuLayer> {
         specs
             .iter()
             .map(|l| NpuLayer {
@@ -226,10 +226,9 @@ impl TrainingSystem {
     /// second time inside [`Self::simulate_schedule_with_cpu_time`].
     pub fn compose_step(&self, npu: Time, cpu: Time, comm: &CommCosts) -> StepBreakdown {
         let (comm_g, comm_w) = if self.mode.protocol().overlaps_compute() {
-            // Gradients hide behind the backward ~2/3 of the NPU phase;
+            // Gradients hide behind the backward window of the NPU phase;
             // weights pipeline behind the CPU optimizer (§4.4, Figure 15).
-            let bwd_window = Time::from_ps(npu.as_ps() * 2 / 3);
-            let g = exposed_time(bwd_window, comm.grad.total());
+            let g = exposed_time(backward_window(npu), comm.grad.total());
             let w = exposed_time(cpu, comm.weight.total());
             (g, w)
         } else {
@@ -419,10 +418,10 @@ impl ClusterSystem {
         let weight_path = comm.weight.total().max(weight_broadcast);
         let (comm_ar, comm_g, comm_w) = if self.mode().protocol().overlaps_compute() {
             // The all-reduce starts as backward produces gradient buckets,
-            // hiding in the same ~2/3 backward window the point-to-point
+            // hiding in the same backward window the point-to-point
             // transfer used; the reduced-shard NPU→CPU stream then hides
             // in whatever window remains (§4.4, Figure 15).
-            let bwd_window = Time::from_ps(npu.as_ps() * 2 / 3);
+            let bwd_window = backward_window(npu);
             let ar_exposed = exposed_time(bwd_window, ar.total());
             let window_left = bwd_window.saturating_sub(ar.total());
             let g = exposed_time(window_left, comm.grad.total());

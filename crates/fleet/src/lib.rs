@@ -16,10 +16,8 @@
 //!   protocol for the session's KV bytes — the staged protocol
 //!   serializes against the destination's compute, the direct protocol
 //!   overlaps it (the paper's §3.3-vs-§4.4 gap, re-appearing at fleet
-//!   scale),
-//! * admission control with bounded per-instance queues, and
-//! * threshold autoscaling: drained instances park (evicting session KV
-//!   to CPU DRAM), reactivation pays a cold start.
+//!   scale), and
+//! * admission control with bounded per-instance queues.
 //!
 //! Traces come from `tee_serve::SessionTraceConfig` — deterministic
 //! multi-tenant session mixes with optional diurnal modulation — so a
@@ -48,7 +46,7 @@ pub mod report;
 pub mod router;
 pub mod sim;
 
-pub use config::{AutoscaleConfig, FleetConfig, Policy};
+pub use config::{FleetConfig, Policy};
 pub use report::FleetReport;
 pub use sim::{simulate, simulate_probed};
 pub use tee_serve::IterCost;

@@ -1,6 +1,5 @@
 //! Fleet-level run report: latency distributions merged across
-//! instances, KV-handoff accounting, admission-control and autoscaling
-//! counters.
+//! instances, KV-handoff accounting and the router's counters.
 
 use tee_sim::{Histogram, StatSet, Time};
 
@@ -39,14 +38,36 @@ pub struct FleetReport {
     /// Exposed (non-overlapped) handoff time summed over migrations —
     /// what actually blocked destination instances.
     pub handoff_exposed_time: Time,
-    /// Router/autoscaler counters: `scale_up`, `scale_down`, `parks`,
-    /// `warmups`, `follow_up_turns`, `local_turns`.
+    /// Router counters: `follow_up_turns`, `local_turns` (follow-ups
+    /// placed on the instance holding their KV) and `rejected`.
     pub router_stats: StatSet,
     /// DES events dispatched by the scheduler.
     pub events_processed: u64,
 }
 
 impl FleetReport {
+    /// A report with nothing counted yet.
+    pub(crate) fn empty() -> Self {
+        FleetReport {
+            total_requests: 0,
+            completed_requests: 0,
+            rejected_requests: 0,
+            output_tokens: 0,
+            makespan: Time::ZERO,
+            iterations: 0,
+            ttft_ns: Histogram::new(),
+            latency_ns: Histogram::new(),
+            tpot_ns: Histogram::new(),
+            migrations: 0,
+            migrated_bytes: 0,
+            handoff_transfer_time: Time::ZERO,
+            handoff_setup_time: Time::ZERO,
+            handoff_exposed_time: Time::ZERO,
+            router_stats: StatSet::new("router"),
+            events_processed: 0,
+        }
+    }
+
     /// Goodput: completed output tokens per second of makespan.
     pub fn goodput_tps(&self) -> f64 {
         if self.makespan == Time::ZERO {

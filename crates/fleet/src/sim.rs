@@ -10,7 +10,7 @@ use tee_serve::config::{KvSpec, SecurityProfile};
 use tee_serve::{Instance, IterCost, Pricer, SessionRequest};
 use tee_sim::des::{Component, ComponentId, Ctx, Scheduler};
 use tee_sim::probe::SharedProbe;
-use tee_sim::{Histogram, Time};
+use tee_sim::Time;
 use tee_workloads::zoo::ModelConfig;
 
 /// Component id of the router; instance `i` is component `i + 1`.
@@ -30,8 +30,6 @@ pub enum Msg {
     /// Instance → router: one turn finished generating on the instance
     /// with this fleet index.
     Done(usize),
-    /// Router → router (delayed): a cold start finished.
-    Warmed(usize),
 }
 
 /// The component universe of one fleet scheduler: the router, and the
@@ -87,11 +85,6 @@ impl Component for Node {
 ///
 /// Deterministic: same config + model + profile + trace → the same
 /// [`FleetReport`], independent of anything outside the arguments.
-///
-/// # Panics
-///
-/// Panics if the fleet or trace configuration is internally
-/// inconsistent (zero instances, zero batch slots).
 pub fn simulate(
     cfg: &FleetConfig,
     model: &ModelConfig,
@@ -101,16 +94,11 @@ pub fn simulate(
     simulate_probed(cfg, model, profile, trace, &SharedProbe::Null)
 }
 
-/// [`simulate`] with an observability probe: routing, migration and
-/// autoscale decisions emit instants on the `router` track, KV handoffs
-/// emit `link` spans and `CPU` evict/fetch instants, and each instance's
-/// iterations emit spans on its `NPU<i>` track. The report is
-/// byte-identical to the unprobed run — probes only observe.
-///
-/// # Panics
-///
-/// Panics if the fleet or trace configuration is internally
-/// inconsistent (zero instances, zero batch slots).
+/// [`simulate`] with an observability probe: arrivals emit instants on
+/// the `CPU` track, routing decisions on the `router` track, KV handoffs
+/// emit `link` spans, and each instance's iterations emit spans on its
+/// `NPU<i>` track. The report is byte-identical to the unprobed run —
+/// probes only observe.
 pub fn simulate_probed(
     cfg: &FleetConfig,
     model: &ModelConfig,
@@ -126,16 +114,10 @@ pub fn simulate_probed(
     let mut sched: Scheduler<Node> = Scheduler::new();
     sched.set_probe(probe.clone());
     sched.add(Node::Router(Box::new(
-        Router::new(
-            cfg,
-            kv.bytes_per_token,
-            profile.kv_protocol,
-            trace.len() as u32,
-        )
-        .with_probe(probe.clone()),
+        Router::new(cfg, kv.bytes_per_token, profile.kv_protocol).with_probe(probe.clone()),
     )));
     for i in 0..cfg.n_instances {
-        let inst = Instance::new(&cfg.serve, model, pricer.clone()).with_probe(
+        let inst = Instance::new(model, pricer.clone()).with_probe(
             probe.clone(),
             format!("NPU{i}"),
             "fleet",
@@ -146,55 +128,30 @@ pub fn simulate_probed(
         sched.send_at(r.request.arrival, ROUTER, Msg::Arrive(*r));
     }
     let makespan = sched.run();
+    let Node::Router(router) = &sched.components()[ROUTER] else {
+        unreachable!("component 0 is the router")
+    };
     if probe.enabled() {
         // End-of-run sample of the aggregate KV-handoff wire time; keeps
         // the `link` track present (at zero) even for migration-free runs.
-        let wire: Time = match &sched.components()[ROUTER] {
-            Node::Router(r) => r.accounting().handoff_transfer,
-            Node::Instance(..) => unreachable!("component 0 is the router"),
-        };
+        let wire = router.report().handoff_transfer_time;
         probe.gauge("link", "handoff_wire_ps", makespan, wire.as_ps());
     }
 
     let mut report = FleetReport {
         total_requests: trace.len() as u32,
-        completed_requests: 0,
-        rejected_requests: 0,
-        output_tokens: 0,
         makespan,
-        iterations: 0,
-        ttft_ns: Histogram::new(),
-        latency_ns: Histogram::new(),
-        tpot_ns: Histogram::new(),
-        migrations: 0,
-        migrated_bytes: 0,
-        handoff_transfer_time: Time::ZERO,
-        handoff_setup_time: Time::ZERO,
-        handoff_exposed_time: Time::ZERO,
-        router_stats: tee_sim::StatSet::new("router"),
         events_processed: sched.events_processed(),
+        ..router.report().clone()
     };
     for node in sched.components() {
-        match node {
-            Node::Router(r) => {
-                let acc = r.accounting();
-                report.completed_requests = acc.completed;
-                report.rejected_requests = acc.rejected;
-                report.migrations = acc.migrations;
-                report.migrated_bytes = acc.migrated_bytes;
-                report.handoff_transfer_time = acc.handoff_transfer;
-                report.handoff_setup_time = acc.handoff_setup;
-                report.handoff_exposed_time = acc.handoff_exposed;
-                report.router_stats = acc.stats;
-            }
-            Node::Instance(_, inst) => {
-                let m = inst.report();
-                report.output_tokens += m.output_tokens;
-                report.iterations += m.iterations;
-                report.ttft_ns.merge(&m.ttft_ns);
-                report.latency_ns.merge(&m.latency_ns);
-                report.tpot_ns.merge(&m.tpot_ns);
-            }
+        if let Node::Instance(_, inst) = node {
+            let m = inst.report();
+            report.output_tokens += m.output_tokens;
+            report.iterations += m.iterations;
+            report.ttft_ns.merge(&m.ttft_ns);
+            report.latency_ns.merge(&m.latency_ns);
+            report.tpot_ns.merge(&m.tpot_ns);
         }
     }
     report

@@ -1,6 +1,6 @@
-//! Serving-system configuration: the NPU shape, continuous-batching
-//! knobs, the KV-cache HBM budget, and the per-mode security profile
-//! (MAC scheme + KV transfer [`Protocol`]).
+//! Serving-system configuration: the NPU shape, the KV-cache HBM budget,
+//! and the per-mode security profile (MAC scheme + KV transfer
+//! [`Protocol`]).
 
 use serde::Serialize;
 use tee_comm::link::PcieLink;
@@ -15,11 +15,6 @@ use tee_workloads::zoo::ModelConfig;
 pub struct ServeConfig {
     /// The NPU executing prefill and decode iterations (Table 1 shape).
     pub npu: NpuConfig,
-    /// Maximum simultaneously active (prefilling + decoding) requests.
-    pub max_batch: usize,
-    /// Maximum new prompt tokens admitted into one iteration (Orca-style
-    /// iteration-level admission; a longer prompt is admitted alone).
-    pub prefill_token_budget: u64,
     /// HBM bytes reserved for KV caches (what is left after weights and
     /// activations). KV exceeding this budget is offloaded to CPU DRAM
     /// and pays the mode's transfer protocol to come back.
@@ -34,8 +29,6 @@ impl ServeConfig {
         let kv = KvSpec::of(model);
         ServeConfig {
             npu: NpuConfig::default(),
-            max_batch: 16,
-            prefill_token_budget: 4096,
             kv_hbm_bytes: kv.bytes_per_token * steady_tokens * resident_requests,
         }
     }
@@ -92,8 +85,6 @@ pub fn kv_transfer_time(protocol: Protocol, bytes: u64) -> Time {
 /// every prefill/decode stream plus the KV offload transfer protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SecurityProfile {
-    /// Display label (matches the training-side mode labels).
-    pub label: &'static str,
     /// MAC scheme the NPU engine runs under.
     pub mac: MacScheme,
     /// KV HBM↔DRAM transfer protocol: the one the matching training mode
@@ -106,7 +97,6 @@ impl SecurityProfile {
     /// No protection anywhere (performance reference).
     pub fn non_secure() -> Self {
         SecurityProfile {
-            label: "Non-Secure",
             mac: MacScheme::None,
             kv_protocol: Protocol::Plain,
         }
@@ -116,7 +106,6 @@ impl SecurityProfile {
     /// KV path.
     pub fn sgx_mgx() -> Self {
         SecurityProfile {
-            label: "SGX+MGX",
             mac: MacScheme::PerBlock { granularity: 512 },
             kv_protocol: Protocol::Staged,
         }
@@ -126,7 +115,6 @@ impl SecurityProfile {
     /// path (§4.4).
     pub fn tensor_tee() -> Self {
         SecurityProfile {
-            label: "TensorTEE",
             mac: MacScheme::TensorDelayed,
             kv_protocol: Protocol::Direct,
         }
@@ -165,7 +153,7 @@ mod tests {
             SecurityProfile::tensor_tee(),
         ];
         assert_eq!(all.len(), 3);
-        assert_eq!(all[1].label, "SGX+MGX");
+        assert_eq!(all[1].mac, MacScheme::PerBlock { granularity: 512 });
         assert_eq!(all[2].kv_protocol, Protocol::Direct);
         assert!(matches!(all[2].mac, MacScheme::TensorDelayed));
     }
@@ -176,6 +164,5 @@ mod tests {
         let small = ServeConfig::for_model(&m, 2, 512);
         let large = ServeConfig::for_model(&m, 8, 512);
         assert_eq!(large.kv_hbm_bytes, 4 * small.kv_hbm_bytes);
-        assert!(small.max_batch > 0);
     }
 }

@@ -259,7 +259,8 @@ mod tests {
                     if err > worst.0 {
                         let case = format!(
                             "{} / {} / prefills {prefills:?}, decode contexts {decodes:?}",
-                            model.name, profile.label
+                            model.name,
+                            profile.mac.label()
                         );
                         worst = (err, case);
                     }

@@ -8,10 +8,10 @@
 //!
 //! * [`trace`] — deterministic Poisson/bursty request arrival traces with
 //!   zoo-shaped prompt/output lengths ([`tee_sim::SplitMix64`] seeded),
-//! * [`config`] — serving knobs, the per-token [`KvSpec`], the
-//!   [`SecurityProfile`] mapping each paper mode to a MAC scheme + KV
-//!   transfer [`Protocol`] (coarse-MAC + staging vs tensor-MAC + direct),
-//!   and [`kv_transfer_time`], the KV path's price,
+//! * [`config`] — the NPU and KV budget ([`ServeConfig`]), the per-token
+//!   [`KvSpec`], the [`SecurityProfile`] mapping each paper mode to a MAC
+//!   scheme + KV transfer [`Protocol`] (coarse-MAC + staging vs
+//!   tensor-MAC + direct), and [`kv_transfer_time`], the KV path's price,
 //! * [`kv`] — the bounded HBM [`KvPool`] with LRU spill to CPU DRAM,
 //! * [`cost`] — the fused prefill/decode iteration kernel and its
 //!   [`Pricer`]: exact through [`tee_npu::NpuEngine`], or the calibrated

@@ -4,11 +4,11 @@
 //! An [`Instance`] runs Orca/vLLM-style iteration-level scheduling:
 //!
 //! 1. requests join a FIFO admission queue ([`Instance::admit`]),
-//! 2. each iteration admits waiting requests up to `max_batch` slots and
-//!    `prefill_token_budget` new prompt tokens, then — with a KV pool —
-//!    schedules the subset of active requests whose KV caches fit the HBM
-//!    budget (in admission order; surplus KV offloads to CPU DRAM via
-//!    [`KvPool`]),
+//! 2. each iteration admits waiting requests up to `MAX_BATCH` (16) slots
+//!    and `PREFILL_TOKEN_BUDGET` (4,096) new prompt tokens, then — with a
+//!    KV pool — schedules the subset of active requests whose KV caches
+//!    fit the HBM budget (in admission order; surplus KV offloads to CPU
+//!    DRAM via [`KvPool`]),
 //! 3. the iteration is priced as **one fused NPU kernel** by the
 //!    instance's [`Pricer`]: exactly through [`tee_npu::NpuEngine`] under
 //!    the profile's MAC scheme, or by the calibrated
@@ -37,6 +37,14 @@ use tee_npu::engine::NpuEngine;
 use tee_sim::probe::SharedProbe;
 use tee_sim::Time;
 use tee_workloads::zoo::ModelConfig;
+
+/// Maximum simultaneously active (prefilling + decoding) requests per
+/// instance.
+const MAX_BATCH: usize = 16;
+
+/// Maximum new prompt tokens admitted into one iteration (Orca-style
+/// iteration-level admission; a longer prompt is admitted alone).
+const PREFILL_TOKEN_BUDGET: u64 = 4096;
 
 /// One admitted (active) request.
 #[derive(Debug, Clone, Copy)]
@@ -79,8 +87,6 @@ struct Kv {
 pub struct Instance {
     model: ModelConfig,
     pricer: Pricer,
-    max_batch: usize,
-    prefill_token_budget: u64,
     /// `None` = unbounded KV: no residency bookkeeping at all.
     kv: Option<Kv>,
     waiting: VecDeque<SessionRequest>,
@@ -103,19 +109,12 @@ pub struct Instance {
 }
 
 impl Instance {
-    /// Creates an idle instance with `cfg`'s batching knobs, pricing
-    /// `model`'s iterations with `pricer`, with unbounded KV.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.max_batch` is zero.
-    pub fn new(cfg: &ServeConfig, model: &ModelConfig, pricer: Pricer) -> Self {
-        assert!(cfg.max_batch > 0, "need at least one batch slot");
+    /// Creates an idle instance pricing `model`'s iterations with
+    /// `pricer`, with unbounded KV.
+    pub fn new(model: &ModelConfig, pricer: Pricer) -> Self {
         Instance {
             model: *model,
             pricer,
-            max_batch: cfg.max_batch,
-            prefill_token_budget: cfg.prefill_token_budget,
             kv: None,
             waiting: VecDeque::new(),
             running: Vec::new(),
@@ -254,12 +253,12 @@ impl Instance {
             .filter(|a| a.generated == 0)
             .map(|a| a.req.request.prompt_tokens)
             .sum();
-        while self.running.len() < self.max_batch {
+        while self.running.len() < MAX_BATCH {
             let Some(req) = self.waiting.front() else {
                 break;
             };
             let p = req.request.prompt_tokens;
-            if new_prompt_tokens > 0 && new_prompt_tokens + p > self.prefill_token_budget {
+            if new_prompt_tokens > 0 && new_prompt_tokens + p > PREFILL_TOKEN_BUDGET {
                 break;
             }
             let req = self.waiting.pop_front().expect("front checked above");
@@ -408,10 +407,6 @@ impl Instance {
 
 /// Simulates serving `trace` on one system under one security profile:
 /// one instance priced exactly by the NPU engine, with `cfg`'s KV budget.
-///
-/// # Panics
-///
-/// Panics if `cfg.max_batch` is zero.
 pub fn simulate(
     cfg: &ServeConfig,
     model: &ModelConfig,
@@ -426,10 +421,6 @@ pub fn simulate(
 /// `link` transfer spans and `CPU` spill/fetch instants, and the `serve.*`
 /// counters accumulate in the probe's metrics registry. The report is
 /// byte-identical to the unprobed run — probes only observe.
-///
-/// # Panics
-///
-/// Panics if `cfg.max_batch` is zero.
 pub fn simulate_probed(
     cfg: &ServeConfig,
     model: &ModelConfig,
@@ -438,7 +429,7 @@ pub fn simulate_probed(
     probe: &SharedProbe,
 ) -> ServeReport {
     let engine = NpuEngine::new(cfg.npu.clone(), profile.mac);
-    Instance::new(cfg, model, Pricer::Exact(engine))
+    Instance::new(model, Pricer::Exact(engine))
         .with_kv_pool(cfg.kv_hbm_bytes, profile.kv_protocol)
         .with_probe(probe.clone(), "NPU".to_string(), "serve")
         .run(trace)
@@ -584,16 +575,5 @@ mod tests {
                 "missing track {track}"
             );
         }
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_batch_rejected() {
-        let model = by_name("GPT").unwrap();
-        let cfg = ServeConfig {
-            max_batch: 0,
-            ..small_cfg(&model)
-        };
-        simulate(&cfg, &model, &SecurityProfile::non_secure(), &[]);
     }
 }

@@ -49,7 +49,7 @@ fn main() {
         "mode", "completed", "TTFT p50", "TTFT p99", "goodput", "exposed KV", "KV offloads"
     );
     for mode in SecureMode::all() {
-        let r = simulate(&cfg, &model, &serve_profile(mode), &trace);
+        let r = simulate(&cfg, &model, &serve_profile(mode, &ctx.cfg), &trace);
         println!(
             "{:<12} {:>10} {:>12} {:>12} {:>12} {:>12} {:>12}",
             mode.label(),

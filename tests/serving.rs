@@ -7,7 +7,7 @@
 use tee_serve::{simulate, SecurityProfile, ServeConfig, TraceConfig};
 use tensortee::artifact::RunContext;
 use tensortee::experiments::{serve_latency, serve_profile};
-use tensortee::SecureMode;
+use tensortee::{SecureMode, SystemConfig};
 
 /// The fast-context serving comparison backing most assertions.
 fn fast_rows() -> Vec<tensortee::experiments::ServeRow> {
@@ -94,11 +94,17 @@ fn serving_simulation_is_deterministic_and_seed_sensitive() {
 
 #[test]
 fn serve_profile_mirrors_the_training_modes() {
-    // tee-serve cannot see `SecureMode`, so its three profiles carry their
-    // own label and KV protocol; this keeps both per-mode tables in step.
-    for mode in SecureMode::all() {
-        let profile = serve_profile(mode);
-        assert_eq!(profile.label, mode.label());
+    // tee-serve cannot see `SecureMode`, so its three profile constructors
+    // carry their own MAC scheme and KV protocol; this keeps them in step
+    // with the per-mode tables at the Table-1 configuration.
+    let cfg = SystemConfig::default();
+    for (mode, constructor) in SecureMode::all().into_iter().zip([
+        SecurityProfile::non_secure(),
+        SecurityProfile::sgx_mgx(),
+        SecurityProfile::tensor_tee(),
+    ]) {
+        let profile = serve_profile(mode, &cfg);
+        assert_eq!(profile, constructor, "{}", mode.label());
         assert_eq!(profile.kv_protocol, mode.protocol(), "{}", mode.label());
     }
 }
