@@ -9,6 +9,7 @@
 
 use crate::config::{ClusterConfig, SecureMode, SystemConfig};
 use crate::experiments;
+use crate::memo::Memo;
 use crate::report::Report;
 use crate::system::StepBreakdown;
 use crate::TrainingSystem;
@@ -78,6 +79,11 @@ pub struct RunContext {
     /// probe is installed (pinned by a differential test over the
     /// registry).
     pub probe: SharedProbe,
+    /// The simulation memo the runners price CPU Adam runs and NPU
+    /// reports through ([`crate::memo`]). Clones share it, so the
+    /// artifacts of one `run --all` share work; every
+    /// [`RunContext::full`] / [`RunContext::fast`] starts an empty one.
+    pub(crate) memo: Memo,
 }
 
 impl RunContext {
@@ -106,6 +112,7 @@ impl RunContext {
             pipeline_microbatches: vec![1, 2, 4, 8],
             fast: false,
             probe: SharedProbe::Null,
+            memo: Memo::default(),
         }
     }
 
@@ -231,7 +238,9 @@ impl RunContext {
         self.modes
             .iter()
             .map(|&mode| {
-                let step = TrainingSystem::new(self.cfg.clone(), mode).simulate_step(model);
+                let step = TrainingSystem::new(self.cfg.clone(), mode)
+                    .with_memo(&self.memo)
+                    .simulate_step(model);
                 crate::obs::emit_step_phases(&self.probe, mode, &step);
                 (mode, step)
             })
@@ -262,9 +271,13 @@ pub struct Artifact {
 }
 
 impl Artifact {
-    /// Runs the artifact under `ctx`.
+    /// Runs the artifact under `ctx`. A recording probe also gets the
+    /// run's `memo.{adam,npu}_{hits,misses}` counts (non-zero ones only).
     pub fn run(&self, ctx: &RunContext) -> Report {
-        (self.runner)(ctx)
+        let before = ctx.memo.counts();
+        let report = (self.runner)(ctx);
+        ctx.memo.counts().emit_since(&before, &ctx.probe);
+        report
     }
 
     /// An empty [`Report`] pre-filled with this artifact's metadata — the

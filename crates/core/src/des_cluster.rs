@@ -23,6 +23,7 @@
 //!   per-microbatch boundary activations contend for the fabric.
 
 use crate::config::{ClusterConfig, SecureMode, SystemConfig};
+use crate::memo::Memo;
 use crate::system::{backward_window, ClusterStepBreakdown, TrainingSystem};
 use serde::Serialize;
 use std::cell::RefCell;
@@ -660,6 +661,13 @@ impl DesClusterSystem {
         }
     }
 
+    /// Prices through `memo` (builder form; see
+    /// [`TrainingSystem::new`]).
+    pub(crate) fn with_memo(mut self, memo: &Memo) -> Self {
+        self.sys = self.sys.with_memo(memo);
+        self
+    }
+
     /// Installs an observability probe (builder form). The scheduler gets
     /// it for tick/send events, and [`Self::simulate_with_cpu_time`] lays
     /// phase spans (per-rank compute, collective, gradient stream,
@@ -676,10 +684,11 @@ impl DesClusterSystem {
     }
 
     /// Simulates one step from an explicit (global-batch) schedule,
-    /// pricing the CPU phase itself. Only tests run it:
-    /// `real_cpu_path_stays_in_parity_under_the_fast_config` pins it
-    /// against the analytic model (the artifacts and explore supply a
-    /// cached CPU phase to [`Self::simulate_with_cpu_time`]).
+    /// pricing the CPU phase itself through the system's memo — the
+    /// `des_*` artifacts and explore's des scenario run it on their
+    /// context's memo, so each distinct CPU phase is simulated once per
+    /// run. `real_cpu_path_stays_in_parity_under_the_fast_config` pins it
+    /// against the analytic model.
     pub fn simulate_schedule(&mut self, schedule: &StepSchedule) -> DesStepReport {
         // Adam runs on the reduced full-model gradients in both layouts;
         // data-parallel prices it from the replica schedule exactly like
@@ -695,8 +704,9 @@ impl DesClusterSystem {
     }
 
     /// [`Self::simulate_schedule`] with the CPU Adam phase supplied by
-    /// the caller (the differential tests and the explorer share cached
-    /// CPU times across points).
+    /// the caller: `obs_utilization` lays a synthetic optimizer phase on
+    /// its instrumented step, and the differential tests feed the
+    /// analytic and DES engines one fixed phase.
     pub fn simulate_with_cpu_time(&mut self, schedule: &StepSchedule, cpu: Time) -> DesStepReport {
         match self.des.parallelism {
             Parallelism::Data => self.run_data_parallel(schedule, cpu),

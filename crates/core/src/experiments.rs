@@ -9,6 +9,7 @@
 use crate::artifact::RunContext;
 use crate::des_cluster::{DesClusterConfig, DesClusterSystem, DesStepReport};
 use crate::hw::HardwareBudget;
+use crate::memo::AdamRun;
 use crate::report::{f2, pct, Report, Table};
 use crate::system::{
     backward_window, ClusterStepBreakdown, ClusterSystem, StepBreakdown, TrainingSystem,
@@ -16,7 +17,9 @@ use crate::system::{
 use tee_comm::protocol::{Protocol, StagingProtocol};
 use tee_comm::schedule::{overlapped_time, serialized_time, Timeline};
 use tee_cpu::analyzer::TenAnalyzerConfig;
-use tee_cpu::{AdamWorkload, CpuEngine, GemmWorkload, SoftVnConfig, TeeMode};
+use tee_cpu::{
+    AdamReport, AdamWorkload, CpuConfig, CpuEngine, GemmWorkload, SoftVnConfig, TeeMode,
+};
 use tee_fleet::{simulate_probed as fleet_simulate, FleetConfig, FleetReport, Policy};
 use tee_npu::mac::figure20_sweep;
 use tee_npu::NpuEngine;
@@ -42,6 +45,26 @@ fn report_for(id: &str) -> Report {
 fn bench_adam_workload(model: &ModelConfig, scale: u64) -> AdamWorkload {
     let census = TensorCensus::of(model).scaled(scale);
     AdamWorkload::from_tensor_sizes(&census.sizes())
+}
+
+/// `iterations` Adam steps of `workload` on a fresh `cpu` engine under
+/// `mode` (no Meta Table preload), priced through the context memo.
+fn run_adam(
+    ctx: &RunContext,
+    cpu: &CpuConfig,
+    mode: TeeMode,
+    workload: &AdamWorkload,
+    threads: u32,
+    iterations: u32,
+) -> AdamReport {
+    ctx.memo.adam(AdamRun {
+        cpu: cpu.clone(),
+        mode,
+        preload: false,
+        workload: workload.clone(),
+        threads,
+        iterations,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -76,12 +99,12 @@ pub fn fig03_cpu_slowdown(ctx: &RunContext) -> (Vec<Fig3Row>, Report) {
         .threads
         .iter()
         .map(|&t| {
-            let mut ns = CpuEngine::new(ctx.cfg.cpu.clone(), TeeMode::NonSecure);
-            let mut sgx = CpuEngine::new(ctx.cfg.cpu.clone(), TeeMode::Sgx);
+            let steady =
+                |mode| run_adam(ctx, &ctx.cfg.cpu, mode, &workload, t, iters).steady_latency(1);
             Fig3Row {
                 threads: t,
-                non_secure: ns.run_adam(&workload, t, iters).steady_latency(1),
-                sgx: sgx.run_adam(&workload, t, iters).steady_latency(1),
+                non_secure: steady(TeeMode::NonSecure),
+                sgx: steady(TeeMode::Sgx),
             }
         })
         .collect();
@@ -140,7 +163,9 @@ pub fn breakdown_table(ctx: &RunContext, models: &[ModelConfig]) -> Table {
     let mut table = Table::new(header);
     for m in models {
         for &mode in &ctx.modes {
-            let b = TrainingSystem::new(ctx.cfg.clone(), mode).simulate_step(m);
+            let b = TrainingSystem::new(ctx.cfg.clone(), mode)
+                .with_memo(&ctx.memo)
+                .simulate_step(m);
             let mut row = vec![m.name.to_string(), mode.label().to_string()];
             row.extend(b.ledger().fractions().into_iter().map(|(_, f)| pct(f)));
             table.row(row);
@@ -176,8 +201,9 @@ pub fn fig15_overlap(ctx: &RunContext) -> Report {
     // Backward window for the primary model at our NPU's pace (same
     // derivation as Figure 21).
     let schedule = StepSchedule::of(&model);
-    let npu =
-        TrainingSystem::new(ctx.cfg.clone(), crate::SecureMode::TensorTee).npu_time(&schedule);
+    let npu = TrainingSystem::new(ctx.cfg.clone(), crate::SecureMode::TensorTee)
+        .with_memo(&ctx.memo)
+        .npu_time(&schedule);
     let bwd = backward_window(npu);
     let staged = Protocol::Staged.transfer(ctx.cfg.pcie_link(), grad_bytes);
     let direct = Protocol::Direct.transfer(ctx.cfg.pcie_link(), grad_bytes);
@@ -249,21 +275,20 @@ impl Fig16Row {
 
 /// Runs Figure 16 across `ctx.models`.
 pub fn fig16_overall(ctx: &RunContext) -> (Vec<Fig16Row>, Report) {
-    let cfg = &ctx.cfg;
+    let total = |mode, m: &ModelConfig| {
+        TrainingSystem::new(ctx.cfg.clone(), mode)
+            .with_memo(&ctx.memo)
+            .simulate_step(m)
+            .total()
+    };
     let rows: Vec<Fig16Row> = ctx
         .models
         .iter()
         .map(|m| Fig16Row {
             model: *m,
-            non_secure: TrainingSystem::new(cfg.clone(), crate::SecureMode::NonSecure)
-                .simulate_step(m)
-                .total(),
-            sgx_mgx: TrainingSystem::new(cfg.clone(), crate::SecureMode::SgxMgx)
-                .simulate_step(m)
-                .total(),
-            ours: TrainingSystem::new(cfg.clone(), crate::SecureMode::TensorTee)
-                .simulate_step(m)
-                .total(),
+            non_secure: total(crate::SecureMode::NonSecure, m),
+            sgx_mgx: total(crate::SecureMode::SgxMgx, m),
+            ours: total(crate::SecureMode::TensorTee, m),
         })
         .collect();
     let mut table = Table::new([
@@ -323,11 +348,14 @@ pub struct Fig18Row {
 /// per-iteration Meta Table hit rates over `ctx.hit_iterations`.
 pub fn fig18_hit_rate(ctx: &RunContext) -> (Vec<Fig18Row>, Report) {
     let workload = bench_adam_workload(&ctx.primary_model(), ctx.cfg.sim_scale);
-    let mut engine = CpuEngine::new(
-        ctx.cfg.cpu.clone(),
+    let run = run_adam(
+        ctx,
+        &ctx.cfg.cpu,
         TeeMode::TensorTee(TenAnalyzerConfig::default()),
+        &workload,
+        ctx.cfg.cpu_threads,
+        ctx.hit_iterations,
     );
-    let run = engine.run_adam(&workload, ctx.cfg.cpu_threads, ctx.hit_iterations);
     let rows: Vec<Fig18Row> = run
         .iterations
         .iter()
@@ -384,20 +412,12 @@ pub fn fig19_cpu_perf(ctx: &RunContext) -> Report {
     let base_iters = ctx.cfg.cpu_iterations.max(2);
     let mut out = Vec::new();
     for &t in &ctx.threads {
-        let mut ns = CpuEngine::new(ctx.cfg.cpu.clone(), TeeMode::NonSecure);
-        let non_secure = ns.run_adam(&workload, t, base_iters).steady_latency(1);
-        let mut sgx = CpuEngine::new(ctx.cfg.cpu.clone(), TeeMode::Sgx);
-        let sgx_lat = sgx.run_adam(&workload, t, base_iters).steady_latency(1);
-        let mut sv = CpuEngine::new(
-            ctx.cfg.cpu.clone(),
-            TeeMode::SoftVn(SoftVnConfig::default()),
-        );
-        let softvn = sv.run_adam(&workload, t, base_iters).steady_latency(1);
-        let mut tt = CpuEngine::new(
-            ctx.cfg.cpu.clone(),
-            TeeMode::TensorTee(TenAnalyzerConfig::default()),
-        );
-        let rep = tt.run_adam(&workload, t, max_iter);
+        let run = |mode, iters| run_adam(ctx, &ctx.cfg.cpu, mode, &workload, t, iters);
+        let steady = |mode| run(mode, base_iters).steady_latency(1);
+        let non_secure = steady(TeeMode::NonSecure);
+        let sgx_lat = steady(TeeMode::Sgx);
+        let softvn = steady(TeeMode::SoftVn(SoftVnConfig::default()));
+        let rep = run(TeeMode::TensorTee(TenAnalyzerConfig::default()), max_iter);
         let tensortee = ctx
             .checkpoints
             .iter()
@@ -532,7 +552,8 @@ pub fn fig21_comm_breakdown(ctx: &RunContext) -> (Vec<Fig21Row>, Report) {
             let staged = Protocol::Staged.transfer(ctx.cfg.pcie_link(), schedule.grad_bytes);
             let direct = Protocol::Direct.transfer(ctx.cfg.pcie_link(), schedule.grad_bytes);
             // Overlap window: the backward phase under TensorTEE.
-            let sys = TrainingSystem::new(ctx.cfg.clone(), crate::SecureMode::TensorTee);
+            let sys = TrainingSystem::new(ctx.cfg.clone(), crate::SecureMode::TensorTee)
+                .with_memo(&ctx.memo);
             let bwd_window = backward_window(sys.npu_time(&schedule));
             Fig21Row {
                 model: *m,
@@ -671,14 +692,11 @@ pub fn ablations(ctx: &RunContext) -> Report {
     let mut t = Table::new(["entries", "steady hit_in", "steady latency"])
         .captioned("Ablation — Meta Table capacity (§6.2)");
     for &entries in entries_sweep {
-        let mut e = CpuEngine::new(
-            ctx.cfg.cpu.clone(),
-            TeeMode::TensorTee(TenAnalyzerConfig {
-                meta_entries: entries,
-                ..TenAnalyzerConfig::default()
-            }),
-        );
-        let rep = e.run_adam(&workload, threads, detect_iters);
+        let mode = TeeMode::TensorTee(TenAnalyzerConfig {
+            meta_entries: entries,
+            ..TenAnalyzerConfig::default()
+        });
+        let rep = run_adam(ctx, &ctx.cfg.cpu, mode, &workload, threads, detect_iters);
         let last = rep.iterations.last().unwrap();
         t.row([
             entries.to_string(),
@@ -698,14 +716,11 @@ pub fn ablations(ctx: &RunContext) -> Report {
     ])
     .captioned("Ablation — Tensor Filter collection threshold (§4.2)");
     for &threshold in threshold_sweep {
-        let mut e = CpuEngine::new(
-            ctx.cfg.cpu.clone(),
-            TeeMode::TensorTee(TenAnalyzerConfig {
-                filter_threshold: threshold,
-                ..TenAnalyzerConfig::default()
-            }),
-        );
-        let rep = e.run_adam(&workload, threads, detect_iters);
+        let mode = TeeMode::TensorTee(TenAnalyzerConfig {
+            filter_threshold: threshold,
+            ..TenAnalyzerConfig::default()
+        });
+        let rep = run_adam(ctx, &ctx.cfg.cpu, mode, &workload, threads, detect_iters);
         t.row([
             threshold.to_string(),
             f2(rep.iterations[0].hit_all_rate()),
@@ -726,8 +741,8 @@ pub fn ablations(ctx: &RunContext) -> Report {
     for &kb in cache_sweep {
         let mut cpu = ctx.cfg.cpu.clone();
         cpu.metadata_cache_bytes = kb << 10;
-        let mut e = CpuEngine::new(cpu, TeeMode::Sgx);
-        let rep = e.run_adam(&workload, threads, ctx.cfg.cpu_iterations.max(2));
+        let iters = ctx.cfg.cpu_iterations.max(2);
+        let rep = run_adam(ctx, &cpu, TeeMode::Sgx, &workload, threads, iters);
         t.row([format!("{kb} KB"), rep.steady_latency(1).to_string()]);
     }
     report.table(t);
@@ -803,7 +818,8 @@ pub fn scaling_strong(ctx: &RunContext) -> (Vec<ScalingRow>, Report) {
     for &mode in &ctx.modes {
         let mut base: Option<ScalingRow> = None;
         for &n in &ctx.cluster_sizes {
-            let mut sys = ClusterSystem::new(ctx.cfg.clone(), ctx.cluster_of(n), mode);
+            let mut sys =
+                ClusterSystem::new(ctx.cfg.clone(), ctx.cluster_of(n), mode).with_memo(&ctx.memo);
             let breakdown = sys.simulate_step(&model);
             let ar = sys.all_reduce_cost(model.grad_bytes());
             let row = ScalingRow {
@@ -853,8 +869,9 @@ impl DesParityRow {
 
 /// Runs the differential sweep: every `(cluster size, mode)` pair priced
 /// once through the analytic composition and once through the
-/// discrete-event engine in lockstep data-parallel mode, sharing one
-/// cached CPU phase so both paths consume identical inputs.
+/// discrete-event engine in lockstep data-parallel mode, both pricing the
+/// CPU phase through the context memo so they consume the identical
+/// phase.
 ///
 /// The engine's contract is that every row matches **bit-for-bit** — the
 /// `max_divergence_ps` metric is 0 and the `match` column all-yes; any
@@ -876,19 +893,17 @@ pub fn des_parity(ctx: &RunContext) -> Report {
     ]);
     for &mode in &ctx.modes {
         for &n in &ctx.cluster_sizes {
-            // One CPU phase per (mode, N): the optimizer runs on the
-            // reduced gradients, identical in both paths.
-            let replica = schedule.data_parallel_replica(n);
-            let cpu = TrainingSystem::new(ctx.cfg.clone(), mode).cpu_time(&replica);
             let analytic = ClusterSystem::new(ctx.cfg.clone(), ctx.cluster_of(n), mode)
-                .simulate_with_cpu_time(&schedule, cpu);
+                .with_memo(&ctx.memo)
+                .simulate_schedule(&schedule);
             let des = DesClusterSystem::new(
                 ctx.cfg.clone(),
                 DesClusterConfig::lockstep(ctx.cluster_of(n)),
                 mode,
             )
+            .with_memo(&ctx.memo)
             .with_probe(ctx.probe.clone())
-            .simulate_with_cpu_time(&schedule, cpu);
+            .simulate_schedule(&schedule);
             table.row([
                 n.to_string(),
                 mode.label().to_string(),
@@ -949,16 +964,15 @@ pub fn des_straggler(ctx: &RunContext) -> Report {
         "exposed comm",
     ]);
     for &mode in &ctx.modes {
-        let replica = schedule.data_parallel_replica(n);
-        let cpu = TrainingSystem::new(ctx.cfg.clone(), mode).cpu_time(&replica);
         for &factor in &ctx.straggler_factors {
             let des = DesClusterSystem::new(
                 ctx.cfg.clone(),
                 DesClusterConfig::lockstep(ctx.cluster_of(n)).with_straggler(factor),
                 mode,
             )
+            .with_memo(&ctx.memo)
             .with_probe(ctx.probe.clone())
-            .simulate_with_cpu_time(&schedule, cpu);
+            .simulate_schedule(&schedule);
             table.row([
                 mode.label().to_string(),
                 format!("{factor:.2}x"),
@@ -1009,15 +1023,15 @@ pub fn des_pipeline(ctx: &RunContext) -> Report {
         "crypto",
     ]);
     for &mode in &ctx.modes {
-        let cpu = TrainingSystem::new(ctx.cfg.clone(), mode).cpu_time(&schedule);
         for &m in &ctx.pipeline_microbatches {
             let des = DesClusterSystem::new(
                 ctx.cfg.clone(),
                 DesClusterConfig::lockstep(ctx.cluster_of(n)).with_pipeline(m),
                 mode,
             )
+            .with_memo(&ctx.memo)
             .with_probe(ctx.probe.clone())
-            .simulate_with_cpu_time(&schedule, cpu);
+            .simulate_schedule(&schedule);
             table.row([
                 mode.label().to_string(),
                 m.to_string(),

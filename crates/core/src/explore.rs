@@ -35,13 +35,12 @@
 //! for any `--threads` value.
 
 use crate::artifact::RunContext;
-use crate::config::{ClusterConfig, SecureMode, SystemConfig};
+use crate::config::{ClusterConfig, SecureMode};
 use crate::des_cluster::{DesClusterConfig, DesClusterSystem, Parallelism};
 use crate::experiments::{mode_key, serve_profile};
 use crate::report::{pct, Report, Table};
 use crate::system::{ClusterSystem, TrainingSystem};
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
 use tee_attack::{
     extractable_bits, size_bucket, KvShield, Observation, Shaping, MEASUREMENT_QUANTUM,
 };
@@ -329,60 +328,6 @@ fn model_at(ctx: &RunContext, space: &Space, point: &Point) -> ModelConfig {
     ctx.models[space.value(point, 0) as usize]
 }
 
-/// The CPU Adam phase for `(ctx.cfg's CPU side, mode, model)`, memoized
-/// process-wide: the cacheline-level CPU simulation dominates a point's
-/// cost but is independent of every NPU/bus/batch knob, so a sweep pays
-/// it once per `(model, mode)` pair. The cached value is a pure function
-/// of the key, so memoization cannot perturb determinism.
-fn cached_cpu_time(cfg: &SystemConfig, mode: SecureMode, model: &ModelConfig) -> Time {
-    static MEMO: OnceLock<Mutex<BTreeMap<String, Time>>> = OnceLock::new();
-    let key = format!(
-        "{:?}|{}|{}|{}|{:?}|{}",
-        cfg.cpu, cfg.cpu_threads, cfg.sim_scale, cfg.cpu_iterations, mode, model.name
-    );
-    let memo = MEMO.get_or_init(|| Mutex::new(BTreeMap::new()));
-    if let Some(&t) = memo.lock().expect("cpu memo lock").get(&key) {
-        return t;
-    }
-    // Compute outside the lock so concurrent workers on different keys
-    // do not serialize behind one CPU simulation.
-    let t = TrainingSystem::new(cfg.clone(), mode).cpu_time(&StepSchedule::of(model));
-    memo.lock().expect("cpu memo lock").insert(key, t);
-    t
-}
-
-/// The NPU forward+backward report for `sys` on `schedule`, memoized
-/// process-wide. [`TrainingSystem::npu_report`] is a pure function of the
-/// NPU configuration, the MAC scheme, and the schedule's layer list —
-/// none of which the PCIe/fabric knobs touch — so a sweep prices each
-/// distinct `(NPU config, scheme, schedule)` combination once and points
-/// that only move bus knobs reuse it. `schedule_key` must uniquely name
-/// the schedule's contents (the callers use model name + batch or model
-/// name + replica count). [`tee_sim::Time`] is integer picoseconds, so a
-/// reused report is bit-identical to a recomputed one.
-fn cached_npu_report(
-    sys: &TrainingSystem,
-    schedule: &StepSchedule,
-    schedule_key: &str,
-) -> tee_npu::engine::NpuRunReport {
-    static MEMO: OnceLock<Mutex<BTreeMap<String, tee_npu::engine::NpuRunReport>>> = OnceLock::new();
-    let key = format!(
-        "{:?}|{:?}|{}",
-        sys.config().npu,
-        sys.mac_scheme(),
-        schedule_key
-    );
-    let memo = MEMO.get_or_init(|| Mutex::new(BTreeMap::new()));
-    if let Some(&r) = memo.lock().expect("npu memo lock").get(&key) {
-        return r;
-    }
-    // Compute outside the lock so concurrent workers on different keys
-    // do not serialize behind one pipeline simulation.
-    let r = sys.npu_report(schedule);
-    memo.lock().expect("npu memo lock").insert(key, r);
-    r
-}
-
 /// Prices one training point under every context mode.
 fn eval_train(ctx: &RunContext, space: &Space, point: &Point) -> Vec<ModeEval> {
     let mut model = model_at(ctx, space, point);
@@ -396,17 +341,15 @@ fn eval_train(ctx: &RunContext, space: &Space, point: &Point) -> Vec<ModeEval> {
     ctx.modes
         .iter()
         .map(|&mode| {
-            let cpu = cached_cpu_time(&ctx.cfg, mode, &model_at(ctx, space, point));
-            let sys = TrainingSystem::new(cfg.clone(), mode);
-            // Price the NPU phase and the transfers once, then compose
-            // the step from them — the same components feed the crypto
-            // objective. The NPU phase is memoized across points: only
-            // the bus re-pricing below is paid per point.
-            let npu = cached_npu_report(
-                &sys,
-                &schedule,
-                &format!("{}|batch{}", model.name, model.batch_size),
-            );
+            // Price the CPU and NPU phases and the transfers once, then
+            // compose the step from them — the same components feed the
+            // crypto objective. The CPU phase depends on no point knob
+            // and the NPU phase on no bus knob, so the context memo
+            // serves both across points: only the bus re-pricing below
+            // is paid per point.
+            let sys = TrainingSystem::new(cfg.clone(), mode).with_memo(&ctx.memo);
+            let cpu = sys.cpu_time(&schedule);
+            let npu = sys.npu_report(&schedule);
             let comm = sys.comm_costs(&schedule);
             let step = sys.compose_step(npu.total, cpu, &comm);
             let crypto = comm.grad.re_encryption
@@ -449,19 +392,15 @@ fn eval_cluster(ctx: &RunContext, space: &Space, point: &Point) -> Vec<ModeEval>
     ctx.modes
         .iter()
         .map(|&mode| {
-            // Adam runs on the reduced (model-sized) gradients, so the
-            // cached per-(model, mode) CPU phase applies at any N.
-            let cpu = cached_cpu_time(&ctx.cfg, mode, &model);
             let sys = ClusterSystem::new(cfg.clone(), cluster, mode);
             // Price each phase once (replica transfers, collective,
             // broadcast), compose the step, and feed the same components
-            // into the crypto objective.
-            let point_sys = TrainingSystem::new(cfg.clone(), mode);
-            let npu = cached_npu_report(
-                &point_sys,
-                &replica,
-                &format!("{}|replica{}", model.name, n_npus),
-            );
+            // into the crypto objective. Adam runs on the reduced
+            // (model-sized) gradients, so the memoized CPU phase is the
+            // same at any N.
+            let point_sys = TrainingSystem::new(cfg.clone(), mode).with_memo(&ctx.memo);
+            let cpu = point_sys.cpu_time(&replica);
+            let npu = point_sys.npu_report(&replica);
             let comm = point_sys.comm_costs(&replica);
             let ar = sys.all_reduce_cost(replica.grad_bytes);
             let bcast = sys.weight_broadcast_cost(replica.weight_bytes);
@@ -522,10 +461,11 @@ fn eval_des(ctx: &RunContext, space: &Space, point: &Point) -> Vec<ModeEval> {
         .iter()
         .map(|&mode| {
             // Adam runs on the reduced (model-sized) gradients in both
-            // layouts, so the cached per-(model, mode) phase applies.
-            let cpu = cached_cpu_time(&ctx.cfg, mode, &model);
-            let mut sys = DesClusterSystem::new(ctx.cfg.clone(), des_cfg, mode);
-            let report = sys.simulate_with_cpu_time(&schedule, cpu);
+            // layouts, so every point shares the memoized (model, mode)
+            // CPU phase.
+            let report = DesClusterSystem::new(ctx.cfg.clone(), des_cfg, mode)
+                .with_memo(&ctx.memo)
+                .simulate_schedule(&schedule);
             let b = report.breakdown;
             let total = report.makespan;
             let mac = mode.mac_scheme(ctx.cfg.mgx_mac_granularity);
@@ -715,11 +655,13 @@ fn run_points(
     space: Space,
     points: Vec<Point>,
 ) -> ExploreRun {
-    // Warm the per-(model, mode) CPU cache up front: with cold caches,
-    // parallel workers hitting the same pair would each pay the full
-    // cacheline-level simulation. The warm itself fans the distinct
-    // pairs across the worker threads (each pair is an independent pure
-    // computation, so the fill order cannot perturb results).
+    // Warm the context memo's per-(model, mode) CPU phases up front: the
+    // memo computes outside its lock, so on a cold memo parallel workers
+    // hitting the same pair would each pay the full cacheline-level
+    // simulation. The warm-up fans the distinct pairs across the worker
+    // threads (each pair is an independent pure computation, so the fill
+    // order perturbs neither results nor the memo counts); in a
+    // `run --all` the earlier artifacts have already priced them.
     let executor = Executor::new(ctx.worker_threads, ctx.seed);
     if matches!(
         scenario,
@@ -734,7 +676,9 @@ fn run_points(
             .flat_map(|mi| ctx.modes.iter().map(move |&mode| (mi, mode)))
             .collect();
         executor.run_items(&pairs, &|_i, &(mi, mode), _rng| {
-            cached_cpu_time(&ctx.cfg, mode, &ctx.models[mi]);
+            TrainingSystem::new(ctx.cfg.clone(), mode)
+                .with_memo(&ctx.memo)
+                .cpu_time(&StepSchedule::of(&ctx.models[mi]));
         });
     }
     // The per-point RNG sub-stream is part of the executor contract (it

@@ -43,6 +43,7 @@ pub mod experiments;
 pub mod explore;
 pub mod hw;
 pub mod json;
+mod memo;
 pub mod obs;
 pub mod report;
 pub mod session;

@@ -307,6 +307,7 @@ pub fn obs_utilization(ctx: &RunContext) -> Report {
         DesClusterConfig::lockstep(ctx.cluster_of(n)).with_straggler(straggler),
         crate::SecureMode::TensorTee,
     )
+    .with_memo(&ctx.memo)
     .with_probe(cluster_probe.clone())
     .simulate_with_cpu_time(&schedule, cpu);
     let cluster_snap = cluster_probe.snapshot().expect("recording probe");

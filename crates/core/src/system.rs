@@ -20,14 +20,15 @@
 //! [`TrainingSystem`] bit-for-bit.
 
 use crate::config::{ClusterConfig, SecureMode, SystemConfig};
+use crate::memo::{AdamRun, Memo, NpuRun};
 use crate::report::PhaseLedger;
 use tee_comm::protocol::TransferBreakdown;
 use tee_comm::ring::{AllReduceBreakdown, RingAllReduce};
 use tee_comm::schedule::exposed_time;
 use tee_cpu::analyzer::TenAnalyzerConfig;
-use tee_cpu::{AdamWorkload, CpuEngine, TeeMode};
+use tee_cpu::{AdamWorkload, TeeMode};
 use tee_npu::engine::Layer as NpuLayer;
-use tee_npu::{MacScheme, NpuEngine};
+use tee_npu::MacScheme;
 use tee_sim::Time;
 use tee_workloads::layers::LayerSpec;
 use tee_workloads::zoo::ModelConfig;
@@ -89,22 +90,30 @@ pub(crate) fn backward_window(npu: Time) -> Time {
 pub struct TrainingSystem {
     cfg: SystemConfig,
     mode: SecureMode,
+    memo: Memo,
 }
 
 impl TrainingSystem {
-    /// Creates a system.
+    /// Creates a system. It prices its CPU and NPU phases through a
+    /// private, empty memo; the artifact runners attach their context's
+    /// instead, so systems of one run share work.
     pub fn new(cfg: SystemConfig, mode: SecureMode) -> Self {
-        TrainingSystem { cfg, mode }
+        TrainingSystem {
+            cfg,
+            mode,
+            memo: Memo::default(),
+        }
+    }
+
+    /// Prices through `memo` (builder form).
+    pub(crate) fn with_memo(mut self, memo: &Memo) -> Self {
+        self.memo = memo.clone();
+        self
     }
 
     /// The active mode.
     pub fn mode(&self) -> SecureMode {
         self.mode
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &SystemConfig {
-        &self.cfg
     }
 
     /// The NPU MAC scheme this mode runs under at the configured MGX
@@ -142,29 +151,31 @@ impl TrainingSystem {
 
     /// The full NPU-engine report for the forward+backward phase — the
     /// design-space explorer reads `verify_stall` off it for the
-    /// crypto-overhead objective.
+    /// crypto-overhead objective. Priced once per distinct (NPU config,
+    /// MAC scheme, layer list) in the system's memo.
     pub fn npu_report(&self, schedule: &StepSchedule) -> tee_npu::engine::NpuRunReport {
-        let engine = NpuEngine::new(self.cfg.npu.clone(), self.mac_scheme());
-        engine.run(&Self::npu_layers(&schedule.npu_layers))
+        self.memo.npu(NpuRun {
+            cfg: self.cfg.npu.clone(),
+            scheme: self.mac_scheme(),
+            layers: Self::npu_layers(&schedule.npu_layers),
+        })
     }
 
     /// Simulates the CPU Adam phase: runs the scaled cacheline-level
-    /// engine to steady state and extrapolates linearly.
+    /// engine to steady state and extrapolates linearly. The engine run
+    /// is priced once per distinct input in the system's memo.
     pub fn cpu_time(&self, schedule: &StepSchedule) -> Time {
         let scaled = schedule.scaled(self.cfg.sim_scale);
-        let workload = AdamWorkload::from_tensor_sizes(&scaled.adam_tensor_sizes);
-        let mut engine = CpuEngine::new(self.cfg.cpu.clone(), self.cpu_mode());
-        if matches!(self.mode, SecureMode::TensorTee) {
+        let report = self.memo.adam(AdamRun {
+            cpu: self.cfg.cpu.clone(),
+            mode: self.cpu_mode(),
             // Transfer instructions preload the Meta Table (§4.2), so the
             // collaborative steady state has no detection warm-up.
-            let descs: Vec<tee_cpu::TensorDesc> = workload
-                .tensors
-                .iter()
-                .flat_map(|s| [s.w, s.g, s.m, s.v])
-                .collect();
-            engine.preload_tensors(&descs);
-        }
-        let report = engine.run_adam(&workload, self.cfg.cpu_threads, self.cfg.cpu_iterations);
+            preload: matches!(self.mode, SecureMode::TensorTee),
+            workload: AdamWorkload::from_tensor_sizes(&scaled.adam_tensor_sizes),
+            threads: self.cfg.cpu_threads,
+            iterations: self.cfg.cpu_iterations,
+        });
         let steady = report
             .iterations
             .last()
@@ -200,19 +211,6 @@ impl TrainingSystem {
     /// schedules).
     pub fn simulate_schedule(&mut self, schedule: &StepSchedule) -> StepBreakdown {
         let cpu = self.cpu_time(schedule);
-        self.simulate_schedule_with_cpu_time(schedule, cpu)
-    }
-
-    /// [`Self::simulate_schedule`] with the CPU Adam phase supplied by
-    /// the caller. The cacheline-level CPU simulation dominates a step's
-    /// wall-clock but depends only on `(cpu config, mode, model)` — the
-    /// design-space explorer computes it once per `(model, mode)` pair
-    /// and re-prices the NPU/transfer phases per point.
-    pub fn simulate_schedule_with_cpu_time(
-        &mut self,
-        schedule: &StepSchedule,
-        cpu: Time,
-    ) -> StepBreakdown {
         let npu = self.npu_time(schedule);
         let comm = self.comm_costs(schedule);
         self.compose_step(npu, cpu, &comm)
@@ -222,8 +220,7 @@ impl TrainingSystem {
     /// place the mode's overlap policy is applied. Callers that need the
     /// phase components anyway (the design-space explorer reads
     /// `verify_stall` and the transfer crypto terms) price them once and
-    /// compose here instead of paying the NPU engine and the protocols a
-    /// second time inside [`Self::simulate_schedule_with_cpu_time`].
+    /// compose here.
     pub fn compose_step(&self, npu: Time, cpu: Time, comm: &CommCosts) -> StepBreakdown {
         let (comm_g, comm_w) = if self.mode.protocol().overlaps_compute() {
             // Gradients hide behind the backward window of the NPU phase;
@@ -351,6 +348,13 @@ impl ClusterSystem {
         }
     }
 
+    /// Prices through `memo` (builder form; see
+    /// [`TrainingSystem::new`]).
+    pub(crate) fn with_memo(mut self, memo: &Memo) -> Self {
+        self.sys = self.sys.with_memo(memo);
+        self
+    }
+
     /// The active mode.
     pub fn mode(&self) -> SecureMode {
         self.sys.mode()
@@ -385,10 +389,10 @@ impl ClusterSystem {
     }
 
     /// [`Self::simulate_schedule`] with the CPU Adam phase supplied by
-    /// the caller (see
-    /// [`TrainingSystem::simulate_schedule_with_cpu_time`]; the optimizer
-    /// runs on the reduced gradients, so its cost is independent of the
-    /// replica count).
+    /// the caller (the optimizer runs on the reduced gradients, so its
+    /// cost is independent of the replica count); the DES differentials
+    /// (`tests/des_cluster.rs`) feed both engines one fixed CPU phase
+    /// through it.
     pub fn simulate_with_cpu_time(
         &mut self,
         schedule: &StepSchedule,
@@ -550,18 +554,15 @@ mod tests {
 
     #[test]
     fn supplied_cpu_time_reproduces_the_step_bit_for_bit() {
-        // The explorer's (model, mode)-cached CPU phase must compose into
-        // exactly the same breakdown as the all-in-one path.
+        // A CPU phase priced once and composed with separately priced
+        // components (the explorer's path) must give exactly the
+        // all-in-one breakdown.
         let model = by_name("GPT").unwrap();
         let schedule = StepSchedule::of(&model);
         for mode in SecureMode::all() {
             let mut sys = TrainingSystem::new(fast(), mode);
             let cpu = sys.cpu_time(&schedule);
             let direct = sys.simulate_schedule(&schedule);
-            let composed = sys.simulate_schedule_with_cpu_time(&schedule, cpu);
-            assert_eq!(direct, composed, "{}", mode.label());
-            // Composing from separately priced components (the
-            // explorer's path) is also bit-for-bit identical.
             let composed_parts = {
                 let sys = TrainingSystem::new(fast(), mode);
                 sys.compose_step(

@@ -19,7 +19,7 @@ use crate::tensor::TensorDesc;
 use tee_crypto::MacTag;
 
 /// Configuration of the analyzer (§6.5 hardware budget).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TenAnalyzerConfig {
     /// Meta Table entry count (512 in the paper).
     pub meta_entries: usize,

@@ -26,7 +26,7 @@ use tee_mem::{MemoryController, PageMapper, PhysMem, LINE_BYTES};
 use tee_sim::Time;
 
 /// Which TEE scheme the engine runs under.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum TeeMode {
     /// No protection (performance reference).
     NonSecure,
@@ -39,7 +39,7 @@ pub enum TeeMode {
 }
 
 /// Per-iteration measurements.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IterationStats {
     /// Wall-clock latency of the iteration (barrier to barrier).
     pub latency: Time,
@@ -79,7 +79,7 @@ impl IterationStats {
 }
 
 /// Result of an Adam run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdamReport {
     /// Per-iteration measurements.
     pub iterations: Vec<IterationStats>,

@@ -10,7 +10,7 @@ use tee_sim::util::align_up;
 
 /// The four state streams Adam touches per parameter tensor
 /// (ZeRO-Offload keeps fp32 master weights + optimizer state on the CPU).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AdamTensorSet {
     /// fp32 master weights (read + write).
     pub w: TensorDesc,
@@ -23,7 +23,7 @@ pub struct AdamTensorSet {
 }
 
 /// A full Adam workload: one tensor set per parameter tensor.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AdamWorkload {
     /// Per-parameter-tensor stream sets.
     pub tensors: Vec<AdamTensorSet>,

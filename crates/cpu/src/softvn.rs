@@ -11,7 +11,7 @@ use crate::tensor::TensorDesc;
 use serde::{Deserialize, Serialize};
 
 /// SoftVN configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SoftVnConfig {
     /// VN-table capacity in entries.
     pub entries: usize,

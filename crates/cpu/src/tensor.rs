@@ -13,7 +13,7 @@ use tee_mem::LINE_BYTES;
 /// assert_eq!(t.lines(), 64);
 /// assert!(t.contains(0x10000 + 100));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct TensorDesc {
     /// Base virtual address (line-aligned).
     pub base: u64,

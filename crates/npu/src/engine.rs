@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use tee_sim::Time;
 
 /// One NPU-executed layer (or fused group).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Layer {
     /// Multiply-accumulate operations.
     pub macs: u64,

@@ -17,7 +17,7 @@ use tee_mem::LINE_BYTES;
 pub const MAC_TAG_BYTES: u64 = 8;
 
 /// A MAC management scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum MacScheme {
     /// No integrity protection (non-secure reference).
     None,

@@ -15,19 +15,35 @@
 //!   deterministic.
 
 use tee_explore::dominates;
+use tee_sim::probe::SharedProbe;
+use tee_workloads::zoo::{by_name, ModelConfig};
 use tensortee::artifact::{find, RunContext};
 use tensortee::explore::{
-    explore_pareto_for, explore_sensitivity_for, run_scenario, Scenario, SENSES,
+    explore_pareto_for, explore_sensitivity_for, run_scenario, ExploreRun, Scenario, SENSES,
 };
 use tensortee::SecureMode;
 
 /// A thin context so the whole suite stays in test-suite time: one small
 /// model, a handful of points.
 fn thin() -> RunContext {
+    thin_with(10)
+}
+
+/// [`thin`] with a `points` budget. Every call is a fresh context with an
+/// empty memo, so a repeat run built from it recomputes everything.
+fn thin_with(points: u32) -> RunContext {
     let mut ctx = RunContext::fast();
     ctx.models.truncate(1); // GPT
-    ctx.explore_points = 10;
+    ctx.explore_points = points;
     ctx
+}
+
+/// Every evaluation's mode and objective vector, point-major.
+fn objectives(run: &ExploreRun) -> Vec<(SecureMode, Vec<f64>)> {
+    run.flat()
+        .iter()
+        .map(|(_, e)| (e.mode, e.objectives()))
+        .collect()
 }
 
 #[test]
@@ -149,8 +165,7 @@ fn sensitivity_covers_every_knob_per_mode() {
 
 #[test]
 fn cluster_scenario_prices_the_fabric_and_stays_deterministic() {
-    let mut ctx = thin();
-    ctx.explore_points = 8;
+    let ctx = thin_with(8);
     let (run, report) = explore_pareto_for(Scenario::Cluster, &ctx);
     assert_eq!(run.points.len(), 8);
     assert!(run.space.knobs().iter().any(|k| k.name == "fabric"));
@@ -159,14 +174,13 @@ fn cluster_scenario_prices_the_fabric_and_stays_deterministic() {
             assert!(e.throughput_tps > 0.0);
         }
     }
-    let (_, again) = explore_pareto_for(Scenario::Cluster, &ctx);
+    let (_, again) = explore_pareto_for(Scenario::Cluster, &thin_with(8));
     assert_eq!(report.to_markdown(), again.to_markdown());
 }
 
 #[test]
 fn serve_scenario_shares_one_trace_per_point_and_seed_matters() {
-    let mut ctx = thin();
-    ctx.explore_points = 6;
+    let ctx = thin_with(6);
     let run = run_scenario(Scenario::Serve, &ctx);
     for evals in &run.evals {
         // Same trace across modes: the non-secure goodput bounds the
@@ -193,8 +207,7 @@ fn serve_scenario_shares_one_trace_per_point_and_seed_matters() {
 
 #[test]
 fn des_scenario_prices_stragglers_and_pipelines() {
-    let mut ctx = thin();
-    ctx.explore_points = 8;
+    let ctx = thin_with(8);
     let (run, report) = explore_pareto_for(Scenario::Des, &ctx);
     assert_eq!(run.points.len(), 8);
     for name in ["straggler", "layout", "microbatches"] {
@@ -208,7 +221,7 @@ fn des_scenario_prices_stragglers_and_pipelines() {
             assert!(e.throughput_tps > 0.0);
         }
     }
-    let (_, again) = explore_pareto_for(Scenario::Des, &ctx);
+    let (_, again) = explore_pareto_for(Scenario::Des, &thin_with(8));
     assert_eq!(report.to_markdown(), again.to_markdown());
 }
 
@@ -226,4 +239,54 @@ fn registered_explore_artifacts_run_under_the_registry() {
             "{id}"
         );
     }
+}
+
+#[test]
+fn a_model_is_priced_by_its_contents_not_its_name() {
+    // Priced in one process on one memo: the real GPT, then a 24-layer
+    // model still named "GPT", then the same 24-layer model under another
+    // name. The last two must agree; a memo keyed by model name would
+    // hand the second model the real GPT's phases.
+    let gpt = by_name("GPT").expect("Table-2 model");
+    let deep = ModelConfig { layers: 24, ..gpt };
+    let ctx = thin();
+    let price = |model: ModelConfig| {
+        let mut c = ctx.clone();
+        c.models = vec![model];
+        objectives(&run_scenario(Scenario::Train, &c))
+    };
+    let real = price(gpt);
+    let deep_named_gpt = price(deep);
+    let deep_renamed = price(ModelConfig {
+        name: "GPT-24L",
+        ..deep
+    });
+    assert_eq!(deep_named_gpt, deep_renamed);
+    assert_ne!(
+        real, deep_renamed,
+        "twice the layers must price differently"
+    );
+}
+
+#[test]
+fn memo_counts_do_not_depend_on_worker_threads() {
+    // A miss is the first insert of a key, so the memo.* counters of a
+    // traced explore_pareto run are the same for any --threads.
+    let counts = |threads: u32| {
+        let probe = SharedProbe::recording();
+        let ctx = thin()
+            .with_worker_threads(threads)
+            .with_probe(probe.clone());
+        find("explore_pareto").unwrap().run(&ctx);
+        let snap = probe.snapshot().expect("recording probe");
+        snap.metrics()
+            .iter()
+            .filter(|(name, _)| name.starts_with("memo."))
+            .map(|(name, v)| (name.to_owned(), v))
+            .collect::<Vec<_>>()
+    };
+    let one = counts(1);
+    assert_eq!(one, counts(4));
+    // One model under three modes: three distinct CPU phases.
+    assert!(one.contains(&("memo.adam_misses".to_owned(), 3)), "{one:?}");
 }

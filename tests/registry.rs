@@ -39,12 +39,14 @@ fn run_all_json_array_is_well_formed() {
 
 /// Runs `id` twice under the fast context and checks the shared
 /// invariants: non-empty markdown carrying the artifact title, well-formed
-/// JSON carrying the id, and byte-identical repeat runs.
+/// JSON carrying the id, and byte-identical repeat runs. Each run gets its
+/// own fresh context: on a shared one the second run would read the
+/// first one's simulations back from the context memo instead of
+/// recomputing them.
 fn assert_artifact_invariants(id: &str) {
-    let ctx = RunContext::fast();
     let artifact = find(id).unwrap_or_else(|| panic!("{id} not registered"));
-    let first = artifact.run(&ctx);
-    let second = artifact.run(&ctx);
+    let first = artifact.run(&RunContext::fast());
+    let second = artifact.run(&RunContext::fast());
 
     let md = first.to_markdown();
     assert!(!md.trim().is_empty(), "{id}: empty markdown");
@@ -71,12 +73,28 @@ fn assert_artifact_invariants(id: &str) {
 // One test per artifact so `cargo test` parallelizes the expensive
 // CPU-engine runs across cores.
 macro_rules! artifact_invariants {
-    ($($test:ident => $id:literal,)*) => {$(
-        #[test]
-        fn $test() {
-            assert_artifact_invariants($id);
-        }
-    )*}
+    ($($test:ident => $id:literal,)*) => {
+        /// The ids that have an invariants test below.
+        const COVERED: &[&str] = &[$($id),*];
+
+        $(
+            #[test]
+            fn $test() {
+                assert_artifact_invariants($id);
+            }
+        )*
+    };
+}
+
+#[test]
+fn every_registered_artifact_has_an_invariants_test() {
+    for a in registry() {
+        assert!(
+            COVERED.contains(&a.id),
+            "{} has no artifact_invariants! entry",
+            a.id
+        );
+    }
 }
 
 artifact_invariants! {
@@ -102,6 +120,7 @@ artifact_invariants! {
     serve_sweep_fast_and_deterministic => "serve_sweep",
     fleet_latency_fast_and_deterministic => "fleet_latency",
     fleet_handoff_fast_and_deterministic => "fleet_handoff",
+    obs_utilization_fast_and_deterministic => "obs_utilization",
     explore_pareto_fast_and_deterministic => "explore_pareto",
     explore_sensitivity_fast_and_deterministic => "explore_sensitivity",
     attack_traffic_fast_and_deterministic => "attack_traffic",
