@@ -59,7 +59,8 @@ pub struct RunContext {
     pub fleet_tenants: u32,
     /// Worker threads the design-space explorer fans points across (the
     /// CLI plumbs `--threads` here). Results are bit-identical for any
-    /// value — the workers draw per-point RNG sub-streams.
+    /// value — the executor's partition is static and every evaluation
+    /// depends only on its point.
     pub worker_threads: u32,
     /// Point budget per exploration scenario (the CLI plumbs `--points`
     /// here): the full knob grid when it fits, otherwise a seeded

@@ -362,9 +362,9 @@ pub fn fig18_hit_rate(ctx: &RunContext) -> (Vec<Fig18Row>, Report) {
         .enumerate()
         .map(|(i, it)| Fig18Row {
             iteration: i as u32,
-            hit_in: it.hit_in_rate(),
-            hit_all: it.hit_all_rate(),
-            hit_boundary: it.hit_all_rate() - it.hit_in_rate(),
+            hit_in: it.reads.hit_in_rate(),
+            hit_all: it.reads.hit_all_rate(),
+            hit_boundary: it.reads.hit_all_rate() - it.reads.hit_in_rate(),
         })
         .collect();
     let mut table = Table::new(["iteration", "hit_all", "hit_in", "hit_boundary"]);
@@ -700,7 +700,7 @@ pub fn ablations(ctx: &RunContext) -> Report {
         let last = rep.iterations.last().unwrap();
         t.row([
             entries.to_string(),
-            f2(last.hit_in_rate()),
+            f2(last.reads.hit_in_rate()),
             last.latency.to_string(),
         ]);
     }
@@ -721,10 +721,11 @@ pub fn ablations(ctx: &RunContext) -> Report {
             ..TenAnalyzerConfig::default()
         });
         let rep = run_adam(ctx, &ctx.cfg.cpu, mode, &workload, threads, detect_iters);
+        let reads = |i: u32| rep.iterations[i as usize].reads;
         t.row([
             threshold.to_string(),
-            f2(rep.iterations[0].hit_all_rate()),
-            f2(rep.iterations[(detect_iters - 1) as usize].hit_in_rate()),
+            f2(reads(0).hit_all_rate()),
+            f2(reads(detect_iters - 1).hit_in_rate()),
         ]);
     }
     report.table(t);

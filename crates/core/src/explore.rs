@@ -30,9 +30,11 @@
 //! SGX+MGX-style baseline overtakes TensorTEE.
 //!
 //! Everything is deterministic: the sampling plan is a pure function of
-//! `(space, points, seed)`, each point evaluates under its own
-//! [`tee_sim::SplitMix64`] sub-stream, and reports are byte-identical
-//! for any `--threads` value.
+//! `(space, points, seed)`, each evaluation is a function of its point
+//! alone (any seeded trace it draws is a fixed sub-stream of the context
+//! seed shared by every point), and the executor returns results in
+//! point order, so reports are byte-identical for any `--threads`
+//! value.
 
 use crate::artifact::RunContext;
 use crate::config::{ClusterConfig, SecureMode};
@@ -662,7 +664,7 @@ fn run_points(
     // threads (each pair is an independent pure computation, so the fill
     // order perturbs neither results nor the memo counts); in a
     // `run --all` the earlier artifacts have already priced them.
-    let executor = Executor::new(ctx.worker_threads, ctx.seed);
+    let executor = Executor::new(ctx.worker_threads);
     if matches!(
         scenario,
         Scenario::Train | Scenario::Cluster | Scenario::Des
@@ -675,16 +677,15 @@ fn run_points(
             .into_iter()
             .flat_map(|mi| ctx.modes.iter().map(move |&mode| (mi, mode)))
             .collect();
-        executor.run_items(&pairs, &|_i, &(mi, mode), _rng| {
+        executor.run(&pairs, &|_i, &(mi, mode)| {
             TrainingSystem::new(ctx.cfg.clone(), mode)
                 .with_memo(&ctx.memo)
                 .cpu_time(&StepSchedule::of(&ctx.models[mi]));
         });
     }
-    // The per-point RNG sub-stream is part of the executor contract (it
-    // is what makes thread count invisible); today's evaluators are
-    // common-random-number designs that draw nothing from it.
-    let evals = executor.run(&points, &|_i, point, _rng| match scenario {
+    // Every evaluator is a function of its point alone (a
+    // common-random-number design), so the thread count is invisible.
+    let evals = executor.run(&points, &|_i, point| match scenario {
         Scenario::Train => eval_train(ctx, &space, point),
         Scenario::Cluster => eval_cluster(ctx, &space, point),
         Scenario::Serve => eval_serve(ctx, &space, point),

@@ -364,7 +364,6 @@ mod tests {
                 meta_entries: 4 << (seed / 4 % 8),
                 filter_entries: 2 + (seed / 32 % 9) as usize,
                 filter_threshold: 2 + (seed / 288 % 3) as usize,
-                enabled: !(seed / 864).is_multiple_of(4),
             }),
         }
     }

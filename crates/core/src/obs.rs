@@ -30,8 +30,8 @@ use crate::report::{pct, Report, Table};
 use crate::system::StepBreakdown;
 use tee_fleet::simulate_probed as fleet_simulate_probed;
 use tee_fleet::Policy;
-use tee_sim::probe::{MetricsRegistry, ProbeEvent, SharedProbe, TraceProbe};
-use tee_sim::Time;
+use tee_sim::probe::{ProbeEvent, SharedProbe, TraceProbe};
+use tee_sim::{StatSet, Time};
 use tee_workloads::StepSchedule;
 
 /// Picoseconds → trace-event microseconds.
@@ -43,8 +43,8 @@ fn us(t: Time) -> Json {
 ///
 /// The layout follows the trace-event format: one process (`pid` 1), one
 /// thread per track in first-seen order, a `thread_name` metadata event
-/// naming each, then the events themselves. The counter totals of the
-/// recording's [`MetricsRegistry`] ride along under a top-level
+/// naming each, then the events themselves. The recording's counter
+/// totals ([`TraceProbe::metrics`]) ride along under a top-level
 /// `"counters"` key (ignored by viewers, used by the rollup smoke tests).
 pub fn chrome_trace(trace: &TraceProbe) -> Json {
     // Two passes keep the borrow simple: collect tracks first.
@@ -342,7 +342,7 @@ pub fn obs_utilization(ctx: &RunContext) -> Report {
         &fleet_snap,
     ));
 
-    let mut counters = MetricsRegistry::new();
+    let mut counters = StatSet::default();
     counters.merge(cluster_snap.metrics());
     counters.merge(fleet_snap.metrics());
     let mut ctable = Table::new(["counter", "value"]).captioned("counter rollup (both runs)");

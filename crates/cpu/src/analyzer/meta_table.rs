@@ -14,7 +14,6 @@ use crate::tensor::TensorDesc;
 use std::collections::HashSet;
 use tee_crypto::MacTag;
 use tee_mem::LINE_BYTES;
-use tee_sim::StatSet;
 
 /// Geometry of one detected tensor region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -252,6 +251,38 @@ pub enum WriteLookup {
     Violation,
 }
 
+/// Read-lookup counts: the Figure-18 hit rates.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReadCounts {
+    /// Reads inside an entry (VN served on-chip).
+    pub hit_in: u64,
+    /// Reads at an entry's frontier (VN assumed, confirmation pending).
+    pub hit_boundary: u64,
+    /// Reads no entry covers.
+    pub miss: u64,
+}
+
+impl ReadCounts {
+    fn rate(&self, hits: u64) -> f64 {
+        let total = self.hit_in + self.hit_boundary + self.miss;
+        if total == 0 {
+            0.0
+        } else {
+            hits as f64 / total as f64
+        }
+    }
+
+    /// `hit_in / (hit_in + hit_boundary + miss)`; 0 when nothing was read.
+    pub fn hit_in_rate(&self) -> f64 {
+        self.rate(self.hit_in)
+    }
+
+    /// `(hit_in + hit_boundary) / total` — the paper's `hit_all`.
+    pub fn hit_all_rate(&self) -> f64 {
+        self.rate(self.hit_in + self.hit_boundary)
+    }
+}
+
 /// The Meta Table (512 entries in the paper's configuration, §6.5).
 ///
 /// # Example
@@ -268,7 +299,7 @@ pub enum WriteLookup {
 pub struct MetaTable {
     slots: Vec<Option<MetaEntry>>,
     tick: u64,
-    stats: StatSet,
+    reads: ReadCounts,
 }
 
 impl MetaTable {
@@ -282,13 +313,13 @@ impl MetaTable {
         MetaTable {
             slots: (0..capacity).map(|_| None).collect(),
             tick: 0,
-            stats: StatSet::new("meta_table"),
+            reads: ReadCounts::default(),
         }
     }
 
-    /// Lookup statistics (`hit_in`, `hit_boundary`, `miss`, `write_*`).
-    pub fn stats(&self) -> &StatSet {
-        &self.stats
+    /// The read counts since the previous call; resets them.
+    pub fn take_reads(&mut self) -> ReadCounts {
+        std::mem::take(&mut self.reads)
     }
 
     /// Read access to a live entry. Read only by tests (the Meta Table
@@ -305,7 +336,7 @@ impl MetaTable {
             let Some(e) = opt.as_mut() else { continue };
             if e.contains(va) {
                 e.lru = tick;
-                self.stats.bump("hit_in");
+                self.reads.hit_in += 1;
                 return ReadLookup::HitIn {
                     slot,
                     vn: e.read_vn(va),
@@ -316,11 +347,11 @@ impl MetaTable {
             let Some(e) = opt.as_mut() else { continue };
             if e.frontier() == Some(va) {
                 e.lru = tick;
-                self.stats.bump("hit_boundary");
+                self.reads.hit_boundary += 1;
                 return ReadLookup::HitBoundary { slot, vn: e.vn };
             }
         }
-        self.stats.bump("miss");
+        self.reads.miss += 1;
         ReadLookup::Miss
     }
 
@@ -354,14 +385,10 @@ impl MetaTable {
             return;
         };
         if !vn_matched || e.frontier() != Some(va) || e.updating || speculative_conflict {
-            self.stats.bump("boundary_rejected");
             return;
         }
         match e.shape {
-            Shape::OneD { ref mut lines, .. } => {
-                *lines += 1;
-                self.stats.bump("boundary_extended");
-            }
+            Shape::OneD { ref mut lines, .. } => *lines += 1,
             Shape::TwoD {
                 row_lines,
                 pitch,
@@ -381,7 +408,6 @@ impl MetaTable {
                         rows,
                     }
                 };
-                self.stats.bump("boundary_extended");
             }
         }
     }
@@ -396,7 +422,6 @@ impl MetaTable {
             .iter()
             .position(|s| s.as_ref().is_some_and(|e| e.contains(va)))
         else {
-            self.stats.bump("write_miss");
             return WriteLookup::Miss;
         };
         let e = self.slots[slot].as_mut().expect("slot checked above");
@@ -405,29 +430,13 @@ impl MetaTable {
 
         // Assert1: each cacheline updates at most once per round.
         if e.flipped.contains(&ordinal) {
-            if std::env::var_os("TT_DEBUG_VIOLATIONS").is_some() {
-                eprintln!(
-                    "assert1: va={va:#x} base={:#x} lines={} flipped={} updating={}",
-                    e.base,
-                    e.line_count(),
-                    e.flipped.len(),
-                    e.updating
-                );
-            }
-            self.stats.bump("write_violation");
-            self.stats.bump("violation_assert1");
             self.slots[slot] = None;
             return WriteLookup::Violation;
         }
 
         let first = va == e.first_line();
         // Any in-range write opens the round (Figure 12(b): UF==1? N → 1).
-        if !e.updating {
-            e.updating = true;
-            if first {
-                self.stats.bump("write_edge_start");
-            }
-        }
+        e.updating = true;
         e.flipped.insert(ordinal);
         // Close-on-completion: the round finishes when every bitmap bit
         // has flipped (Assert2 checked affirmatively). The paper checks at
@@ -441,13 +450,11 @@ impl MetaTable {
             e.flipped.clear();
             e.updating = false;
             let vn = e.vn;
-            self.stats.bump("write_edge_finish");
             return WriteLookup::HitEdgeFinish { slot, vn };
         }
         if first {
             return WriteLookup::HitEdgeStart { slot, vn: e.vn + 1 };
         }
-        self.stats.bump("write_hit_in");
         WriteLookup::HitIn { slot, vn: e.vn + 1 }
     }
 
@@ -481,7 +488,6 @@ impl MetaTable {
             })
         };
         if let Some(slot) = overlap_slot {
-            self.stats.bump("redundant_insert");
             return slot;
         }
         // Attempt merges until no entry absorbs the newcomer. Exact
@@ -502,7 +508,6 @@ impl MetaTable {
                         self.slots[slot] = None;
                         entry = merged;
                         entry.lru = self.tick;
-                        self.stats.bump("merges");
                         absorbed = true;
                         break;
                     }
@@ -527,7 +532,6 @@ impl MetaTable {
             .iter()
             .position(|s| s.is_none())
             .unwrap_or_else(|| {
-                self.stats.bump("evictions");
                 self.slots
                     .iter()
                     .enumerate()
@@ -558,7 +562,6 @@ impl MetaTable {
                         m.lru = self.tick;
                         self.slots[i] = Some(m);
                         self.slots[j] = None;
-                        self.stats.bump("merges");
                         merged_any = true;
                         continue 'outer;
                     }
@@ -762,7 +765,6 @@ mod tests {
             panic!("expected boundary");
         }
         assert!(matches!(t.lookup_read(256), ReadLookup::HitIn { .. }));
-        assert_eq!(t.stats().get("boundary_extended"), 1);
     }
 
     #[test]
@@ -949,7 +951,6 @@ mod tests {
             live(&t).find(|e| e.contains(0x10000)).is_none(),
             "LRU evicted"
         );
-        assert_eq!(t.stats().get("evictions"), 1);
     }
 
     #[test]

@@ -5,15 +5,16 @@
 //! request (virtual addresses, in parallel with cache lookup, hiding its
 //! latency). It owns the [`meta_table::MetaTable`] and the
 //! [`filter::TensorFilter`] and implements the reading (detection) and
-//! writing (update) dataflows of Figures 10 and 12. The *Enable
-//! Tensor-wise Management Flag* (`EnTMF`) turns the whole unit off for
-//! non-tensor applications.
+//! writing (update) dataflows of Figures 10 and 12. The paper's *Enable
+//! Tensor-wise Management Flag* (`EnTMF`) is the engine's choice of
+//! [`TeeMode::TensorTee`](crate::engine::TeeMode::TensorTee): no other mode
+//! builds an analyzer.
 
 pub mod filter;
 pub mod meta_table;
 
 use filter::TensorFilter;
-use meta_table::{MetaEntry, MetaTable, ReadLookup, WriteLookup};
+use meta_table::{MetaEntry, MetaTable, ReadCounts, ReadLookup, WriteLookup};
 
 use crate::tensor::TensorDesc;
 use tee_crypto::MacTag;
@@ -27,8 +28,6 @@ pub struct TenAnalyzerConfig {
     pub filter_entries: usize,
     /// Addresses collected before the tensor condition is checked (4).
     pub filter_threshold: usize,
-    /// EnTMF: whether tensor-wise management is active.
-    pub enabled: bool,
 }
 
 impl Default for TenAnalyzerConfig {
@@ -37,7 +36,6 @@ impl Default for TenAnalyzerConfig {
             meta_entries: 512,
             filter_entries: 10,
             filter_threshold: 4,
-            enabled: true,
         }
     }
 }
@@ -97,28 +95,21 @@ pub enum WriteDecision {
 /// ```
 #[derive(Debug)]
 pub struct TenAnalyzer {
-    cfg: TenAnalyzerConfig,
     table: MetaTable,
     filter: TensorFilter,
-    read_snapshot: (u64, u64, u64),
 }
 
 impl TenAnalyzer {
     /// Builds an analyzer.
     pub fn new(cfg: TenAnalyzerConfig) -> Self {
         TenAnalyzer {
-            cfg,
             table: MetaTable::new(cfg.meta_entries),
             filter: TensorFilter::new(cfg.filter_entries, cfg.filter_threshold),
-            read_snapshot: (0, 0, 0),
         }
     }
 
     /// Core read request (VA, line-aligned). Figure 10 dataflow.
     pub fn on_read(&mut self, va: u64) -> ReadDecision {
-        if !self.cfg.enabled {
-            return ReadDecision::Miss;
-        }
         match self.table.lookup_read(va) {
             ReadLookup::HitIn { vn, .. } => ReadDecision::HitIn { vn },
             ReadLookup::HitBoundary { slot, vn } => ReadDecision::HitBoundary { slot, vn },
@@ -130,9 +121,6 @@ impl TenAnalyzer {
     /// can collect the pattern; a completed pattern populates the Meta
     /// Table (possibly merging with existing entries).
     pub fn observe_miss_vn(&mut self, va: u64, off_chip_vn: u64) {
-        if !self.cfg.enabled {
-            return;
-        }
         if let Some(entry) = self.filter.observe_miss(va, off_chip_vn) {
             self.table.insert(entry);
         }
@@ -141,16 +129,11 @@ impl TenAnalyzer {
     /// Resolves a pending boundary confirmation: `vn_matched` is whether
     /// the off-chip VN equalled the assumed VN.
     pub fn confirm_boundary(&mut self, slot: usize, va: u64, vn_matched: bool) {
-        if self.cfg.enabled {
-            self.table.confirm_boundary(slot, va, vn_matched);
-        }
+        self.table.confirm_boundary(slot, va, vn_matched);
     }
 
     /// LLC write-back (VA, line-aligned). Figure 12 dataflow.
     pub fn on_writeback(&mut self, va: u64) -> WriteDecision {
-        if !self.cfg.enabled {
-            return WriteDecision::Miss;
-        }
         match self.table.lookup_write(va) {
             WriteLookup::HitEdgeStart { vn, .. } | WriteLookup::HitIn { vn, .. } => {
                 WriteDecision::Covered {
@@ -169,23 +152,15 @@ impl TenAnalyzer {
     /// Fast-path entry creation from an NPU transfer instruction, which
     /// carries the tensor structure (address, size, stride) — §4.2.
     pub fn preload_from_transfer(&mut self, desc: &TensorDesc, vn: u64, mac: MacTag) {
-        if !self.cfg.enabled {
-            return;
-        }
         let mut e = MetaEntry::from_desc(desc, vn);
         e.mac = mac;
         self.table.insert(e);
     }
 
-    /// Per-iteration hit-rate snapshot (Figure 18): returns the
-    /// `(hit_in, hit_boundary, miss)` read counts accumulated since the
-    /// previous call (other statistics are left untouched).
-    pub fn take_read_stats(&mut self) -> (u64, u64, u64) {
-        let s = self.table.stats();
-        let now = (s.get("hit_in"), s.get("hit_boundary"), s.get("miss"));
-        let prev = self.read_snapshot;
-        self.read_snapshot = now;
-        (now.0 - prev.0, now.1 - prev.1, now.2 - prev.2)
+    /// Per-iteration hit-rate snapshot (Figure 18): the read counts
+    /// accumulated since the previous call, which resets them.
+    pub fn take_read_stats(&mut self) -> ReadCounts {
+        self.table.take_reads()
     }
 
     /// Background merge scan: consolidates adjacent settled entries.
@@ -193,9 +168,7 @@ impl TenAnalyzer {
     /// closed, VNs in agreement) — fragments left by per-thread detection
     /// collapse into region-wide entries.
     pub fn compact(&mut self) {
-        if self.cfg.enabled {
-            self.table.compact();
-        }
+        self.table.compact();
     }
 }
 
@@ -208,7 +181,6 @@ mod tests {
             meta_entries: 16,
             filter_entries: 10,
             filter_threshold: 4,
-            enabled: true,
         })
     }
 
@@ -244,20 +216,6 @@ mod tests {
         // Pass 2: everything hits in.
         let (h2, b2, m2) = stream_pass(&mut a, 0, 64, 0);
         assert_eq!((h2, b2, m2), (64, 0, 0));
-    }
-
-    #[test]
-    fn disabled_analyzer_is_inert() {
-        let mut a = TenAnalyzer::new(TenAnalyzerConfig {
-            enabled: false,
-            ..TenAnalyzerConfig::default()
-        });
-        for i in 0..8 {
-            assert_eq!(a.on_read(i * 64), ReadDecision::Miss);
-            a.observe_miss_vn(i * 64, 0);
-        }
-        assert!((0..512).all(|slot| a.table.entry(slot).is_none()));
-        assert_eq!(a.on_writeback(0), WriteDecision::Miss);
     }
 
     #[test]
@@ -310,10 +268,13 @@ mod tests {
     #[test]
     fn take_read_stats_resets() {
         let mut a = analyzer();
-        stream_pass(&mut a, 0, 8, 0);
-        let (h, b, m) = a.take_read_stats();
-        assert_eq!(h + b + m, 8);
-        let (h2, b2, m2) = a.take_read_stats();
-        assert_eq!((h2, b2, m2), (0, 0, 0));
+        let (hit_in, hit_boundary, miss) = stream_pass(&mut a, 0, 8, 0);
+        let counts = ReadCounts {
+            hit_in,
+            hit_boundary,
+            miss,
+        };
+        assert_eq!(a.take_read_stats(), counts);
+        assert_eq!(a.take_read_stats(), ReadCounts::default());
     }
 }

@@ -9,9 +9,13 @@
 //!   than being assumed;
 //! * threads execute in small round-robin quanta so their local clocks
 //!   stay approximately synchronized while sharing the memory system;
+//! * each mode differs only in where a line's VN comes from: every fill
+//!   and write-back picks a [`VnPath`] from the mode's VN source and makes
+//!   one [`SgxMee`] call (non-secure requests go straight to DRAM);
 //! * in functional mode the engine additionally performs real encryption
 //!   and verification against the `PhysMem` ciphertext image.
 
+use crate::analyzer::meta_table::ReadCounts;
 use crate::analyzer::{ReadDecision, TenAnalyzer, TenAnalyzerConfig, WriteDecision};
 use crate::config::CpuConfig;
 use crate::kernels::{AdamWorkload, GemmWorkload};
@@ -43,39 +47,12 @@ pub enum TeeMode {
 pub struct IterationStats {
     /// Wall-clock latency of the iteration (barrier to barrier).
     pub latency: Time,
-    /// Meta Table `hit_in` reads (TensorTEE only).
-    pub hit_in: u64,
-    /// Meta Table `hit_boundary` reads.
-    pub hit_boundary: u64,
-    /// Meta Table read misses.
-    pub miss: u64,
+    /// Meta Table reads (all zero outside TensorTEE).
+    pub reads: ReadCounts,
     /// Demand DRAM requests issued this iteration.
     pub demand: u64,
     /// Metadata DRAM requests issued this iteration.
     pub metadata: u64,
-}
-
-impl IterationStats {
-    /// `hit_in / (hit_in + hit_boundary + miss)`; 0 when no reads reached
-    /// the analyzer.
-    pub fn hit_in_rate(&self) -> f64 {
-        let total = self.hit_in + self.hit_boundary + self.miss;
-        if total == 0 {
-            0.0
-        } else {
-            self.hit_in as f64 / total as f64
-        }
-    }
-
-    /// `(hit_in + hit_boundary) / total` — the paper's `hit_all`.
-    pub fn hit_all_rate(&self) -> f64 {
-        let total = self.hit_in + self.hit_boundary + self.miss;
-        if total == 0 {
-            0.0
-        } else {
-            (self.hit_in + self.hit_boundary) as f64 / total as f64
-        }
-    }
 }
 
 /// Result of an Adam run.
@@ -101,45 +78,33 @@ impl AdamReport {
     }
 }
 
-/// Result of a GEMM run (§6.2).
-#[derive(Debug, Clone, Copy)]
-pub struct GemmReport {
-    /// Meta Table hit_in reads.
-    pub hit_in: u64,
-    /// Meta Table boundary hits.
-    pub hit_boundary: u64,
-    /// Meta Table misses.
-    pub miss: u64,
-}
-
-impl GemmReport {
-    /// Fraction of analyzer reads that hit in.
-    pub fn hit_in_rate(&self) -> f64 {
-        let total = self.hit_in + self.hit_boundary + self.miss;
-        if total == 0 {
-            0.0
-        } else {
-            self.hit_in as f64 / total as f64
-        }
-    }
-}
-
 #[derive(Debug)]
 struct ThreadCtx {
     t: Time,
     outstanding: VecDeque<Time>,
 }
 
+/// Where a mode's VNs come from: the per-mode state of a [`TeeMode`].
+#[derive(Debug)]
+enum VnSource {
+    /// No protection: requests go straight to the memory controller.
+    NonSecure,
+    /// Every VN off-chip, verified through the Merkle tree.
+    Sgx,
+    /// The software-declared VN table.
+    SoftVn(SoftVnTable),
+    /// TenAnalyzer's Meta Table, falling back to the off-chip VN.
+    TensorTee(TenAnalyzer),
+}
+
 /// The CPU engine.
 #[derive(Debug)]
 pub struct CpuEngine {
     cfg: CpuConfig,
-    mode: TeeMode,
+    source: VnSource,
     hierarchy: CacheHierarchy,
     mc: MemoryController,
     mee: SgxMee,
-    analyzer: Option<TenAnalyzer>,
-    softvn: Option<SoftVnTable>,
     mem: PhysMem,
     mapper: PageMapper,
     va_of_pa: HashMap<u64, u64>,
@@ -153,27 +118,23 @@ const QUANTUM_LINES: u64 = 4;
 impl CpuEngine {
     /// Builds an engine for one TEE mode.
     pub fn new(cfg: CpuConfig, mode: TeeMode) -> Self {
-        let analyzer = match &mode {
-            TeeMode::TensorTee(a) => Some(TenAnalyzer::new(*a)),
-            _ => None,
-        };
-        let softvn = match &mode {
-            TeeMode::SoftVn(s) => Some(SoftVnTable::new(*s)),
-            _ => None,
+        let source = match mode {
+            TeeMode::NonSecure => VnSource::NonSecure,
+            TeeMode::Sgx => VnSource::Sgx,
+            TeeMode::SoftVn(c) => VnSource::SoftVn(SoftVnTable::new(c)),
+            TeeMode::TensorTee(c) => VnSource::TensorTee(TenAnalyzer::new(c)),
         };
         CpuEngine {
             hierarchy: CacheHierarchy::new(cfg.hierarchy),
             mc: MemoryController::new(cfg.dram),
             mee: SgxMee::new(&cfg, Key::from_seed(0xC0FFEE)),
-            analyzer,
-            softvn,
+            source,
             mem: PhysMem::new(),
             mapper: PageMapper::new(0x7EE),
             va_of_pa: HashMap::new(),
             integrity_errors: 0,
             last_integrity_error: None,
             cfg,
-            mode,
         }
     }
 
@@ -195,9 +156,9 @@ impl CpuEngine {
     /// address/size/stride and fast-path entry creation). No-op outside
     /// TensorTEE mode.
     pub fn preload_tensors(&mut self, tensors: &[crate::tensor::TensorDesc]) {
-        if let Some(a) = self.analyzer.as_mut() {
+        if let VnSource::TensorTee(analyzer) = &mut self.source {
             for t in tensors {
-                a.preload_from_transfer(t, 0, tee_crypto::MacTag::default());
+                analyzer.preload_from_transfer(t, 0, tee_crypto::MacTag::default());
             }
         }
     }
@@ -235,141 +196,96 @@ impl CpuEngine {
         // cache lookup — including stores, whose write-allocate fills also
         // need a VN to decrypt (the Figure-12 write dataflow separately
         // observes the LLC *write-backs*).
-        let decision = self.analyzer.as_mut().map(|a| a.on_read(va_line));
+        let decision = match &mut self.source {
+            VnSource::TensorTee(analyzer) => Some(analyzer.on_read(va_line)),
+            _ => None,
+        };
 
         let outcome = self.hierarchy.access(core, pa, is_write);
-
-        // Issue write-backs produced by this access.
-        let wbs = outcome.mem_writebacks.clone();
-        for wb_pa in wbs {
+        for &wb_pa in &outcome.mem_writebacks {
             self.writeback(wb_pa, th.t);
         }
 
-        // TenAnalyzer observes the core stream *before* the caches
-        // (Figure 9), so detection and boundary confirmation proceed even
-        // when the data itself is served on-chip.
-        if outcome.served_by != HitLevel::Memory {
-            match decision {
-                Some(ReadDecision::HitBoundary { slot, vn }) => {
-                    self.mee.background_vn_fetch(pa, th.t, &mut self.mc);
-                    let matched = self.mee.line_vn(pa) == vn;
-                    let analyzer = self.analyzer.as_mut().expect("tensortee mode");
-                    analyzer.confirm_boundary(slot, va_line, matched);
-                }
-                Some(ReadDecision::Miss) => {
-                    self.mee.background_vn_fetch(pa, th.t, &mut self.mc);
-                    let vn_off = self.mee.line_vn(pa);
-                    let analyzer = self.analyzer.as_mut().expect("tensortee mode");
-                    analyzer.observe_miss_vn(va_line, vn_off);
-                }
-                _ => {}
+        // The fill and the on-chip background VN fetch are both issued at
+        // the thread time before the latency below is added; issuing them
+        // after it would move DRAM timing.
+        let fill = if outcome.served_by == HitLevel::Memory {
+            Some(self.fill_from_memory(pa, va_line, decision, th.t))
+        } else {
+            // TenAnalyzer observes the core stream *before* the caches
+            // (Figure 9), so detection and boundary confirmation proceed
+            // even when the data itself is served on-chip.
+            if matches!(
+                decision,
+                Some(ReadDecision::HitBoundary { .. } | ReadDecision::Miss)
+            ) {
+                self.mee.background_vn_fetch(pa, th.t, &mut self.mc);
             }
-        }
+            None
+        };
+        self.analyzer_feedback(pa, va_line, decision);
 
-        match outcome.served_by {
-            HitLevel::L1 => {
-                th.t += self.cfg.cycles(self.cfg.l1_latency.div_ceil(4));
-            }
-            HitLevel::L2 => {
-                th.t += self.cfg.cycles(self.cfg.l2_latency.div_ceil(4));
-            }
-            HitLevel::L3 => {
-                th.t += self.cfg.cycles(self.cfg.l3_latency.div_ceil(4));
-            }
-            HitLevel::Memory => {
-                let done = self.fill_from_memory(pa, va_line, decision, th.t);
-                // Issue cost of traversing the hierarchy.
-                th.t += self.cfg.cycles(self.cfg.l3_latency.div_ceil(4));
-                th.outstanding.push_back(done);
-                if th.outstanding.len() > self.cfg.mlp {
-                    let oldest = th.outstanding.pop_front().expect("non-empty");
-                    th.t = th.t.max(oldest);
-                }
+        let level_latency = match outcome.served_by {
+            HitLevel::L1 => self.cfg.l1_latency,
+            HitLevel::L2 => self.cfg.l2_latency,
+            // A fill pays the issue cost of traversing the hierarchy.
+            HitLevel::L3 | HitLevel::Memory => self.cfg.l3_latency,
+        };
+        th.t += self.cfg.cycles(level_latency.div_ceil(4));
+        if let Some(done) = fill {
+            th.outstanding.push_back(done);
+            if th.outstanding.len() > self.cfg.mlp {
+                let oldest = th.outstanding.pop_front().expect("non-empty");
+                th.t = th.t.max(oldest);
             }
         }
     }
 
-    /// Handles an off-chip fill for a (possibly analyzer-observed) read.
+    /// TenAnalyzer feedback once a read's off-chip VN is known: confirm a
+    /// boundary hit against it, or teach the filter a miss. No-op outside
+    /// TensorTEE mode.
+    fn analyzer_feedback(&mut self, pa: u64, va_line: u64, decision: Option<ReadDecision>) {
+        let VnSource::TensorTee(analyzer) = &mut self.source else {
+            return;
+        };
+        match decision {
+            Some(ReadDecision::HitBoundary { slot, vn }) => {
+                analyzer.confirm_boundary(slot, va_line, self.mee.line_vn(pa) == vn);
+            }
+            Some(ReadDecision::Miss) => analyzer.observe_miss_vn(va_line, self.mee.line_vn(pa)),
+            Some(ReadDecision::HitIn { .. }) | None => {}
+        }
+    }
+
+    /// Handles an off-chip fill for a (possibly analyzer-observed) read;
+    /// returns when the data is usable.
     fn fill_from_memory(
         &mut self,
         pa: u64,
         va_line: u64,
         decision: Option<ReadDecision>,
-        at: Time,
+        mut at: Time,
     ) -> Time {
-        match &self.mode {
-            TeeMode::NonSecure => self.mc.request(pa, RequestClass::Demand, at),
-            TeeMode::Sgx => {
-                let op = self
-                    .mee
-                    .read_line(pa, VnPath::OffChip, at, &mut self.mc, &mut self.mem);
-                self.record_integrity(op.integrity);
-                op.done
+        let path = match &self.source {
+            VnSource::NonSecure => return self.mc.request(pa, RequestClass::Demand, at),
+            VnSource::Sgx => VnPath::OffChip,
+            VnSource::SoftVn(table) => {
+                at += self.cfg.cycles(table.lookup_cycles());
+                table
+                    .lookup(va_line)
+                    .map_or(VnPath::OffChip, VnPath::OnChip)
             }
-            TeeMode::SoftVn(_) => {
-                let table = self.softvn.as_mut().expect("softvn mode");
-                let lookup_cycles = table.lookup_cycles();
-                let vn = table.lookup(va_line);
-                let path = match vn {
-                    Some(v) => VnPath::OnChip(v),
-                    None => VnPath::OffChip,
-                };
-                let at = at + self.cfg.cycles(lookup_cycles);
-                let op = self
-                    .mee
-                    .read_line(pa, path, at, &mut self.mc, &mut self.mem);
-                self.record_integrity(op.integrity);
-                op.done
-            }
-            TeeMode::TensorTee(_) => {
-                let decision = decision.unwrap_or(ReadDecision::Miss);
-                match decision {
-                    ReadDecision::HitIn { vn } => {
-                        let op = self.mee.read_line(
-                            pa,
-                            VnPath::OnChipTensorMac(vn),
-                            at,
-                            &mut self.mc,
-                            &mut self.mem,
-                        );
-                        self.record_integrity(op.integrity);
-                        op.done
-                    }
-                    ReadDecision::HitBoundary { slot, vn } => {
-                        let op = self.mee.read_line(
-                            pa,
-                            VnPath::Background(vn),
-                            at,
-                            &mut self.mc,
-                            &mut self.mem,
-                        );
-                        self.record_integrity(op.integrity);
-                        let matched = self.mee.line_vn(pa) == vn;
-                        let analyzer = self.analyzer.as_mut().expect("tensortee mode");
-                        analyzer.confirm_boundary(slot, va_line, matched);
-                        op.done
-                    }
-                    ReadDecision::Miss => {
-                        let op = self.mee.read_line(
-                            pa,
-                            VnPath::OffChip,
-                            at,
-                            &mut self.mc,
-                            &mut self.mem,
-                        );
-                        self.record_integrity(op.integrity);
-                        let vn_off = self.mee.line_vn(pa);
-                        let analyzer = self.analyzer.as_mut().expect("tensortee mode");
-                        analyzer.observe_miss_vn(va_line, vn_off);
-                        op.done
-                    }
-                }
-            }
-        }
-    }
-
-    fn is_functional(&self) -> bool {
-        self.cfg.functional_crypto
+            VnSource::TensorTee(_) => match decision {
+                Some(ReadDecision::HitIn { vn }) => VnPath::OnChipTensorMac(vn),
+                Some(ReadDecision::HitBoundary { vn, .. }) => VnPath::Background(vn),
+                Some(ReadDecision::Miss) | None => VnPath::OffChip,
+            },
+        };
+        let op = self
+            .mee
+            .read_line(pa, path, at, &mut self.mc, &mut self.mem);
+        self.record_integrity(op.integrity);
+        op.done
     }
 
     /// Retires one LLC write-back through the active TEE path.
@@ -378,43 +294,30 @@ impl CpuEngine {
             .va_of_pa
             .get(&wb_pa)
             .expect("write-back of a never-translated line");
-        let data = Self::synth_line(va);
-        let data_opt = self.is_functional().then_some(&data);
-        match &self.mode {
-            TeeMode::NonSecure => {
+        let path = match &mut self.source {
+            VnSource::NonSecure => {
                 self.mc.request(wb_pa, RequestClass::Demand, at);
+                return;
             }
-            TeeMode::Sgx => {
-                self.mee.write_line(
-                    wb_pa,
-                    data_opt,
-                    VnPath::OffChip,
-                    at,
-                    &mut self.mc,
-                    &mut self.mem,
-                );
-            }
-            TeeMode::SoftVn(_) => {
-                let path = match self.softvn.as_mut().expect("softvn mode").write_vn(va) {
-                    Some(vn) => VnPath::OnChip(vn),
-                    None => VnPath::OffChip,
-                };
-                self.mee
-                    .write_line(wb_pa, data_opt, path, at, &mut self.mc, &mut self.mem);
-            }
-            TeeMode::TensorTee(_) => {
-                let decision = self
-                    .analyzer
-                    .as_mut()
-                    .expect("tensortee mode")
-                    .on_writeback(va);
-                let path = match decision {
-                    WriteDecision::Covered { vn, .. } => VnPath::OnChipTensorMac(vn),
-                    WriteDecision::Miss => VnPath::OffChip,
-                };
-                self.mee
-                    .write_line(wb_pa, data_opt, path, at, &mut self.mc, &mut self.mem);
-            }
+            VnSource::Sgx => VnPath::OffChip,
+            VnSource::SoftVn(table) => table.write_vn(va).map_or(VnPath::OffChip, VnPath::OnChip),
+            VnSource::TensorTee(analyzer) => match analyzer.on_writeback(va) {
+                WriteDecision::Covered { vn, .. } => VnPath::OnChipTensorMac(vn),
+                WriteDecision::Miss => VnPath::OffChip,
+            },
+        };
+        let data = Self::synth_line(va);
+        let data = self.cfg.functional_crypto.then_some(&data);
+        self.mee
+            .write_line(wb_pa, data, path, at, &mut self.mc, &mut self.mem);
+    }
+
+    /// The Meta Table reads since the previous call (zero outside
+    /// TensorTEE mode).
+    fn take_reads(&mut self) -> ReadCounts {
+        match &mut self.source {
+            VnSource::TensorTee(analyzer) => analyzer.take_read_stats(),
+            _ => ReadCounts::default(),
         }
     }
 
@@ -439,7 +342,7 @@ impl CpuEngine {
         // (DeepSpeed keeps weights/grads/momentum/variance in flat
         // buffers), split per worker — one VN-table entry per chunk per
         // core, the "entry wastage" the paper describes (§2.2).
-        if let Some(table) = self.softvn.as_mut() {
+        if let VnSource::SoftVn(table) = &mut self.source {
             table.clear();
             for region in workload.flat_regions() {
                 for chunk in region.split(threads as u64) {
@@ -458,11 +361,7 @@ impl CpuEngine {
 
         for _iter in 0..iterations {
             let start = barrier;
-            let demand0 = self.mc.stats().get("demand");
-            let meta0 = self.mc.stats().get("metadata");
-            if let Some(a) = self.analyzer.as_mut() {
-                let _ = a.take_read_stats();
-            }
+            let (demand0, metadata0) = (self.mc.demand(), self.mc.metadata());
 
             let mut ctxs: Vec<ThreadCtx> = (0..threads)
                 .map(|_| ThreadCtx {
@@ -482,6 +381,7 @@ impl CpuEngine {
                         continue;
                     }
                     live += 1;
+                    let ctx = &mut ctxs[th];
                     let mut budget = QUANTUM_LINES;
                     while budget > 0 && ti < parts[th].len() {
                         let set = &parts[th][ti];
@@ -498,25 +398,17 @@ impl CpuEngine {
                             set.m.base + off,
                             set.v.base + off,
                         );
-                        let mut ctx = std::mem::replace(
-                            &mut ctxs[th],
-                            ThreadCtx {
-                                t: Time::ZERO,
-                                outstanding: VecDeque::new(),
-                            },
-                        );
                         // Adam: read w,g,m,v; compute; write w,m,v.
-                        self.access(th as u32, &mut ctx, w, false);
-                        self.access(th as u32, &mut ctx, g, false);
-                        self.access(th as u32, &mut ctx, m, false);
-                        self.access(th as u32, &mut ctx, v, false);
+                        self.access(th as u32, ctx, w, false);
+                        self.access(th as u32, ctx, g, false);
+                        self.access(th as u32, ctx, m, false);
+                        self.access(th as u32, ctx, v, false);
                         let elems = (LINE_BYTES / 4) as f64;
                         let compute = (elems * self.cfg.adam_cycles_per_element).round() as u64;
                         ctx.t += self.cfg.cycles(compute);
-                        self.access(th as u32, &mut ctx, w, true);
-                        self.access(th as u32, &mut ctx, m, true);
-                        self.access(th as u32, &mut ctx, v, true);
-                        ctxs[th] = ctx;
+                        self.access(th as u32, ctx, w, true);
+                        self.access(th as u32, ctx, m, true);
+                        self.access(th as u32, ctx, v, true);
                         li += 1;
                         budget -= 1;
                     }
@@ -538,46 +430,37 @@ impl CpuEngine {
             // hierarchy. Draining here also closes every tensor's VN
             // update round before the next iteration re-writes it
             // (Figure 12 semantics), identically for all TEE modes.
-            {
-                let mut dirty = self.hierarchy.flush_all();
-                // The weight DMA drains regions in *virtual* address
-                // order; physical frames are scattered by paging.
-                dirty.sort_unstable_by_key(|pa| self.va_of_pa.get(pa).copied().unwrap_or(*pa));
-                for pa in dirty {
-                    self.writeback(pa, end);
-                }
-                end = end.max(self.mc.idle_at());
+            let mut dirty = self.hierarchy.flush_all();
+            // The weight DMA drains regions in *virtual* address order;
+            // physical frames are scattered by paging.
+            dirty.sort_unstable_by_key(|pa| self.va_of_pa.get(pa).copied().unwrap_or(*pa));
+            for pa in dirty {
+                self.writeback(pa, end);
+            }
+            end = end.max(self.mc.idle_at());
+            match &mut self.source {
                 // Kernel boundary: background merge scan consolidates
                 // fragments now that every update round is closed.
-                if let Some(a) = self.analyzer.as_mut() {
-                    a.compact();
-                }
-            }
-
-            // SoftVN: software bumps the written regions' VNs at the
-            // optimizer-step boundary (gradients are read-only).
-            if let Some(table) = self.softvn.as_mut() {
-                let [w, _g, m, v] = workload.flat_regions();
-                for region in [w, m, v] {
-                    for chunk in region.split(threads as u64) {
-                        table.bump(chunk.base);
+                VnSource::TensorTee(analyzer) => analyzer.compact(),
+                // SoftVN: software bumps the written regions' VNs at the
+                // optimizer-step boundary (gradients are read-only).
+                VnSource::SoftVn(table) => {
+                    let [w, _g, m, v] = workload.flat_regions();
+                    for region in [w, m, v] {
+                        for chunk in region.split(threads as u64) {
+                            table.bump(chunk.base);
+                        }
                     }
                 }
+                VnSource::NonSecure | VnSource::Sgx => {}
             }
 
             barrier = end;
-            let (hit_in, hit_boundary, miss) = self
-                .analyzer
-                .as_mut()
-                .map(|a| a.take_read_stats())
-                .unwrap_or((0, 0, 0));
             report.iterations.push(IterationStats {
                 latency: end - start,
-                hit_in,
-                hit_boundary,
-                miss,
-                demand: self.mc.stats().get("demand") - demand0,
-                metadata: self.mc.stats().get("metadata") - meta0,
+                reads: self.take_reads(),
+                demand: self.mc.demand() - demand0,
+                metadata: self.mc.metadata() - metadata0,
             });
         }
         report.total = barrier;
@@ -585,12 +468,9 @@ impl CpuEngine {
         report
     }
 
-    /// Runs one full tiled GEMM (single thread) and reports analyzer hit
-    /// rates (§6.2).
-    pub fn run_gemm(&mut self, gemm: &GemmWorkload) -> GemmReport {
-        if let Some(a) = self.analyzer.as_mut() {
-            let _ = a.take_read_stats();
-        }
+    /// Runs one full tiled GEMM (single thread) and returns its Meta
+    /// Table reads (§6.2).
+    pub fn run_gemm(&mut self, gemm: &GemmWorkload) -> ReadCounts {
         let mut ctx = ThreadCtx {
             t: Time::ZERO,
             outstanding: VecDeque::new(),
@@ -598,16 +478,7 @@ impl CpuEngine {
         for va in gemm.read_stream() {
             self.access(0, &mut ctx, va, false);
         }
-        let (hit_in, hit_boundary, miss) = self
-            .analyzer
-            .as_mut()
-            .map(|a| a.take_read_stats())
-            .unwrap_or((0, 0, 0));
-        GemmReport {
-            hit_in,
-            hit_boundary,
-            miss,
-        }
+        self.take_reads()
     }
 }
 
@@ -651,15 +522,15 @@ mod tests {
         let first = rep.iterations.first().unwrap();
         let last = rep.iterations.last().unwrap();
         assert!(
-            last.hit_in_rate() > 0.8,
+            last.reads.hit_in_rate() > 0.8,
             "late hit_in {}",
-            last.hit_in_rate()
+            last.reads.hit_in_rate()
         );
         assert!(
-            last.hit_in_rate() > first.hit_in_rate(),
+            last.reads.hit_in_rate() > first.reads.hit_in_rate(),
             "hit rate should improve: {} -> {}",
-            first.hit_in_rate(),
-            last.hit_in_rate()
+            first.reads.hit_in_rate(),
+            last.reads.hit_in_rate()
         );
     }
 
@@ -754,6 +625,119 @@ mod tests {
             second.hit_in_rate() > 0.95,
             "GEMM after structure construction: {}",
             second.hit_in_rate()
+        );
+        // The exact (hit_in, hit_boundary, miss) reads of both GEMMs.
+        assert_eq!(
+            (numbers(&first), numbers(&second)),
+            (vec![33612, 204, 3048], vec![36864, 0, 0])
+        );
+    }
+
+    /// Every integer in `v`'s `Debug` form, in order: a report's exact
+    /// numbers, independent of how its fields are grouped.
+    fn numbers(v: &impl std::fmt::Debug) -> Vec<u64> {
+        format!("{v:?}")
+            .split(|c: char| !c.is_ascii_digit())
+            .filter(|s| !s.is_empty())
+            .map(|s| s.parse().expect("digit run"))
+            .collect()
+    }
+
+    /// Runs `mode` and returns its report's numbers: per iteration the
+    /// latency (ps), the `hit_in`/`hit_boundary`/`miss` reads and the
+    /// demand/metadata DRAM requests, then the total and the integrity
+    /// error count.
+    fn adam_numbers(cfg: CpuConfig, mode: TeeMode, w: &AdamWorkload, iterations: u32) -> Vec<u64> {
+        numbers(&CpuEngine::new(cfg, mode).run_adam(w, 2, iterations))
+    }
+
+    #[test]
+    fn non_secure_report_is_pinned() {
+        let got = adam_numbers(small_cfg(false), TeeMode::NonSecure, &small_workload(), 2);
+        assert_eq!(
+            got,
+            [7388619, 0, 0, 0, 3584, 0, 7411919, 0, 0, 0, 3584, 0, 14800538, 0]
+        );
+    }
+
+    #[test]
+    fn sgx_report_is_pinned() {
+        let got = adam_numbers(small_cfg(false), TeeMode::Sgx, &small_workload(), 2);
+        assert_eq!(
+            got,
+            [14477521, 0, 0, 0, 3584, 551, 11538329, 0, 0, 0, 3584, 286, 26015850, 0]
+        );
+    }
+
+    #[test]
+    fn softvn_report_is_pinned() {
+        let mode = TeeMode::SoftVn(SoftVnConfig::default());
+        let got = adam_numbers(small_cfg(false), mode, &small_workload(), 2);
+        assert_eq!(
+            got,
+            [9359278, 0, 0, 0, 3584, 259, 8309415, 0, 0, 0, 3584, 3, 17668693, 0]
+        );
+    }
+
+    #[test]
+    fn tensortee_report_is_pinned() {
+        let mode = TeeMode::TensorTee(TenAnalyzerConfig::default());
+        let got = adam_numbers(small_cfg(false), mode, &small_workload(), 3);
+        assert_eq!(
+            got,
+            [
+                10052608, 1690, 1410, 484, 3584, 373, 8338294, 3516, 54, 14, 3584, 3, 8309974,
+                3516, 54, 14, 3584, 3, 26700876, 0
+            ]
+        );
+    }
+
+    /// Under Table-1 caches some boundary/miss reads are served on-chip
+    /// and their background VN fetch misses the metadata cache, which
+    /// never happens under `small_cfg`: this pins that fetch's traffic.
+    #[test]
+    fn large_cache_tensortee_report_is_pinned() {
+        let mode = TeeMode::TensorTee(TenAnalyzerConfig::default());
+        let got = adam_numbers(CpuConfig::default(), mode, &small_workload(), 3);
+        assert_eq!(
+            got,
+            [
+                13451194, 2005, 1504, 75, 3584, 283, 9498134, 3584, 0, 0, 3584, 3, 9498134, 3584,
+                0, 0, 3584, 3, 32447462, 0
+            ]
+        );
+    }
+
+    #[test]
+    fn preloaded_tensortee_report_is_pinned() {
+        let w = small_workload();
+        let descs: Vec<_> = w
+            .tensors
+            .iter()
+            .flat_map(|s| [s.w, s.g, s.m, s.v])
+            .collect();
+        let mut tt = CpuEngine::new(
+            small_cfg(false),
+            TeeMode::TensorTee(TenAnalyzerConfig::default()),
+        );
+        tt.preload_tensors(&descs);
+        assert_eq!(
+            numbers(&tt.run_adam(&w, 2, 2)),
+            [8279594, 3584, 0, 0, 3584, 3, 8302551, 3584, 0, 0, 3584, 3, 16582145, 0]
+        );
+    }
+
+    #[test]
+    fn functional_tensortee_report_is_pinned() {
+        let w = AdamWorkload::from_tensor_sizes(&[4 << 10; 1]);
+        let mode = TeeMode::TensorTee(TenAnalyzerConfig::default());
+        let got = adam_numbers(small_cfg(true), mode, &w, 3);
+        assert_eq!(
+            got,
+            [
+                1421466, 286, 112, 50, 448, 27, 1065189, 448, 0, 0, 448, 0, 1068522, 448, 0, 0,
+                448, 1, 3555177, 0
+            ]
         );
     }
 

@@ -40,7 +40,7 @@ pub mod tensor;
 
 pub use analyzer::{TenAnalyzer, TenAnalyzerConfig};
 pub use config::CpuConfig;
-pub use engine::{AdamReport, CpuEngine, GemmReport, TeeMode};
+pub use engine::{AdamReport, CpuEngine, TeeMode};
 pub use kernels::{AdamWorkload, GemmWorkload};
 pub use mee::{IntegrityError, SgxMee, VnPath};
 pub use softvn::{SoftVnConfig, SoftVnTable};

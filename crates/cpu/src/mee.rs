@@ -547,7 +547,7 @@ mod tests {
         }
         // No VN or Merkle lines: only the MAC lines are fetched (8 MACs
         // per line, so 8 lines for 64 leaves).
-        assert_eq!(mc.stats().get("metadata"), 8);
+        assert_eq!(mc.metadata(), 8);
     }
 
     #[test]
@@ -563,7 +563,7 @@ mod tests {
             mee.read_line(i * 64, VnPath::OffChip, Time::ZERO, &mut mc, &mut mem);
         }
         // VN and Merkle lines on top of the 64 MAC lines.
-        assert!(mc.stats().get("metadata") > 512 / 8);
+        assert!(mc.metadata() > 512 / 8);
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //! * [`Space`] — named [`Knob`]s with discrete labelled levels, the full
 //!   cartesian [`Space::grid`], and the seeded
 //!   [`Space::latin_hypercube`] sampling plan,
-//! * [`Executor`] — partitions points across `std::thread` workers; each
-//!   point evaluates under its own [`tee_sim::SplitMix64`] sub-stream
-//!   (derived statelessly from `(seed, point index)`), so results are
-//!   bit-identical for any worker-thread count,
+//! * [`Executor`] — partitions points across `std::thread` workers with a
+//!   static strided partition and returns results in point order; an
+//!   evaluation depends only on its point, so results are bit-identical
+//!   for any worker-thread count,
 //! * [`pareto_frontier`] / [`tornado`] — multi-objective non-dominated
 //!   sets and one-at-a-time sensitivity swings over the evaluated
 //!   objectives.
@@ -32,7 +32,7 @@
 //! let points = space.sample(6, 42);
 //! // Toy pricing: throughput rises with bandwidth, overhead is the
 //! // baseline scheme's only.
-//! let evals = Executor::new(4, 42).run(&points, &|_i, p, _rng| {
+//! let evals = Executor::new(4).run(&points, &|_i, p| {
 //!     vec![space.value(p, 0), 1.0 - space.value(p, 1)]
 //! });
 //! let frontier = pareto_frontier(&evals, &[Sense::Maximize, Sense::Minimize]);

@@ -13,7 +13,7 @@
 //!   track), instants (zero-width markers), monotonic counters, and
 //!   gauges (sampled values). Every method has a no-op default.
 //! * [`TraceProbe`] — the recording implementation: a flat
-//!   [`ProbeEvent`] log plus a [`MetricsRegistry`] of counters.
+//!   [`ProbeEvent`] log plus a [`StatSet`] of counters.
 //! * [`SharedProbe`] — the cloneable handle threaded through
 //!   schedulers and run contexts. Its `Null` variant is a bare enum
 //!   discriminant, so the off path costs one branch; the `Trace`
@@ -27,7 +27,7 @@
 //! paper's figures do.
 
 use crate::clock::Time;
-use std::collections::BTreeMap;
+use crate::stats::StatSet;
 use std::sync::{Arc, Mutex};
 
 /// Event sink for simulation observability.
@@ -143,55 +143,11 @@ impl ProbeEvent {
     }
 }
 
-/// Named monotonic counters with order-independent merge.
-///
-/// Counters are additive `u64`s keyed by name; merging two registries
-/// sums matching keys, so any partition of a run's events folds to the
-/// same totals regardless of merge order (pinned by a proptest).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
-    /// Adds `delta` to counter `name` (creating it at zero).
-    pub fn bump(&mut self, name: &str, delta: u64) {
-        if let Some(v) = self.counters.get_mut(name) {
-            *v += delta;
-        } else {
-            self.counters.insert(name.to_owned(), delta);
-        }
-    }
-
-    /// Current value of `name` (zero when never bumped).
-    pub fn get(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Iterates `(name, value)` in sorted name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Adds every counter of `other` into `self`. Addition is
-    /// commutative and associative, so merge order cannot matter.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, value) in &other.counters {
-            self.bump(name, *value);
-        }
-    }
-}
-
 /// The recording probe: a flat event log plus a counter registry.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceProbe {
     events: Vec<ProbeEvent>,
-    metrics: MetricsRegistry,
+    metrics: StatSet,
 }
 
 impl TraceProbe {
@@ -206,7 +162,7 @@ impl TraceProbe {
     }
 
     /// The accumulated counters.
-    pub fn metrics(&self) -> &MetricsRegistry {
+    pub fn metrics(&self) -> &StatSet {
         &self.metrics
     }
 }
@@ -246,7 +202,7 @@ impl Probe for TraceProbe {
     }
 
     fn count(&mut self, name: &str, delta: u64) {
-        self.metrics.bump(name, delta);
+        self.metrics.add(name, delta);
     }
 
     fn gauge(&mut self, track: &str, name: &str, at: Time, value: u64) {
@@ -390,20 +346,5 @@ mod tests {
                 Some("wire"),
             ]
         );
-    }
-
-    #[test]
-    fn registry_merge_is_additive() {
-        let mut a = MetricsRegistry::new();
-        a.bump("x", 2);
-        a.bump("y", 1);
-        let mut b = MetricsRegistry::new();
-        b.bump("x", 3);
-        b.bump("z", 4);
-        a.merge(&b);
-        assert_eq!(a.get("x"), 5);
-        assert_eq!(a.get("y"), 1);
-        assert_eq!(a.get("z"), 4);
-        assert_eq!(a.iter().count(), 3);
     }
 }

@@ -179,9 +179,9 @@ mod tests {
 
     #[test]
     fn split_golden_values() {
-        // Pin the sub-stream derivation: explore workers and serving
-        // traces rely on `(seed, stream_id)` naming a stable stream
-        // across releases.
+        // Pin the sub-stream derivation: serving traces, the explorer's
+        // sampling plans and its shared trace seeds rely on
+        // `(seed, stream_id)` naming a stable stream across releases.
         let root = SplitMix64::new(42);
         let first = |id: u64| root.split(id).next_u64();
         assert_eq!(first(0), 6_332_618_229_526_065_668);

@@ -180,8 +180,9 @@ impl Histogram {
     }
 }
 
-/// A named bundle of counters, used by simulators to expose their
-/// occupancy/hit statistics without a fixed schema.
+/// A named bundle of counters without a fixed schema, with an
+/// order-independent merge: the serving KV pool's and the fleet router's
+/// statistics, and a trace probe's counters.
 ///
 /// # Example
 ///
@@ -214,9 +215,14 @@ impl StatSet {
         self.add(key, 1);
     }
 
-    /// Adds `n` to the named counter, creating it if absent.
+    /// Adds `n` to the named counter, creating it if absent (the key is
+    /// only allocated then).
     pub fn add(&mut self, key: &str, n: u64) {
-        self.counters.entry(key.to_owned()).or_default().add(n);
+        if let Some(c) = self.counters.get_mut(key) {
+            c.add(n);
+        } else {
+            self.counters.insert(key.to_owned(), Counter(n));
+        }
     }
 
     /// Reads a counter (0 when absent).
@@ -227,6 +233,14 @@ impl StatSet {
     /// Iterates `(name, value)` in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
         self.counters.iter().map(|(k, v)| (k.as_str(), v.get()))
+    }
+
+    /// Adds every counter of `other` into `self`. Addition is commutative
+    /// and associative, so merge order cannot matter.
+    pub fn merge(&mut self, other: &StatSet) {
+        for (key, value) in other.iter() {
+            self.add(key, value);
+        }
     }
 }
 
@@ -402,6 +416,21 @@ mod tests {
         assert_eq!(h.max(), snapshot.max());
         assert_eq!(h.mean(), snapshot.mean(), "doubling weights keeps the mean");
         assert_eq!(h.percentile(0.5), snapshot.percentile(0.5));
+    }
+
+    #[test]
+    fn statset_merge_is_additive() {
+        let mut a = StatSet::default();
+        a.add("x", 2);
+        a.add("y", 1);
+        let mut b = StatSet::default();
+        b.add("x", 3);
+        b.add("z", 4);
+        a.merge(&b);
+        assert_eq!(a.get("x"), 5);
+        assert_eq!(a.get("y"), 1);
+        assert_eq!(a.get("z"), 4);
+        assert_eq!(a.iter().count(), 3);
     }
 
     #[test]

@@ -83,9 +83,9 @@ fn long_functional_run_stays_consistent() {
     // Detection really happened: steady-state reads hit in.
     let last = rep.iterations.last().unwrap();
     assert!(
-        last.hit_in_rate() > 0.5,
+        last.reads.hit_in_rate() > 0.5,
         "steady-state hits: {}",
-        last.hit_in_rate()
+        last.reads.hit_in_rate()
     );
 }
 

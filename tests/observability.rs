@@ -8,7 +8,8 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use tee_sim::probe::{MetricsRegistry, ProbeEvent, SharedProbe};
+use tee_sim::probe::{ProbeEvent, SharedProbe};
+use tee_sim::StatSet;
 use tensortee::artifact::{find, registry, RunContext};
 use tensortee::obs::chrome_trace;
 
@@ -105,9 +106,9 @@ fn begin_end_pairs_never_underflow_any_track() {
 
 proptest! {
     #![proptest_config(ProptestConfig::ci())]
-    /// Merging per-shard metric registries is order-independent: any
+    /// Merging per-shard counter sets is order-independent: any
     /// partition of a bump sequence, merged in any order, yields the same
-    /// totals as applying the sequence to one registry.
+    /// totals as applying the sequence to one set.
     #[test]
     fn metrics_merge_is_order_independent(
         ops in vec((0usize..6, 1u64..1000), 1..200),
@@ -116,16 +117,15 @@ proptest! {
     ) {
         let names = ["des.ticks", "des.sends", "link.grants",
                      "serve.iterations", "fleet.dispatched", "train.steps"];
-        let mut reference = MetricsRegistry::new();
-        let mut parts: Vec<MetricsRegistry> =
-            (0..shards).map(|_| MetricsRegistry::new()).collect();
+        let mut reference = StatSet::default();
+        let mut parts: Vec<StatSet> = (0..shards).map(|_| StatSet::default()).collect();
         for (i, &(name, delta)) in ops.iter().enumerate() {
-            reference.bump(names[name], delta);
-            parts[i % shards].bump(names[name], delta);
+            reference.add(names[name], delta);
+            parts[i % shards].add(names[name], delta);
         }
         let mut order: Vec<usize> = (0..shards).collect();
         tee_sim::SplitMix64::new(shuffle_seed).shuffle(&mut order);
-        let mut merged = MetricsRegistry::new();
+        let mut merged = StatSet::default();
         for &s in &order {
             merged.merge(&parts[s]);
         }
