@@ -92,7 +92,7 @@ pub fn instants_named(trace: &TraceProbe, track: &str, name: &str) -> Vec<Time> 
         .events()
         .iter()
         .filter(|e| e.track() == track && matches!(e, ProbeEvent::Instant { .. }))
-        .filter(|e| e.name() == Some(name))
+        .filter(|e| e.name() == name)
         .map(|e| e.at())
         .collect()
 }
@@ -100,7 +100,6 @@ pub fn instants_named(trace: &TraceProbe, track: &str, name: &str) -> Vec<Time> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tee_sim::probe::Probe;
 
     fn recorded() -> TraceProbe {
         let mut p = TraceProbe::new();

@@ -1,6 +1,7 @@
 //! Timing models of the transfer protocols (§3.3, §4.4, Figures 6 & 21).
 
 use crate::link::{AesEngine, PcieLink};
+use crate::schedule::exposed_time;
 use serde::{Deserialize, Serialize};
 use tee_sim::Time;
 
@@ -29,7 +30,7 @@ impl TransferBreakdown {
 ///
 /// A protocol decides two things: what a transfer costs
 /// ([`Protocol::transfer`]) and whether it hides behind compute
-/// ([`Protocol::overlaps_compute`]).
+/// ([`Protocol::overlaps_compute`], applied by [`Protocol::exposed`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Protocol {
     /// Plain DMA (non-secure reference).
@@ -64,6 +65,17 @@ impl Protocol {
     /// overlap.
     pub fn overlaps_compute(self) -> bool {
         !matches!(self, Protocol::Staged)
+    }
+
+    /// The part of a `transfer` a compute `window` does not hide: the
+    /// tail past the window ([`exposed_time`]) when the protocol overlaps
+    /// compute, all of it when it serializes.
+    pub fn exposed(self, window: Time, transfer: Time) -> Time {
+        if self.overlaps_compute() {
+            exposed_time(window, transfer)
+        } else {
+            transfer
+        }
     }
 }
 
@@ -220,5 +232,13 @@ mod tests {
         assert!(Protocol::Plain.overlaps_compute());
         assert!(Protocol::Direct.overlaps_compute());
         assert!(!Protocol::Staged.overlaps_compute());
+        let (window, transfer) = (Time::from_us(10), Time::from_us(16));
+        for p in [Protocol::Plain, Protocol::Direct] {
+            assert_eq!(p.exposed(window, transfer), Time::from_us(6));
+            assert_eq!(p.exposed(transfer, window), Time::ZERO);
+            assert_eq!(p.exposed(Time::MAX, transfer), Time::ZERO);
+        }
+        assert_eq!(Protocol::Staged.exposed(window, transfer), transfer);
+        assert_eq!(Protocol::Staged.exposed(Time::MAX, transfer), transfer);
     }
 }

@@ -21,6 +21,28 @@
 //!   heterogeneous NPUs (a straggler rank stretches the backward window
 //!   and every barrier), and pipeline-parallel schedules whose
 //!   per-microbatch boundary activations contend for the fabric.
+//!
+//! # The component graph
+//!
+//! [`DesClusterSystem::simulate_with_cpu_time`] builds one graph for both
+//! layouts: the layout's n compute nodes (ids `0..n`: data-parallel ranks
+//! or pipeline stages, the last one the straggler), then the shared tail
+//! — ring, gradient link, CPU, weight path, finish. Every transfer (a
+//! ring hop, a microbatch's boundary activations, the gradient and weight
+//! streams on the CPU link) is one `Transfer` replayed in the three phases
+//! of §3.3/§4.4 (Figure 21's bars): re-encryption, the bus (queued on the
+//! shared fabric for NPU-fabric traffic), then decryption.
+//!
+//! The messages:
+//!
+//! * `RingReady` (compute node → ring) and `NpuDone` (compute node → CPU);
+//! * `Advance(i)` (a node → itself): its transfer `i` finished a phase;
+//! * `GradStart` (ring → gradient link) and `GradArrived` (gradient link
+//!   → CPU);
+//! * `WeightStart` (CPU → weight path), `BroadcastDone` and `WeightDone`
+//!   (weight path → itself, then `WeightDone` → finish);
+//! * `CpuDone` (CPU → finish);
+//! * `ActArrived` (stage → next stage).
 
 use crate::config::{ClusterConfig, SecureMode, SystemConfig};
 use crate::memo::Memo;
@@ -31,7 +53,7 @@ use std::rc::Rc;
 use tee_comm::des::FabricLink;
 use tee_comm::protocol::TransferBreakdown;
 use tee_comm::ring::RingAllReduce;
-use tee_sim::des::{Component, Ctx, Scheduler};
+use tee_sim::des::{Component, ComponentId, Ctx, Scheduler};
 use tee_sim::probe::SharedProbe;
 use tee_sim::Time;
 use tee_workloads::StepSchedule;
@@ -139,47 +161,100 @@ struct Ledger {
     finished: bool,
 }
 
-type Shared<T> = Rc<RefCell<T>>;
+/// What every component of one step shares: the ledger it stamps, the
+/// NPU fabric its transfers queue on, and the ids of the shared tail.
+/// The layout's compute nodes take ids `0..n` and the tail the next five,
+/// in field order, so the `(time, id)` tie-break dispatches compute
+/// nodes first.
+#[derive(Debug)]
+struct Graph {
+    ledger: RefCell<Ledger>,
+    fabric: RefCell<FabricLink>,
+    ring: ComponentId,
+    grad_link: ComponentId,
+    cpu: ComponentId,
+    weight: ComponentId,
+    finish: ComponentId,
+}
 
 /// Messages exchanged between the cluster's components.
 #[derive(Debug, Clone, Copy)]
 enum Msg {
-    /// NPU/stage → ring: this rank's gradient stream is ready.
+    /// Compute node → ring: this node's gradient stream is ready.
     RingReady,
-    /// NPU/stage → CPU: this rank finished forward+backward.
+    /// Compute node → CPU: this node finished forward+backward.
     NpuDone,
-    /// Ring → itself: advance the current hop one phase
-    /// (re-encrypt → bus → decrypt).
-    HopPhase,
+    /// A node → itself: its transfer `i` (ring hop, microbatch, or 0 on
+    /// the CPU links) finished a phase. The ring's `Advance(hops)` is its
+    /// completion, deferred to the end of the last hop's decryption.
+    Advance(u32),
     /// Ring → gradient link: reduced shards may stream to the CPU.
     GradStart,
-    /// Gradient link → itself: advance one transfer phase.
-    GradPhase,
     /// Gradient link → CPU: gradients resident in CPU memory.
     GradArrived,
     /// CPU → weight path: start (at `cpu_start` when the mode overlaps,
     /// at CPU completion otherwise).
     WeightStart,
-    /// Weight path → itself: advance the CPU-link stream one phase.
-    WeightPhase,
     /// Weight path → itself: the ring broadcast finished.
     BroadcastDone,
     /// CPU → finish.
     CpuDone,
-    /// Weight path → finish.
+    /// Weight path → itself when its CPU-link stream lands, then →
+    /// finish once both paths are done.
     WeightDone,
-    /// Stage boundary: one microbatch's activations arrived.
+    /// Stage → next stage: one microbatch's activations arrived.
     ActArrived,
-    /// Stage → itself: advance one in-flight activation transfer
-    /// (identified by microbatch index) one phase.
-    ActPhase(u32),
 }
 
-/// Three-phase progress of a protocol transfer replayed as events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum XferPhase {
-    ReEncrypted,
-    Crossed,
+/// One protocol transfer replayed as events: re-encryption, the bus
+/// phase, then decryption (Figure 21's three bars).
+#[derive(Debug, Clone, Copy)]
+struct Transfer {
+    cost: TransferBreakdown,
+    /// Whether the bus phase finished (the next advance decrypts).
+    crossed: bool,
+}
+
+impl Transfer {
+    fn new(cost: TransferBreakdown) -> Self {
+        Transfer {
+            cost,
+            crossed: false,
+        }
+    }
+
+    /// Starts re-encryption at `at`; `msg` comes back when it finishes.
+    fn start_at(&self, at: Time, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+        ctx.send_at(at + self.cost.re_encryption, ctx.self_id(), msg);
+    }
+
+    /// Runs the phase after the one that just finished at `now`. After
+    /// re-encryption that is the bus phase, queued on `fabric` when one is
+    /// given; `msg` comes back when it ends. After the bus phase, returns
+    /// when decryption completes the transfer.
+    fn advance(
+        &mut self,
+        now: Time,
+        fabric: Option<&RefCell<FabricLink>>,
+        msg: Msg,
+        ctx: &mut Ctx<'_, Msg>,
+    ) -> Option<Time> {
+        if self.crossed {
+            return Some(now + self.cost.decryption);
+        }
+        self.crossed = true;
+        let end = match fabric {
+            Some(fabric) => fabric.borrow_mut().occupy(now, self.cost.comm).end,
+            None => now + self.cost.comm,
+        };
+        ctx.send_at(end, ctx.self_id(), msg);
+        None
+    }
+
+    /// Staging conversion time (re-encryption + decryption).
+    fn crypto(&self) -> Time {
+        self.cost.re_encryption + self.cost.decryption
+    }
 }
 
 /// An NPU replica in data-parallel mode: computes for a fixed duration,
@@ -188,278 +263,28 @@ enum XferPhase {
 #[derive(Debug)]
 struct NpuNode {
     rank: usize,
+    /// When the collective may start ([`Time::MAX`] once announced).
     ready_at: Time,
+    /// When compute completes ([`Time::MAX`] once announced).
     done_at: Time,
-    /// 0 = waiting for ready, 1 = waiting for done, 2 = idle.
-    phase: u8,
-    ring: usize,
-    cpu: usize,
-    ledger: Shared<Ledger>,
 }
 
 impl NpuNode {
-    fn next_tick(&self) -> Time {
-        match self.phase {
-            0 => self.ready_at,
-            1 => self.done_at,
-            _ => Time::MAX,
+    fn tick(&mut self, now: Time, ctx: &mut Ctx<'_, Msg>, g: &Graph) {
+        if self.ready_at == now {
+            ctx.send(g.ring, Msg::RingReady);
+            self.ready_at = Time::MAX;
         }
-    }
-
-    fn tick(&mut self, now: Time, ctx: &mut Ctx<'_, Msg>) {
-        if self.phase == 0 {
-            ctx.send(self.ring, Msg::RingReady);
-            self.phase = 1;
-        }
-        if self.phase == 1 && self.done_at == now {
-            self.ledger.borrow_mut().npu_done[self.rank] = now;
-            ctx.send(self.cpu, Msg::NpuDone);
-            self.phase = 2;
-        }
-    }
-}
-
-/// The ring collective: waits for every rank, then walks the pre-priced
-/// hop sequence as explicit re-encrypt / bus / decrypt events, the bus
-/// phase arbitrated by the shared fabric.
-#[derive(Debug)]
-struct RingNode {
-    hops: Vec<TransferBreakdown>,
-    waiting: u32,
-    idx: usize,
-    phase: XferPhase,
-    fabric: Shared<FabricLink>,
-    grad_link: usize,
-    ledger: Shared<Ledger>,
-}
-
-impl RingNode {
-    fn start_hop(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        self.phase = XferPhase::ReEncrypted;
-        ctx.send_after(
-            self.hops[self.idx].re_encryption,
-            ctx.self_id(),
-            Msg::HopPhase,
-        );
-    }
-
-    fn finish_collective(&mut self, now: Time, ctx: &mut Ctx<'_, Msg>) {
-        self.ledger.borrow_mut().ar_end = now;
-        ctx.send(self.grad_link, Msg::GradStart);
-    }
-
-    fn receive(&mut self, now: Time, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
-        match msg {
-            Msg::RingReady => {
-                self.waiting -= 1;
-                if self.waiting == 0 {
-                    self.ledger.borrow_mut().ring_start = now;
-                    if self.hops.is_empty() {
-                        self.finish_collective(now, ctx);
-                    } else {
-                        self.start_hop(ctx);
-                    }
-                }
-            }
-            Msg::HopPhase => match self.phase {
-                XferPhase::ReEncrypted => {
-                    let grant = self
-                        .fabric
-                        .borrow_mut()
-                        .occupy(now, self.hops[self.idx].comm);
-                    self.phase = XferPhase::Crossed;
-                    ctx.send_at(grant.end, ctx.self_id(), Msg::HopPhase);
-                }
-                XferPhase::Crossed => {
-                    let hop = self.hops[self.idx];
-                    // Decrypt-on-receive completes the hop.
-                    let done = now + hop.decryption;
-                    self.ledger.borrow_mut().crypto += hop.re_encryption + hop.decryption;
-                    self.idx += 1;
-                    if self.idx < self.hops.len() {
-                        // The next hop's re-encryption starts when this
-                        // hop's chunk is usable.
-                        self.phase = XferPhase::ReEncrypted;
-                        let re = self.hops[self.idx].re_encryption;
-                        ctx.send_at(done + re, ctx.self_id(), Msg::HopPhase);
-                    } else if done == now {
-                        self.finish_collective(now, ctx);
-                    } else {
-                        // Defer the completion stamp to the decrypt end.
-                        ctx.send_at(done, ctx.self_id(), Msg::GradStart);
-                    }
-                }
-            },
-            Msg::GradStart => {
-                // Self-deferred completion after the last hop's decrypt.
-                self.finish_collective(now, ctx);
-            }
-            _ => unreachable!("ring received {msg:?}"),
-        }
-    }
-}
-
-/// A protocol transfer on the dedicated CPU↔NPU link, replayed as
-/// re-encrypt / bus / decrypt events; notifies `next` on completion.
-#[derive(Debug)]
-struct LinkNode {
-    cost: TransferBreakdown,
-    phase: XferPhase,
-    /// Message sent to `next` when the transfer completes.
-    done_msg: Msg,
-    next: usize,
-    /// Which self-message advances this node.
-    step_msg_is_weight: bool,
-    ledger: Shared<Ledger>,
-    /// Stamp written at completion.
-    stamps_grad_end: bool,
-}
-
-impl LinkNode {
-    fn step_msg(&self) -> Msg {
-        if self.step_msg_is_weight {
-            Msg::WeightPhase
-        } else {
-            Msg::GradPhase
-        }
-    }
-
-    fn start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        self.phase = XferPhase::ReEncrypted;
-        ctx.send_after(self.cost.re_encryption, ctx.self_id(), self.step_msg());
-    }
-
-    fn advance(&mut self, now: Time, ctx: &mut Ctx<'_, Msg>) {
-        match self.phase {
-            XferPhase::ReEncrypted => {
-                self.phase = XferPhase::Crossed;
-                ctx.send_after(self.cost.comm, ctx.self_id(), self.step_msg());
-            }
-            XferPhase::Crossed => {
-                let done = now + self.cost.decryption;
-                let mut ledger = self.ledger.borrow_mut();
-                ledger.crypto += self.cost.re_encryption + self.cost.decryption;
-                if self.stamps_grad_end {
-                    ledger.grad_end = done;
-                }
-                drop(ledger);
-                ctx.send_at(done, self.next, self.done_msg);
-            }
-        }
-    }
-}
-
-/// The CPU optimizer: starts once every rank drained *and* the reduced
-/// gradients arrived; kicks the weight path per the mode's overlap
-/// policy.
-#[derive(Debug)]
-struct CpuNode {
-    duration: Time,
-    waiting_npu: u32,
-    grad_arrived: bool,
-    started: bool,
-    done_at: Time,
-    overlaps: bool,
-    weight: usize,
-    finish: usize,
-    ledger: Shared<Ledger>,
-}
-
-impl CpuNode {
-    fn maybe_start(&mut self, now: Time, ctx: &mut Ctx<'_, Msg>) {
-        if self.started || self.waiting_npu > 0 || !self.grad_arrived {
-            return;
-        }
-        self.started = true;
-        self.ledger.borrow_mut().cpu_start = now;
-        self.done_at = now + self.duration;
-        if self.overlaps {
-            // Weights pipeline tensor-by-tensor behind the update (§4.4).
-            ctx.send(self.weight, Msg::WeightStart);
-        }
-    }
-
-    fn next_tick(&self) -> Time {
-        if self.started && self.done_at != Time::MAX {
-            self.done_at
-        } else {
-            Time::MAX
-        }
-    }
-
-    fn tick(&mut self, _now: Time, ctx: &mut Ctx<'_, Msg>) {
-        self.done_at = Time::MAX;
-        if !self.overlaps {
-            ctx.send(self.weight, Msg::WeightStart);
-        }
-        ctx.send(self.finish, Msg::CpuDone);
-    }
-}
-
-/// The weight path: the CPU→NPU stream (a [`LinkNode`]-style transfer)
-/// in parallel with the ring re-broadcast occupying the fabric; done when
-/// the slower of the two finishes.
-#[derive(Debug)]
-struct WeightNode {
-    link: LinkNode,
-    broadcast: TransferBreakdown,
-    pending: u8,
-    fabric: Shared<FabricLink>,
-    finish: usize,
-    ledger: Shared<Ledger>,
-}
-
-impl WeightNode {
-    fn path_done(&mut self, now: Time, ctx: &mut Ctx<'_, Msg>) {
-        self.pending -= 1;
-        if self.pending == 0 {
-            self.ledger.borrow_mut().weight_end = now;
-            ctx.send(self.finish, Msg::WeightDone);
-        }
-    }
-
-    fn receive(&mut self, now: Time, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
-        match msg {
-            Msg::WeightStart => {
-                self.pending = 2;
-                // Path A: the CPU-link stream.
-                self.link.start(ctx);
-                // Path B: the pipelined ring broadcast on the fabric
-                // (crypto conversions included in its breakdown).
-                let grant = self.fabric.borrow_mut().occupy(now, self.broadcast.total());
-                self.ledger.borrow_mut().crypto +=
-                    self.broadcast.re_encryption + self.broadcast.decryption;
-                ctx.send_at(grant.end, ctx.self_id(), Msg::BroadcastDone);
-            }
-            Msg::WeightPhase => self.link.advance(now, ctx),
-            // The link path routes its completion back to this node.
-            Msg::WeightDone | Msg::BroadcastDone => self.path_done(now, ctx),
-            _ => unreachable!("weight path received {msg:?}"),
-        }
-    }
-}
-
-/// Records the step end once both the CPU and the weight path finished.
-#[derive(Debug)]
-struct FinishNode {
-    pending: u8,
-    ledger: Shared<Ledger>,
-}
-
-impl FinishNode {
-    fn receive(&mut self, now: Time, _msg: Msg) {
-        self.pending -= 1;
-        if self.pending == 0 {
-            let mut ledger = self.ledger.borrow_mut();
-            ledger.step_end = now;
-            ledger.finished = true;
+        if self.done_at == now {
+            g.ledger.borrow_mut().npu_done[self.rank] = now;
+            ctx.send(g.cpu, Msg::NpuDone);
+            self.done_at = Time::MAX;
         }
     }
 }
 
 /// One pipeline stage: serially computes queued microbatches and ships
-/// each one's boundary activations across the shared fabric (per-hop
-/// staging conversion as explicit events).
+/// each one's boundary activations across the shared fabric.
 #[derive(Debug)]
 struct StageNode {
     stage: usize,
@@ -472,21 +297,37 @@ struct StageNode {
     next_mb: usize,
     /// When the in-progress microbatch completes ([`Time::MAX`] = idle).
     busy_until: Time,
-    /// Boundary activation transfer per microbatch (`None` on the last
+    /// Boundary activation transfer per microbatch (empty on the last
     /// stage).
-    act: Option<TransferBreakdown>,
-    /// Phase of each in-flight activation transfer, by microbatch.
-    act_phase: Vec<XferPhase>,
-    /// Microbatches fully computed.
-    finished: u32,
-    next_stage: usize,
-    ring: usize,
-    cpu: usize,
-    fabric: Shared<FabricLink>,
-    ledger: Shared<Ledger>,
+    acts: Vec<Transfer>,
 }
 
 impl StageNode {
+    fn new(stage: usize, work: Time, microbatches: u32, acts: Vec<Transfer>) -> Self {
+        // Conserve the stage's compute exactly across its microbatches
+        // (integer split, remainder spread over the first microbatches).
+        let m = u64::from(microbatches);
+        let (per, rem) = (work.as_ps() / m, work.as_ps() % m);
+        let per_mb: Vec<Time> = (0..m)
+            .map(|k| Time::from_ps(per + u64::from(k < rem)))
+            .collect();
+        // Stage 0 starts its first microbatch at t=0 with the rest of the
+        // batch queued; later stages idle until activations arrive.
+        let (queued, busy_until) = if stage == 0 {
+            (microbatches - 1, per_mb[0])
+        } else {
+            (0, Time::MAX)
+        };
+        StageNode {
+            stage,
+            per_mb,
+            queued,
+            next_mb: 0,
+            busy_until,
+            acts,
+        }
+    }
+
     fn try_start(&mut self, now: Time) {
         if self.busy_until == Time::MAX && self.queued > 0 && self.next_mb < self.per_mb.len() {
             self.queued -= 1;
@@ -494,53 +335,40 @@ impl StageNode {
         }
     }
 
-    fn next_tick(&self) -> Time {
-        self.busy_until
-    }
-
-    fn tick(&mut self, now: Time, ctx: &mut Ctx<'_, Msg>) {
+    fn tick(&mut self, now: Time, ctx: &mut Ctx<'_, Msg>, g: &Graph) {
         // Drain every microbatch completing at `now` — zero-duration
         // microbatches (an empty stage on an over-partitioned model)
         // finish immediately, and the strict-advance contract requires
         // handling them all in this tick.
         while self.busy_until == now {
-            let mb = self.next_mb as u32;
+            let mb = self.next_mb;
             self.next_mb += 1;
             self.busy_until = Time::MAX;
-            self.finished += 1;
-            if let Some(act) = self.act {
+            if let Some(act) = self.acts.get(mb) {
                 // Ship its activations: re-encrypt, then request the fabric.
-                self.act_phase[mb as usize] = XferPhase::ReEncrypted;
-                ctx.send_after(act.re_encryption, ctx.self_id(), Msg::ActPhase(mb));
+                act.start_at(now, Msg::Advance(mb as u32), ctx);
             }
-            if self.finished as usize == self.per_mb.len() {
+            if self.next_mb == self.per_mb.len() {
                 // Stage drained: gradients for its layer shard are ready.
-                self.ledger.borrow_mut().npu_done[self.stage] = now;
-                ctx.send(self.ring, Msg::RingReady);
-                ctx.send(self.cpu, Msg::NpuDone);
+                g.ledger.borrow_mut().npu_done[self.stage] = now;
+                ctx.send(g.ring, Msg::RingReady);
+                ctx.send(g.cpu, Msg::NpuDone);
             }
             self.try_start(now);
         }
     }
 
-    fn receive(&mut self, now: Time, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+    fn receive(&mut self, now: Time, msg: Msg, ctx: &mut Ctx<'_, Msg>, g: &Graph) {
         match msg {
             Msg::ActArrived => {
                 self.queued += 1;
                 self.try_start(now);
             }
-            Msg::ActPhase(mb) => {
-                let act = self.act.expect("last stage has no boundary");
-                match self.act_phase[mb as usize] {
-                    XferPhase::ReEncrypted => {
-                        let grant = self.fabric.borrow_mut().occupy(now, act.comm);
-                        self.act_phase[mb as usize] = XferPhase::Crossed;
-                        ctx.send_at(grant.end, ctx.self_id(), Msg::ActPhase(mb));
-                    }
-                    XferPhase::Crossed => {
-                        self.ledger.borrow_mut().crypto += act.re_encryption + act.decryption;
-                        ctx.send_after(act.decryption, self.next_stage, Msg::ActArrived);
-                    }
+            Msg::Advance(mb) => {
+                let act = &mut self.acts[mb as usize];
+                if let Some(done) = act.advance(now, Some(&g.fabric), msg, ctx) {
+                    g.ledger.borrow_mut().crypto += act.crypto();
+                    ctx.send_at(done, self.stage + 1, Msg::ActArrived);
                 }
             }
             _ => unreachable!("stage received {msg:?}"),
@@ -548,74 +376,227 @@ impl StageNode {
     }
 }
 
-/// The component universe of one cluster step.
+/// The ring collective: waits for every compute node, then walks the
+/// pre-priced hop sequence, each hop's bus phase arbitrated by the
+/// shared fabric.
 #[derive(Debug)]
-enum Node {
+struct RingNode {
+    hops: Vec<Transfer>,
+    /// Compute nodes not yet ready.
+    waiting: u32,
+}
+
+impl RingNode {
+    fn complete(now: Time, ctx: &mut Ctx<'_, Msg>, g: &Graph) {
+        g.ledger.borrow_mut().ar_end = now;
+        ctx.send(g.grad_link, Msg::GradStart);
+    }
+
+    fn receive(&mut self, now: Time, msg: Msg, ctx: &mut Ctx<'_, Msg>, g: &Graph) {
+        let last = self.hops.len() as u32;
+        match msg {
+            Msg::RingReady => {
+                self.waiting -= 1;
+                if self.waiting == 0 {
+                    g.ledger.borrow_mut().ring_start = now;
+                    match self.hops.first() {
+                        Some(hop) => hop.start_at(now, Msg::Advance(0), ctx),
+                        None => Self::complete(now, ctx, g),
+                    }
+                }
+            }
+            Msg::Advance(i) if i == last => Self::complete(now, ctx, g),
+            Msg::Advance(i) => {
+                let hop = &mut self.hops[i as usize];
+                let Some(done) = hop.advance(now, Some(&g.fabric), msg, ctx) else {
+                    return;
+                };
+                g.ledger.borrow_mut().crypto += hop.crypto();
+                if let Some(next) = self.hops.get(i as usize + 1) {
+                    // The next hop's re-encryption starts when this hop's
+                    // chunk is usable.
+                    next.start_at(done, Msg::Advance(i + 1), ctx);
+                } else if done == now {
+                    Self::complete(now, ctx, g);
+                } else {
+                    ctx.send_at(done, ctx.self_id(), Msg::Advance(last));
+                }
+            }
+            _ => unreachable!("ring received {msg:?}"),
+        }
+    }
+}
+
+/// The CPU optimizer: starts once every compute node drained *and* the
+/// reduced gradients arrived; kicks the weight path per the mode's
+/// overlap policy.
+#[derive(Debug)]
+struct CpuNode {
+    duration: Time,
+    waiting_npu: u32,
+    grad_arrived: bool,
+    /// When the optimizer finishes ([`Time::MAX`] before it starts and
+    /// once done).
+    done_at: Time,
+    overlaps: bool,
+}
+
+impl CpuNode {
+    fn receive(&mut self, now: Time, msg: Msg, ctx: &mut Ctx<'_, Msg>, g: &Graph) {
+        match msg {
+            Msg::NpuDone => self.waiting_npu -= 1,
+            Msg::GradArrived => {
+                self.grad_arrived = true;
+                g.ledger.borrow_mut().grad_end = now;
+            }
+            _ => unreachable!("cpu received {msg:?}"),
+        }
+        if self.waiting_npu > 0 || !self.grad_arrived {
+            return;
+        }
+        g.ledger.borrow_mut().cpu_start = now;
+        self.done_at = now + self.duration;
+        if self.overlaps {
+            // Weights pipeline tensor-by-tensor behind the update (§4.4).
+            ctx.send(g.weight, Msg::WeightStart);
+        }
+    }
+
+    fn tick(&mut self, ctx: &mut Ctx<'_, Msg>, g: &Graph) {
+        self.done_at = Time::MAX;
+        if !self.overlaps {
+            ctx.send(g.weight, Msg::WeightStart);
+        }
+        ctx.send(g.finish, Msg::CpuDone);
+    }
+}
+
+/// The weight path: the CPU→NPU stream on the CPU link in parallel with
+/// the ring re-broadcast occupying the fabric; done when the slower of
+/// the two finishes.
+#[derive(Debug)]
+struct WeightNode {
+    link: Transfer,
+    broadcast: TransferBreakdown,
+    /// Paths still running.
+    pending: u8,
+}
+
+impl WeightNode {
+    fn receive(&mut self, now: Time, msg: Msg, ctx: &mut Ctx<'_, Msg>, g: &Graph) {
+        match msg {
+            Msg::WeightStart => {
+                // Path A: the CPU-link stream.
+                self.link.start_at(now, Msg::Advance(0), ctx);
+                // Path B: the pipelined ring broadcast on the fabric
+                // (crypto conversions included in its breakdown).
+                let grant = g.fabric.borrow_mut().occupy(now, self.broadcast.total());
+                g.ledger.borrow_mut().crypto +=
+                    self.broadcast.re_encryption + self.broadcast.decryption;
+                ctx.send_at(grant.end, ctx.self_id(), Msg::BroadcastDone);
+            }
+            Msg::Advance(_) => {
+                if let Some(done) = self.link.advance(now, None, msg, ctx) {
+                    g.ledger.borrow_mut().crypto += self.link.crypto();
+                    ctx.send_at(done, ctx.self_id(), Msg::WeightDone);
+                }
+            }
+            Msg::WeightDone | Msg::BroadcastDone => {
+                self.pending -= 1;
+                if self.pending == 0 {
+                    g.ledger.borrow_mut().weight_end = now;
+                    ctx.send(g.finish, Msg::WeightDone);
+                }
+            }
+            _ => unreachable!("weight path received {msg:?}"),
+        }
+    }
+}
+
+/// What a component of the step is.
+#[derive(Debug)]
+enum Kind {
     Npu(NpuNode),
     Stage(StageNode),
     Ring(RingNode),
-    GradLink(LinkNode),
+    /// The NPU→CPU gradient stream on the CPU link.
+    GradLink(Transfer),
     Cpu(CpuNode),
     Weight(WeightNode),
-    Finish(FinishNode),
+    /// Records the step end once the CPU and the weight path finished.
+    Finish {
+        pending: u8,
+    },
+}
+
+/// One component of the step's graph.
+#[derive(Debug)]
+struct Node {
+    graph: Rc<Graph>,
+    kind: Kind,
 }
 
 impl Component for Node {
     type Msg = Msg;
 
     fn next_tick(&self) -> Time {
-        match self {
-            Node::Npu(n) => n.next_tick(),
-            Node::Stage(s) => s.next_tick(),
-            Node::Cpu(c) => c.next_tick(),
+        match &self.kind {
+            Kind::Npu(n) => n.ready_at.min(n.done_at),
+            Kind::Stage(s) => s.busy_until,
+            Kind::Cpu(c) => c.done_at,
             _ => Time::MAX,
         }
     }
 
     fn tick(&mut self, now: Time, ctx: &mut Ctx<'_, Msg>) {
-        match self {
-            Node::Npu(n) => n.tick(now, ctx),
-            Node::Stage(s) => s.tick(now, ctx),
-            Node::Cpu(c) => c.tick(now, ctx),
+        let g = &self.graph;
+        match &mut self.kind {
+            Kind::Npu(n) => n.tick(now, ctx, g),
+            Kind::Stage(s) => s.tick(now, ctx, g),
+            Kind::Cpu(c) => c.tick(ctx, g),
             _ => unreachable!("component has no timer"),
         }
     }
 
     fn label(&self) -> String {
-        match self {
-            Node::Npu(n) => format!("NPU{}", n.rank),
-            Node::Stage(s) => format!("NPU{}", s.stage),
-            Node::Ring(_) => "ring".to_string(),
-            Node::GradLink(_) => "link".to_string(),
-            Node::Cpu(_) => "CPU".to_string(),
-            Node::Weight(_) => "weights".to_string(),
-            Node::Finish(_) => "finish".to_string(),
+        match &self.kind {
+            Kind::Npu(NpuNode { rank: i, .. }) | Kind::Stage(StageNode { stage: i, .. }) => {
+                format!("NPU{i}")
+            }
+            Kind::Ring(_) => "ring".to_string(),
+            Kind::GradLink(_) => "link".to_string(),
+            Kind::Cpu(_) => "CPU".to_string(),
+            Kind::Weight(_) => "weights".to_string(),
+            Kind::Finish { .. } => "finish".to_string(),
         }
     }
 
     fn receive(&mut self, now: Time, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
-        match self {
-            Node::Ring(r) => r.receive(now, msg, ctx),
-            Node::GradLink(l) => match msg {
-                Msg::GradStart => l.start(ctx),
-                Msg::GradPhase => l.advance(now, ctx),
+        let g = &self.graph;
+        match &mut self.kind {
+            Kind::Ring(r) => r.receive(now, msg, ctx, g),
+            Kind::GradLink(link) => match msg {
+                Msg::GradStart => link.start_at(now, Msg::Advance(0), ctx),
+                Msg::Advance(_) => {
+                    if let Some(done) = link.advance(now, None, msg, ctx) {
+                        g.ledger.borrow_mut().crypto += link.crypto();
+                        ctx.send_at(done, g.cpu, Msg::GradArrived);
+                    }
+                }
                 other => unreachable!("gradient link received {other:?}"),
             },
-            Node::Cpu(c) => match msg {
-                Msg::NpuDone => {
-                    c.waiting_npu -= 1;
-                    c.maybe_start(now, ctx);
+            Kind::Cpu(c) => c.receive(now, msg, ctx, g),
+            Kind::Weight(w) => w.receive(now, msg, ctx, g),
+            Kind::Finish { pending } => {
+                *pending -= 1;
+                if *pending == 0 {
+                    let mut ledger = g.ledger.borrow_mut();
+                    ledger.step_end = now;
+                    ledger.finished = true;
                 }
-                Msg::GradArrived => {
-                    c.grad_arrived = true;
-                    c.maybe_start(now, ctx);
-                }
-                other => unreachable!("cpu received {other:?}"),
-            },
-            Node::Weight(w) => w.receive(now, msg, ctx),
-            Node::Finish(f) => f.receive(now, msg),
-            Node::Stage(s) => s.receive(now, msg, ctx),
-            Node::Npu(_) => unreachable!("npu nodes take no messages"),
+            }
+            Kind::Stage(s) => s.receive(now, msg, ctx, g),
+            Kind::Npu(_) => unreachable!("npu nodes take no messages"),
         }
     }
 }
@@ -691,15 +672,9 @@ impl DesClusterSystem {
     /// against the analytic model.
     pub fn simulate_schedule(&mut self, schedule: &StepSchedule) -> DesStepReport {
         // Adam runs on the reduced full-model gradients in both layouts;
-        // data-parallel prices it from the replica schedule exactly like
-        // the analytic path (same tensor list either way).
-        let cpu = match self.des.parallelism {
-            Parallelism::Data => {
-                let replica = schedule.data_parallel_replica(self.des.cluster.n_npus);
-                self.sys.cpu_time(&replica)
-            }
-            Parallelism::Pipeline { .. } => self.sys.cpu_time(schedule),
-        };
+        // `data_parallel_replica` keeps the Adam tensor list, so this is
+        // the analytic path's (replica) price and memo key too.
+        let cpu = self.sys.cpu_time(schedule);
         self.simulate_with_cpu_time(schedule, cpu)
     }
 
@@ -707,299 +682,143 @@ impl DesClusterSystem {
     /// the caller: `obs_utilization` lays a synthetic optimizer phase on
     /// its instrumented step, and the differential tests feed the
     /// analytic and DES engines one fixed phase.
+    ///
+    /// Builds the step's component graph — the layout's n compute nodes
+    /// (ranks or stages), then the shared tail — and runs it.
     pub fn simulate_with_cpu_time(&mut self, schedule: &StepSchedule, cpu: Time) -> DesStepReport {
-        match self.des.parallelism {
-            Parallelism::Data => self.run_data_parallel(schedule, cpu),
-            Parallelism::Pipeline { microbatches } => {
-                self.run_pipeline(schedule, cpu, microbatches)
+        let n = self.des.cluster.n_npus as usize;
+        let protocol = self.mode().protocol();
+        let interconnect = self.des.cluster.interconnect;
+        let graph = Rc::new(Graph {
+            ledger: RefCell::new(Ledger {
+                npu_done: vec![Time::ZERO; n],
+                ..Ledger::default()
+            }),
+            fabric: RefCell::new({
+                let mut link = FabricLink::new();
+                link.set_probe(self.probe.clone());
+                link
+            }),
+            ring: n,
+            grad_link: n + 1,
+            cpu: n + 2,
+            weight: n + 3,
+            finish: n + 4,
+        });
+        let mut sched: Scheduler<Node> = Scheduler::new();
+        let mut add = |kind| {
+            sched.add(Node {
+                graph: Rc::clone(&graph),
+                kind,
+            })
+        };
+        // The straggler (if any) is the last rank or stage.
+        let straggle = |i: usize, t: Time| {
+            let factor = if i == n - 1 {
+                self.des.straggler_factor
+            } else {
+                1.0
+            };
+            scale_duration(t, factor)
+        };
+
+        let (hops, broadcast) = match self.des.parallelism {
+            Parallelism::Data => {
+                let npu = self.sys.npu_time(&schedule.data_parallel_replica(n as u32));
+                for rank in 0..n {
+                    let done_at = straggle(rank, npu);
+                    // Under an overlapping protocol the collective may
+                    // start when the backward window opens; a serialized
+                    // protocol waits for completion.
+                    let ready_at = if protocol.overlaps_compute() {
+                        done_at.saturating_sub(backward_window(done_at))
+                    } else {
+                        done_at
+                    };
+                    add(Kind::Npu(NpuNode {
+                        rank,
+                        ready_at,
+                        done_at,
+                    }));
+                }
+                // The replica keeps the full-size gradient and weight
+                // buffers.
+                let ring = RingAllReduce::new(n as u32, interconnect);
+                (
+                    ring.hops(protocol, schedule.grad_bytes),
+                    ring.broadcast(protocol, schedule.weight_bytes),
+                )
             }
-        }
-    }
+            Parallelism::Pipeline { microbatches } => {
+                // Split the layer list into n contiguous stages and price
+                // each stage's compute with the same NPU engine the
+                // analytic path uses.
+                let layers = &schedule.npu_layers;
+                let chunk = layers.len().div_ceil(n).max(1);
+                let bound = |s: usize| (s * chunk).min(layers.len());
+                for s in 0..n {
+                    let slice = &layers[bound(s)..bound(s + 1)];
+                    let work = if slice.is_empty() {
+                        Time::ZERO
+                    } else {
+                        let mut sub = schedule.clone();
+                        sub.npu_layers = slice.to_vec();
+                        self.sys.npu_time(&sub)
+                    };
+                    // Boundary activations — the last layer's output
+                    // (64-byte floor, matching schedule scaling), split
+                    // across the microbatches — cross the NPU fabric
+                    // point to point under the mode's protocol.
+                    let acts = if s + 1 < n {
+                        let bytes = slice.last().map_or(64, |l| l.out_bytes).max(64);
+                        let act = protocol
+                            .transfer(interconnect.link(), bytes.div_ceil(u64::from(microbatches)));
+                        vec![Transfer::new(act); microbatches as usize]
+                    } else {
+                        Vec::new()
+                    };
+                    add(Kind::Stage(StageNode::new(
+                        s,
+                        straggle(s, work),
+                        microbatches,
+                        acts,
+                    )));
+                }
+                // No collective: layer shards are disjoint, so gradients
+                // stream straight to the CPU. No ring re-broadcast either:
+                // each stage receives only its own shard over the CPU
+                // link.
+                (Vec::new(), TransferBreakdown::default())
+            }
+        };
 
-    /// Builds and runs the data-parallel component graph.
-    fn run_data_parallel(&mut self, schedule: &StepSchedule, cpu: Time) -> DesStepReport {
-        let n = self.des.cluster.n_npus;
-        let replica = schedule.data_parallel_replica(n);
-        let npu_base = self.sys.npu_time(&replica);
-        let comm = self.sys.comm_costs(&replica);
-        let protocol = self.mode().protocol();
-        let ring = RingAllReduce::new(n, self.des.cluster.interconnect);
-        let hops = ring.hops(protocol, replica.grad_bytes);
-        let broadcast = ring.broadcast(protocol, replica.weight_bytes);
-        let overlaps = protocol.overlaps_compute();
-
-        let ledger: Shared<Ledger> = Rc::new(RefCell::new(Ledger {
-            npu_done: vec![Time::ZERO; n as usize],
-            ..Ledger::default()
-        }));
-        let fabric: Shared<FabricLink> = Rc::new(RefCell::new({
-            let mut link = FabricLink::new();
-            link.set_probe(self.probe.clone());
-            link
-        }));
-
-        // Component ids: ranks 0..n, then ring, grad link, cpu, weight,
-        // finish — the (time, id) tie-break dispatches ranks first.
-        let ring_id = n as usize;
-        let grad_id = ring_id + 1;
-        let cpu_id = grad_id + 1;
-        let weight_id = cpu_id + 1;
-        let finish_id = weight_id + 1;
-
-        let mut sched: Scheduler<Node> = Scheduler::new();
-        for rank in 0..n as usize {
-            // The straggler (if any) is the last rank.
-            let factor = if rank == n as usize - 1 {
-                self.des.straggler_factor
-            } else {
-                1.0
-            };
-            let done_at = scale_duration(npu_base, factor);
-            // Under an overlapping protocol the collective may start when
-            // the backward window opens; a serialized protocol waits for
-            // completion.
-            let ready_at = if overlaps {
-                done_at.saturating_sub(backward_window(done_at))
-            } else {
-                done_at
-            };
-            sched.add(Node::Npu(NpuNode {
-                rank,
-                ready_at,
-                done_at,
-                phase: 0,
-                ring: ring_id,
-                cpu: cpu_id,
-                ledger: Rc::clone(&ledger),
-            }));
-        }
-        self.add_tail_nodes(
-            &mut sched,
-            TailWiring {
-                n_compute: n,
-                hops,
-                comm_grad: comm.grad,
-                comm_weight: comm.weight,
-                broadcast,
-                cpu,
-                overlaps,
-                grad_id,
-                cpu_id,
-                weight_id,
-                finish_id,
-            },
-            &ledger,
-            &fabric,
-        );
-        self.finish_run(sched, ledger, fabric, cpu)
-    }
-
-    /// Builds and runs the pipeline-parallel component graph.
-    fn run_pipeline(
-        &mut self,
-        schedule: &StepSchedule,
-        cpu: Time,
-        microbatches: u32,
-    ) -> DesStepReport {
-        let n = self.des.cluster.n_npus;
-        let m = microbatches as usize;
+        // The shared tail, in `Graph`'s id order.
         let comm = self.sys.comm_costs(schedule);
-        let protocol = self.mode().protocol();
-        let overlaps = protocol.overlaps_compute();
-
-        // Split the layer list into N contiguous stages and price each
-        // stage's compute with the same NPU engine the analytic path uses.
-        let layers = &schedule.npu_layers;
-        let chunk = layers.len().div_ceil(n as usize).max(1);
-        let mut stage_times = Vec::with_capacity(n as usize);
-        let mut boundary_bytes = Vec::with_capacity(n as usize);
-        for s in 0..n as usize {
-            let lo = (s * chunk).min(layers.len());
-            let hi = ((s + 1) * chunk).min(layers.len());
-            let slice = &layers[lo..hi];
-            let t = if slice.is_empty() {
-                Time::ZERO
-            } else {
-                let mut sub = schedule.clone();
-                sub.npu_layers = slice.to_vec();
-                self.sys.npu_time(&sub)
-            };
-            let factor = if s == n as usize - 1 {
-                self.des.straggler_factor
-            } else {
-                1.0
-            };
-            stage_times.push(scale_duration(t, factor));
-            // Activations crossing the boundary after stage `s`: the last
-            // layer's output (64-byte floor, matching schedule scaling).
-            boundary_bytes.push(slice.last().map(|l| l.out_bytes).unwrap_or(64).max(64));
-        }
-
-        let ledger: Shared<Ledger> = Rc::new(RefCell::new(Ledger {
-            npu_done: vec![Time::ZERO; n as usize],
-            ..Ledger::default()
+        add(Kind::Ring(RingNode {
+            hops: hops.into_iter().map(Transfer::new).collect(),
+            waiting: n as u32,
         }));
-        let fabric: Shared<FabricLink> = Rc::new(RefCell::new({
-            let mut link = FabricLink::new();
-            link.set_probe(self.probe.clone());
-            link
-        }));
-
-        let ring_id = n as usize;
-        let grad_id = ring_id + 1;
-        let cpu_id = grad_id + 1;
-        let weight_id = cpu_id + 1;
-        let finish_id = weight_id + 1;
-
-        let mut sched: Scheduler<Node> = Scheduler::new();
-        for s in 0..n as usize {
-            // Conserve each stage's total compute exactly across its
-            // microbatches (integer split, remainder spread over the
-            // first microbatches).
-            let ps = stage_times[s].as_ps();
-            let per = ps / m as u64;
-            let rem = ps % m as u64;
-            let per_mb: Vec<Time> = (0..m as u64)
-                .map(|k| Time::from_ps(per + u64::from(k < rem)))
-                .collect();
-            // Boundary activations cross the NPU fabric point to point
-            // under the mode's protocol.
-            let act = if s + 1 < n as usize {
-                Some(protocol.transfer(
-                    self.des.cluster.interconnect.link(),
-                    boundary_bytes[s].div_ceil(m as u64),
-                ))
-            } else {
-                None
-            };
-            // Stage 0 starts its first microbatch at t=0 with the rest
-            // of the batch queued; later stages idle until activations
-            // arrive.
-            let (queued, busy_until) = if s == 0 {
-                (microbatches - 1, per_mb[0])
-            } else {
-                (0, Time::MAX)
-            };
-            sched.add(Node::Stage(StageNode {
-                stage: s,
-                per_mb,
-                queued,
-                next_mb: 0,
-                busy_until,
-                act,
-                act_phase: vec![XferPhase::ReEncrypted; m],
-                finished: 0,
-                next_stage: s + 1,
-                ring: ring_id,
-                cpu: cpu_id,
-                fabric: Rc::clone(&fabric),
-                ledger: Rc::clone(&ledger),
-            }));
-        }
-        self.add_tail_nodes(
-            &mut sched,
-            TailWiring {
-                n_compute: n,
-                // No collective: layer shards are disjoint, gradients
-                // stream straight to the CPU.
-                hops: Vec::new(),
-                comm_grad: comm.grad,
-                comm_weight: comm.weight,
-                // No ring re-broadcast either: each stage receives only
-                // its own shard over the CPU link.
-                broadcast: TransferBreakdown::default(),
-                cpu,
-                overlaps,
-                grad_id,
-                cpu_id,
-                weight_id,
-                finish_id,
-            },
-            &ledger,
-            &fabric,
-        );
-        self.finish_run(sched, ledger, fabric, cpu)
-    }
-
-    /// Adds the shared back half of the graph: collective, gradient link,
-    /// CPU, weight path, finish.
-    fn add_tail_nodes(
-        &self,
-        sched: &mut Scheduler<Node>,
-        w: TailWiring,
-        ledger: &Shared<Ledger>,
-        fabric: &Shared<FabricLink>,
-    ) {
-        sched.add(Node::Ring(RingNode {
-            hops: w.hops,
-            waiting: w.n_compute,
-            idx: 0,
-            phase: XferPhase::ReEncrypted,
-            fabric: Rc::clone(fabric),
-            grad_link: w.grad_id,
-            ledger: Rc::clone(ledger),
-        }));
-        sched.add(Node::GradLink(LinkNode {
-            cost: w.comm_grad,
-            phase: XferPhase::ReEncrypted,
-            done_msg: Msg::GradArrived,
-            next: w.cpu_id,
-            step_msg_is_weight: false,
-            ledger: Rc::clone(ledger),
-            stamps_grad_end: true,
-        }));
-        sched.add(Node::Cpu(CpuNode {
-            duration: w.cpu,
-            waiting_npu: w.n_compute,
+        add(Kind::GradLink(Transfer::new(comm.grad)));
+        add(Kind::Cpu(CpuNode {
+            duration: cpu,
+            waiting_npu: n as u32,
             grad_arrived: false,
-            started: false,
             done_at: Time::MAX,
-            overlaps: w.overlaps,
-            weight: w.weight_id,
-            finish: w.finish_id,
-            ledger: Rc::clone(ledger),
+            overlaps: protocol.overlaps_compute(),
         }));
-        sched.add(Node::Weight(WeightNode {
-            link: LinkNode {
-                cost: w.comm_weight,
-                phase: XferPhase::ReEncrypted,
-                done_msg: Msg::WeightDone,
-                // The link path reports back to the weight node itself,
-                // which forwards once both paths are done.
-                next: w.weight_id,
-                step_msg_is_weight: true,
-                ledger: Rc::clone(ledger),
-                stamps_grad_end: false,
-            },
-            broadcast: w.broadcast,
-            pending: 0,
-            fabric: Rc::clone(fabric),
-            finish: w.finish_id,
-            ledger: Rc::clone(ledger),
-        }));
-        sched.add(Node::Finish(FinishNode {
+        add(Kind::Weight(WeightNode {
+            link: Transfer::new(comm.weight),
+            broadcast,
             pending: 2,
-            ledger: Rc::clone(ledger),
         }));
-    }
+        add(Kind::Finish { pending: 2 });
 
-    /// Runs the scheduler to quiescence and extracts the breakdown.
-    fn finish_run(
-        &self,
-        mut sched: Scheduler<Node>,
-        ledger: Shared<Ledger>,
-        fabric: Shared<FabricLink>,
-        cpu: Time,
-    ) -> DesStepReport {
         sched.set_probe(self.probe.clone());
         sched.run();
         let events = sched.events_processed();
-        drop(sched);
-        let ledger = Rc::try_unwrap(ledger)
-            .expect("all components dropped")
-            .into_inner();
+        let ledger = graph.ledger.borrow();
         assert!(ledger.finished, "step did not run to completion");
-        let fabric = fabric.borrow();
+        let fabric = graph.fabric.borrow();
 
         // Extraction: algebraically identical to the analytic
         // composition (see tests/des_cluster.rs for the bit-for-bit
@@ -1056,22 +875,6 @@ impl DesClusterSystem {
             events,
         }
     }
-}
-
-/// Wiring bundle for the shared tail of the component graph.
-#[derive(Debug)]
-struct TailWiring {
-    n_compute: u32,
-    hops: Vec<TransferBreakdown>,
-    comm_grad: TransferBreakdown,
-    comm_weight: TransferBreakdown,
-    broadcast: TransferBreakdown,
-    cpu: Time,
-    overlaps: bool,
-    grad_id: usize,
-    cpu_id: usize,
-    weight_id: usize,
-    finish_id: usize,
 }
 
 #[cfg(test)]

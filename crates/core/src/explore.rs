@@ -940,6 +940,23 @@ pub fn explore_sensitivity_for(scenario: Scenario, ctx: &RunContext) -> (Explore
     (run, report)
 }
 
+/// Runs both sweeps of `tensortee explore <scenario>`: the
+/// [`explore_pareto_for`] and [`explore_sensitivity_for`] reports, in that
+/// order. A recording context probe gets the sweeps'
+/// `memo.{adam,npu}_{hits,misses}` counts (non-zero ones only), as
+/// [`crate::Artifact::run`] gives it an artifact's; no evaluator traces
+/// into the context probe, so those counters are all an explore trace
+/// holds.
+pub fn explore(scenario: Scenario, ctx: &RunContext) -> [Report; 2] {
+    let before = ctx.memo.counts();
+    let reports = [
+        explore_pareto_for(scenario, ctx).1,
+        explore_sensitivity_for(scenario, ctx).1,
+    ];
+    ctx.memo.counts().emit_since(&before, &ctx.probe);
+    reports
+}
+
 /// The registered `explore_pareto` artifact (train scenario).
 pub fn explore_pareto(ctx: &RunContext) -> Report {
     explore_pareto_for(Scenario::Train, ctx).1

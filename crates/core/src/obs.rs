@@ -11,8 +11,7 @@
 //!   counter (`"C"`) series. Timestamps convert from picoseconds to the
 //!   format's microseconds.
 //! * [`utilization`] / [`utilization_table`] — per-track busy time folded
-//!   from spans and matched begin/end pairs, as a fraction of the
-//!   recording's makespan.
+//!   from spans, as a fraction of the recording's makespan.
 //! * [`emit_step_phases`] — lays the analytic [`StepBreakdown`] phases as
 //!   spans so the *analytic* artifacts trace through the same vocabulary
 //!   as the discrete-event ones.
@@ -89,19 +88,6 @@ pub fn chrome_trace(trace: &TraceProbe) -> Json {
                 ("ts", us(*start)),
                 ("dur", us(end.saturating_sub(*start))),
             ]),
-            ProbeEvent::Begin { track, name, at } => Json::object([
-                ("name", Json::str(name.clone())),
-                ("ph", Json::str("B")),
-                ("pid", Json::Int(1)),
-                ("tid", tid(track)),
-                ("ts", us(*at)),
-            ]),
-            ProbeEvent::End { track, at } => Json::object([
-                ("ph", Json::str("E")),
-                ("pid", Json::Int(1)),
-                ("tid", tid(track)),
-                ("ts", us(*at)),
-            ]),
             ProbeEvent::Instant { track, name, at } => Json::object([
                 ("name", Json::str(name.clone())),
                 ("ph", Json::str("i")),
@@ -141,7 +127,7 @@ pub fn chrome_trace(trace: &TraceProbe) -> Json {
     ])
 }
 
-/// One track's rollup: busy time from spans and matched begin/end pairs.
+/// One track's rollup: busy time from spans.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrackUtilization {
     /// Track (timeline) name.
@@ -154,11 +140,9 @@ pub struct TrackUtilization {
 
 /// Folds a recording into per-track busy time plus the makespan (the
 /// latest timestamp any event touches). Tracks appear in first-seen
-/// order. Unmatched `Begin`s contribute nothing; `End`s close the most
-/// recent open `Begin` on their track.
+/// order.
 pub fn utilization(trace: &TraceProbe) -> (Vec<TrackUtilization>, Time) {
     let mut rows: Vec<TrackUtilization> = Vec::new();
-    let mut open: Vec<(String, Vec<Time>)> = Vec::new();
     let mut makespan = Time::ZERO;
     let row_of = |rows: &mut Vec<TrackUtilization>, track: &str| -> usize {
         match rows.iter().position(|r| r.track == track) {
@@ -177,25 +161,9 @@ pub fn utilization(trace: &TraceProbe) -> (Vec<TrackUtilization>, Time) {
         let i = row_of(&mut rows, e.track());
         rows[i].events += 1;
         makespan = makespan.max(e.at());
-        match e {
-            ProbeEvent::Span { start, end, .. } => {
-                rows[i].busy += end.saturating_sub(*start);
-                makespan = makespan.max(*end);
-            }
-            ProbeEvent::Begin { track, at, .. } => {
-                match open.iter_mut().find(|(t, _)| t == track) {
-                    Some((_, stack)) => stack.push(*at),
-                    None => open.push((track.clone(), vec![*at])),
-                }
-            }
-            ProbeEvent::End { track, at } => {
-                if let Some((_, stack)) = open.iter_mut().find(|(t, _)| t == track) {
-                    if let Some(begin) = stack.pop() {
-                        rows[i].busy += at.saturating_sub(begin);
-                    }
-                }
-            }
-            _ => {}
+        if let ProbeEvent::Span { start, end, .. } = e {
+            rows[i].busy += end.saturating_sub(*start);
+            makespan = makespan.max(*end);
         }
     }
     (rows, makespan)
@@ -260,8 +228,6 @@ pub(crate) fn replay(snapshot: &TraceProbe, into: &SharedProbe) {
                 start,
                 end,
             } => into.span(track, name, *start, *end),
-            ProbeEvent::Begin { track, name, at } => into.span_begin(track, name, *at),
-            ProbeEvent::End { track, at } => into.span_end(track, *at),
             ProbeEvent::Instant { track, name, at } => into.instant(track, name, *at),
             ProbeEvent::Gauge {
                 track,
@@ -394,8 +360,7 @@ mod tests {
     fn sample_trace() -> TraceProbe {
         let p = SharedProbe::recording();
         p.span("NPU0", "compute", Time::ZERO, Time::from_ns(80));
-        p.span_begin("CPU", "optimizer", Time::from_ns(80));
-        p.span_end("CPU", Time::from_ns(100));
+        p.span("CPU", "optimizer", Time::from_ns(80), Time::from_ns(100));
         p.instant("router", "dispatch", Time::from_ns(5));
         p.gauge("link", "queue", Time::from_ns(10), 3);
         p.count("des.ticks", 7);
@@ -410,8 +375,6 @@ mod tests {
             assert!(json.contains(&format!("\"name\":\"{track}\"")), "{track}");
         }
         assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"ph\":\"B\""));
-        assert!(json.contains("\"ph\":\"E\""));
         assert!(json.contains("\"ph\":\"i\""));
         assert!(json.contains("\"ph\":\"C\""));
         assert!(json.contains("\"des.ticks\":7"));
@@ -438,16 +401,6 @@ mod tests {
         let t = utilization_table("demo", &sample_trace());
         assert_eq!(t.len(), 4);
         assert!(t.to_markdown().contains("80.0%"));
-    }
-
-    #[test]
-    fn unmatched_ends_are_ignored() {
-        let p = SharedProbe::recording();
-        p.span_end("CPU", Time::from_ns(50));
-        p.span_begin("CPU", "open", Time::from_ns(60));
-        let (rows, makespan) = utilization(&p.snapshot().unwrap());
-        assert_eq!(rows[0].busy, Time::ZERO);
-        assert_eq!(makespan, Time::from_ns(60));
     }
 
     #[test]

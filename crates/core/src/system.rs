@@ -24,7 +24,6 @@ use crate::memo::{AdamRun, Memo, NpuRun};
 use crate::report::PhaseLedger;
 use tee_comm::protocol::TransferBreakdown;
 use tee_comm::ring::{AllReduceBreakdown, RingAllReduce};
-use tee_comm::schedule::exposed_time;
 use tee_cpu::analyzer::TenAnalyzerConfig;
 use tee_cpu::{AdamWorkload, TeeMode};
 use tee_npu::engine::Layer as NpuLayer;
@@ -222,20 +221,14 @@ impl TrainingSystem {
     /// `verify_stall` and the transfer crypto terms) price them once and
     /// compose here.
     pub fn compose_step(&self, npu: Time, cpu: Time, comm: &CommCosts) -> StepBreakdown {
-        let (comm_g, comm_w) = if self.mode.protocol().overlaps_compute() {
-            // Gradients hide behind the backward window of the NPU phase;
-            // weights pipeline behind the CPU optimizer (§4.4, Figure 15).
-            let g = exposed_time(backward_window(npu), comm.grad.total());
-            let w = exposed_time(cpu, comm.weight.total());
-            (g, w)
-        } else {
-            (comm.grad.total(), comm.weight.total())
-        };
+        let protocol = self.mode.protocol();
+        // Gradients hide behind the backward window of the NPU phase;
+        // weights pipeline behind the CPU optimizer (§4.4, Figure 15).
         StepBreakdown {
             npu,
             cpu,
-            comm_w,
-            comm_g,
+            comm_w: protocol.exposed(cpu, comm.weight.total()),
+            comm_g: protocol.exposed(backward_window(npu), comm.grad.total()),
         }
     }
 }
@@ -420,26 +413,19 @@ impl ClusterSystem {
         // The ring re-broadcast pipelines with the CPU→NPU weight stream,
         // so the weight path is bounded by the slower traversal.
         let weight_path = comm.weight.total().max(weight_broadcast);
-        let (comm_ar, comm_g, comm_w) = if self.mode().protocol().overlaps_compute() {
-            // The all-reduce starts as backward produces gradient buckets,
-            // hiding in the same backward window the point-to-point
-            // transfer used; the reduced-shard NPU→CPU stream then hides
-            // in whatever window remains (§4.4, Figure 15).
-            let bwd_window = backward_window(npu);
-            let ar_exposed = exposed_time(bwd_window, ar.total());
-            let window_left = bwd_window.saturating_sub(ar.total());
-            let g = exposed_time(window_left, comm.grad.total());
-            let w = exposed_time(cpu, weight_path);
-            (ar_exposed, g, w)
-        } else {
-            (ar.total(), comm.grad.total(), weight_path)
-        };
+        let protocol = self.mode().protocol();
+        // The all-reduce starts as backward produces gradient buckets,
+        // hiding in the same backward window the point-to-point transfer
+        // used; the reduced-shard NPU→CPU stream then hides in whatever
+        // window remains (§4.4, Figure 15).
+        let bwd_window = backward_window(npu);
+        let window_left = bwd_window.saturating_sub(ar.total());
         ClusterStepBreakdown {
             npu,
             cpu,
-            comm_w,
-            comm_g,
-            comm_ar,
+            comm_w: protocol.exposed(cpu, weight_path),
+            comm_g: protocol.exposed(window_left, comm.grad.total()),
+            comm_ar: protocol.exposed(bwd_window, ar.total()),
         }
     }
 }

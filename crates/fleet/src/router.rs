@@ -136,11 +136,9 @@ impl Router {
                 SESSION_SETUP
             };
             let transfer = kv_transfer_time(self.protocol, bytes);
-            let exposed = if self.protocol.overlaps_compute() {
-                setup
-            } else {
-                setup + transfer
-            };
+            // An overlapping handoff hides entirely behind the delayed
+            // dispatch: an unbounded window.
+            let exposed = setup + self.protocol.exposed(Time::MAX, transfer);
             let r = &mut self.report;
             r.migrations += 1;
             r.migrated_bytes += bytes;

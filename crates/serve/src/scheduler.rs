@@ -31,7 +31,6 @@ use crate::kv::KvPool;
 use crate::report::ServeReport;
 use crate::trace::{Request, SessionRequest};
 use std::collections::{BTreeSet, VecDeque};
-use tee_comm::schedule::exposed_time;
 use tee_comm::Protocol;
 use tee_npu::engine::NpuEngine;
 use tee_sim::probe::SharedProbe;
@@ -324,12 +323,7 @@ impl Instance {
             Some(kv) => {
                 let t = kv_transfer_time(kv.protocol, fetched)
                     + kv_transfer_time(kv.protocol, offloaded);
-                let exposed = if kv.protocol.overlaps_compute() {
-                    exposed_time(npu, t)
-                } else {
-                    t
-                };
-                (t, exposed)
+                (t, kv.protocol.exposed(npu, t))
             }
             None => (Time::ZERO, Time::ZERO),
         };

@@ -48,6 +48,6 @@ pub use bandwidth::BandwidthResource;
 pub use clock::{ClockDomain, Time};
 pub use des::{Component, ComponentId, Scheduler};
 pub use event::{EventQueue, HeapQueue};
-pub use probe::{Probe, ProbeEvent, SharedProbe, TraceProbe};
+pub use probe::{ProbeEvent, SharedProbe, TraceProbe};
 pub use rng::SplitMix64;
 pub use stats::{Counter, Histogram, StatSet};

@@ -7,13 +7,12 @@
 //! on and off (the differential test over the artifact registry pins
 //! this).
 //!
-//! Three pieces:
+//! Two pieces:
 //!
-//! * [`Probe`] — the event vocabulary: spans (named intervals on a
-//!   track), instants (zero-width markers), monotonic counters, and
-//!   gauges (sampled values). Every method has a no-op default.
-//! * [`TraceProbe`] — the recording implementation: a flat
-//!   [`ProbeEvent`] log plus a [`StatSet`] of counters.
+//! * [`TraceProbe`] — the recorder: a flat [`ProbeEvent`] log of the
+//!   events simulators emit (spans — named intervals on a track —,
+//!   zero-width instants and sampled gauges) plus a [`StatSet`] of
+//!   monotonic counters.
 //! * [`SharedProbe`] — the cloneable handle threaded through
 //!   schedulers and run contexts. Its `Null` variant is a bare enum
 //!   discriminant, so the off path costs one branch; the `Trace`
@@ -30,31 +29,6 @@ use crate::clock::Time;
 use crate::stats::StatSet;
 use std::sync::{Arc, Mutex};
 
-/// Event sink for simulation observability.
-///
-/// All methods default to no-ops so implementations only override what
-/// they record. `track` names a timeline (one row in a trace viewer);
-/// `name` labels the event on it.
-pub trait Probe {
-    /// A complete interval `[start, end]` on `track`.
-    fn span(&mut self, _track: &str, _name: &str, _start: Time, _end: Time) {}
-
-    /// Opens an interval on `track`; pair with [`Probe::span_end`].
-    fn span_begin(&mut self, _track: &str, _name: &str, _at: Time) {}
-
-    /// Closes the most recently opened interval on `track`.
-    fn span_end(&mut self, _track: &str, _at: Time) {}
-
-    /// A zero-width marker on `track`.
-    fn instant(&mut self, _track: &str, _name: &str, _at: Time) {}
-
-    /// Adds `delta` to the monotonic counter `name`.
-    fn count(&mut self, _name: &str, _delta: u64) {}
-
-    /// Samples `value` for series `name` on `track` at `at`.
-    fn gauge(&mut self, _track: &str, _name: &str, _at: Time, _value: u64) {}
-}
-
 /// One recorded event in a [`TraceProbe`] log, in emission order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProbeEvent {
@@ -68,22 +42,6 @@ pub enum ProbeEvent {
         start: Time,
         /// Interval end (`>= start`).
         end: Time,
-    },
-    /// Opened interval (closed by the next `End` on the same track).
-    Begin {
-        /// Timeline name.
-        track: String,
-        /// Event label.
-        name: String,
-        /// Open timestamp.
-        at: Time,
-    },
-    /// Closes the innermost open interval on `track`.
-    End {
-        /// Timeline name.
-        track: String,
-        /// Close timestamp.
-        at: Time,
     },
     /// Zero-width marker.
     Instant {
@@ -112,8 +70,6 @@ impl ProbeEvent {
     pub fn track(&self) -> &str {
         match self {
             ProbeEvent::Span { track, .. }
-            | ProbeEvent::Begin { track, .. }
-            | ProbeEvent::End { track, .. }
             | ProbeEvent::Instant { track, .. }
             | ProbeEvent::Gauge { track, .. } => track,
         }
@@ -123,22 +79,16 @@ impl ProbeEvent {
     pub fn at(&self) -> Time {
         match self {
             ProbeEvent::Span { start, .. } => *start,
-            ProbeEvent::Begin { at, .. }
-            | ProbeEvent::End { at, .. }
-            | ProbeEvent::Instant { at, .. }
-            | ProbeEvent::Gauge { at, .. } => *at,
+            ProbeEvent::Instant { at, .. } | ProbeEvent::Gauge { at, .. } => *at,
         }
     }
 
-    /// The event's label (`None` for `End`, which is anonymous: it
-    /// closes the innermost open interval on its track).
-    pub fn name(&self) -> Option<&str> {
+    /// The event's label.
+    pub fn name(&self) -> &str {
         match self {
             ProbeEvent::Span { name, .. }
-            | ProbeEvent::Begin { name, .. }
             | ProbeEvent::Instant { name, .. }
-            | ProbeEvent::Gauge { name, .. } => Some(name),
-            ProbeEvent::End { .. } => None,
+            | ProbeEvent::Gauge { name, .. } => name,
         }
     }
 }
@@ -165,10 +115,9 @@ impl TraceProbe {
     pub fn metrics(&self) -> &StatSet {
         &self.metrics
     }
-}
 
-impl Probe for TraceProbe {
-    fn span(&mut self, track: &str, name: &str, start: Time, end: Time) {
+    /// Records a complete interval `[start, end]` on `track`.
+    pub fn span(&mut self, track: &str, name: &str, start: Time, end: Time) {
         debug_assert!(end >= start, "span ends before it starts");
         self.events.push(ProbeEvent::Span {
             track: track.to_owned(),
@@ -178,22 +127,8 @@ impl Probe for TraceProbe {
         });
     }
 
-    fn span_begin(&mut self, track: &str, name: &str, at: Time) {
-        self.events.push(ProbeEvent::Begin {
-            track: track.to_owned(),
-            name: name.to_owned(),
-            at,
-        });
-    }
-
-    fn span_end(&mut self, track: &str, at: Time) {
-        self.events.push(ProbeEvent::End {
-            track: track.to_owned(),
-            at,
-        });
-    }
-
-    fn instant(&mut self, track: &str, name: &str, at: Time) {
+    /// Records a zero-width marker on `track`.
+    pub fn instant(&mut self, track: &str, name: &str, at: Time) {
         self.events.push(ProbeEvent::Instant {
             track: track.to_owned(),
             name: name.to_owned(),
@@ -201,11 +136,13 @@ impl Probe for TraceProbe {
         });
     }
 
-    fn count(&mut self, name: &str, delta: u64) {
+    /// Adds `delta` to the monotonic counter `name`.
+    pub fn count(&mut self, name: &str, delta: u64) {
         self.metrics.add(name, delta);
     }
 
-    fn gauge(&mut self, track: &str, name: &str, at: Time, value: u64) {
+    /// Records `value` for series `name` on `track` at `at`.
+    pub fn gauge(&mut self, track: &str, name: &str, at: Time, value: u64) {
         self.events.push(ProbeEvent::Gauge {
             track: track.to_owned(),
             name: name.to_owned(),
@@ -252,32 +189,22 @@ impl SharedProbe {
         }
     }
 
-    /// See [`Probe::span`].
+    /// See [`TraceProbe::span`].
     pub fn span(&self, track: &str, name: &str, start: Time, end: Time) {
         self.with(|p| p.span(track, name, start, end));
     }
 
-    /// See [`Probe::span_begin`].
-    pub fn span_begin(&self, track: &str, name: &str, at: Time) {
-        self.with(|p| p.span_begin(track, name, at));
-    }
-
-    /// See [`Probe::span_end`].
-    pub fn span_end(&self, track: &str, at: Time) {
-        self.with(|p| p.span_end(track, at));
-    }
-
-    /// See [`Probe::instant`].
+    /// See [`TraceProbe::instant`].
     pub fn instant(&self, track: &str, name: &str, at: Time) {
         self.with(|p| p.instant(track, name, at));
     }
 
-    /// See [`Probe::count`].
+    /// See [`TraceProbe::count`].
     pub fn count(&self, name: &str, delta: u64) {
         self.with(|p| p.count(name, delta));
     }
 
-    /// See [`Probe::gauge`].
+    /// See [`TraceProbe::gauge`].
     pub fn gauge(&self, track: &str, name: &str, at: Time, value: u64) {
         self.with(|p| p.gauge(track, name, at, value));
     }
@@ -331,20 +258,9 @@ mod tests {
     fn event_accessors_expose_track_name_and_time() {
         let mut p = TraceProbe::new();
         p.span("link", "kv_transfer", Time::from_ns(1), Time::from_ns(2));
-        p.span_begin("NPU0", "decode", Time::from_ns(3));
-        p.span_end("NPU0", Time::from_ns(4));
         p.instant("CPU", "kv_fetch", Time::from_ns(5));
         p.gauge("link", "wire", Time::from_ns(6), 9);
-        let names: Vec<Option<&str>> = p.events().iter().map(|e| e.name()).collect();
-        assert_eq!(
-            names,
-            vec![
-                Some("kv_transfer"),
-                Some("decode"),
-                None,
-                Some("kv_fetch"),
-                Some("wire"),
-            ]
-        );
+        let names: Vec<&str> = p.events().iter().map(ProbeEvent::name).collect();
+        assert_eq!(names, vec!["kv_transfer", "kv_fetch", "wire"]);
     }
 }

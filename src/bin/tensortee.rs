@@ -18,7 +18,7 @@
 use std::process::ExitCode;
 use tee_sim::probe::SharedProbe;
 use tensortee::artifact::{find, registry, Artifact, RunContext};
-use tensortee::explore::{explore_pareto_for, explore_sensitivity_for, Scenario};
+use tensortee::explore::Scenario;
 use tensortee::json::Json;
 use tensortee::obs::chrome_trace;
 use tensortee::report::{Report, Table};
@@ -53,7 +53,9 @@ flags:
   --quiet        suppress stderr progress chatter (stdout is unaffected)
   --trace        run/explore: also record a probe trace and write it to
                  --out (default trace.json); reports are byte-identical
-                 with and without it
+                 with and without it. An explore trace holds only the
+                 sweep's memo.* counters (none for serve, fleet and
+                 attack, which price nothing through the memo)
   --out <FILE>   where trace output is written
   --seed <u64>   seed for stochastic artifacts and sampling plans (default 42)
   --threads <N>  explorer worker threads (wall-clock only; output is
@@ -364,11 +366,7 @@ fn explore(raw: &[String]) -> ExitCode {
             ctx.seed
         );
     }
-    let reports = vec![
-        explore_pareto_for(scenario, &ctx).1,
-        explore_sensitivity_for(scenario, &ctx).1,
-    ];
-    emit(&reports, args.json);
+    emit(&tensortee::explore::explore(scenario, &ctx), args.json);
     if args.trace {
         let path = args.out.clone().unwrap_or_else(|| "trace.json".to_string());
         if let Err(code) = write_trace(&probe, &path, args.quiet) {

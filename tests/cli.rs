@@ -143,6 +143,31 @@ fn trace_subcommand_writes_a_well_formed_trace() {
 }
 
 #[test]
+fn explore_trace_records_the_sweep_memo_counters() {
+    let dir = std::env::temp_dir().join(format!("tt_cli_explore_trace_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("explore.json");
+    let args = ["explore", "train", "--points", "8", "--fast", "--json"];
+    let plain = tensortee(&args);
+    let mut traced_args = args.to_vec();
+    traced_args.extend(["--trace", "--out", path.to_str().unwrap()]);
+    let traced = tensortee(&traced_args);
+    assert_eq!(code(&traced), 0, "{traced:?}");
+    assert_eq!(plain.stdout, traced.stdout, "--trace perturbed the reports");
+    let trace = std::fs::read_to_string(&path).expect("trace file written");
+    let misses = trace
+        .split("\"memo.adam_misses\":")
+        .nth(1)
+        .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+        .and_then(|n| n.parse::<u64>().ok());
+    assert!(
+        misses.is_some_and(|n| n > 0),
+        "no memo.adam_misses counter: {trace}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn trace_of_unknown_artifact_is_a_runtime_failure_not_usage() {
     let out = tensortee(&["trace", "bogus"]);
     assert_eq!(code(&out), 1, "{out:?}");

@@ -14,14 +14,19 @@
 //! * **determinism** — repeat DES runs, repeat artifact reports and the
 //!   explore `des` scenario across worker-thread counts are all
 //!   byte-identical.
+//! * **pinned reports** — whole [`DesStepReport`]s of lockstep, straggled,
+//!   pipelined and over-partitioned runs, and the scheduler and fabric
+//!   counters of two recorded runs, equal values recorded before the
+//!   engine was restructured.
 
+use tee_sim::probe::SharedProbe;
 use tee_sim::Time;
 use tee_workloads::zoo::by_name;
 use tee_workloads::StepSchedule;
 use tensortee::artifact::{find, RunContext};
 use tensortee::{
-    ClusterConfig, ClusterSystem, DesClusterConfig, DesClusterSystem, Parallelism, SecureMode,
-    SystemConfig, TrainingSystem,
+    ClusterConfig, ClusterSystem, DesClusterConfig, DesClusterSystem, DesStepReport, Parallelism,
+    SecureMode, SystemConfig, TrainingSystem,
 };
 
 /// Synthetic CPU Adam phases (the cacheline CPU simulation is the slow
@@ -274,4 +279,117 @@ fn supplied_and_self_priced_cpu_paths_agree() {
         des.simulate_schedule(&schedule),
         des.simulate_with_cpu_time(&schedule, cpu)
     );
+}
+
+/// Every number of a [`DesStepReport`]: the breakdown (npu, cpu, comm_w,
+/// comm_g, comm_ar), makespan, fabric contention and occupancy and crypto
+/// time in picoseconds, then the dispatched-event count.
+fn report_fields(r: &DesStepReport) -> [u64; 10] {
+    let b = r.breakdown;
+    [
+        b.npu.as_ps(),
+        b.cpu.as_ps(),
+        b.comm_w.as_ps(),
+        b.comm_g.as_ps(),
+        b.comm_ar.as_ps(),
+        r.makespan.as_ps(),
+        r.fabric_contention.as_ps(),
+        r.fabric_occupied.as_ps(),
+        r.crypto.as_ps(),
+        r.events,
+    ]
+}
+
+/// One pinned engine run: GPT on the fast config with a fixed 25 ms CPU
+/// phase, in the layout `case` names.
+fn pinned_run(case: &str, mode: SecureMode, probe: SharedProbe) -> DesStepReport {
+    let lockstep = |n| DesClusterConfig::lockstep(ClusterConfig::of(n));
+    let mut schedule = StepSchedule::of(&by_name("GPT").unwrap());
+    let des = match case {
+        "lockstep N=1" => lockstep(1),
+        "lockstep N=4" => lockstep(4),
+        "straggler 1.5 N=4" => lockstep(4).with_straggler(1.5),
+        "pipeline N=4 m=1" => lockstep(4).with_pipeline(1),
+        "pipeline N=4 m=8" => lockstep(4).with_pipeline(8),
+        // Three layers on more stages than layers: the last stages are
+        // empty and finish zero-duration microbatches.
+        "3 layers on 4 stages m=4" | "3 layers on 8 stages m=4" => {
+            schedule.npu_layers.truncate(3);
+            let n = if case.contains("4 stages") { 4 } else { 8 };
+            lockstep(n).with_pipeline(4)
+        }
+        other => panic!("unknown pinned case {other:?}"),
+    };
+    DesClusterSystem::new(SystemConfig::fast_sim(), des, mode)
+        .with_probe(probe)
+        .simulate_with_cpu_time(&schedule, Time::from_ms(25))
+}
+
+/// [`report_fields`] of each pinned case under Non-secure, SGX+MGX and
+/// TensorTEE ([`SecureMode::all`] order).
+#[rustfmt::skip]
+const PINNED_REPORTS: [(&str, [[u64; 10]; 3]); 7] = [
+    ("lockstep N=1", [
+        [931645462668, 25000000000, 0, 0, 0, 956645462668, 0, 0, 0, 16],
+        [946278402156, 25000000000, 131253544000, 262506328000, 0, 1365038274156, 0, 0, 370596416000, 15],
+        [931665186432, 25000000000, 0, 0, 0, 956665186432, 0, 0, 0, 16],
+    ]),
+    ("lockstep N=4", [
+        [234915861204, 25000000000, 0, 0, 0, 259915861204, 0, 30887208000, 0, 40],
+        [238625065800, 25000000000, 131253544000, 262506328000, 393762912000, 1051147849800, 0, 154419400000, 864725664000, 37],
+        [234935586432, 25000000000, 0, 0, 0, 259935586432, 0, 30887208000, 0, 40],
+    ]),
+    ("straggler 1.5 N=4", [
+        [352373791806, 25000000000, 0, 0, 0, 377373791806, 0, 30887208000, 0, 40],
+        [357937598700, 25000000000, 131253544000, 262506328000, 393762912000, 1170460382700, 0, 154419400000, 864725664000, 37],
+        [352403379648, 25000000000, 0, 0, 0, 377403379648, 0, 30887208000, 0, 40],
+    ]),
+    ("pipeline N=4 m=1", [
+        [1037815582668, 25000000000, 0, 15442104000, 0, 1078257686668, 0, 106170120000, 0, 33],
+        [2751142122156, 25000000000, 131253544000, 262506328000, 0, 3169901994156, 0, 106170120000, 2069290016000, 33],
+        [1037835306432, 25000000000, 0, 15442104000, 0, 1078277410432, 0, 106170120000, 0, 33],
+    ]),
+    ("pipeline N=4 m=8", [
+        [333525967794, 25000000000, 0, 15442104000, 0, 373968071794, 0, 106182720000, 0, 124],
+        [552766801078, 25000000000, 131253544000, 262506328000, 0, 971526673078, 1873640335, 106182720000, 2069293376000, 124],
+        [333532747836, 25000000000, 0, 15442104000, 0, 373974851836, 0, 106182720000, 0, 124],
+    ]),
+    ("3 layers on 4 stages m=4", [
+        [27293504068, 25000000000, 0, 15442104000, 0, 67735608068, 64110223376, 26549280000, 0, 72],
+        [126310405760, 25000000000, 131253544000, 262506328000, 0, 545070277760, 17586470382, 26549280000, 795271616000, 72],
+        [27293538282, 25000000000, 0, 15442104000, 0, 67735642282, 64109744052, 26549280000, 0, 72],
+    ]),
+    ("3 layers on 8 stages m=4", [
+        [27303112068, 25000000000, 0, 15442104000, 0, 67745216068, 68562724376, 26558888000, 0, 144],
+        [126313479760, 25000000000, 131253544000, 262506328000, 0, 545073351760, 17586470382, 26558888000, 795274304000, 144],
+        [27303170282, 25000000000, 0, 15442104000, 0, 67745274282, 68562308052, 26558912000, 0, 144],
+    ]),
+];
+
+#[test]
+fn pinned_des_reports_are_unchanged() {
+    // The lockstep parity tests check the breakdown against the analytic
+    // oracle; these pin everything else (straggler and pipeline numbers,
+    // fabric ledgers, crypto, event counts) to recorded values.
+    for (case, rows) in PINNED_REPORTS {
+        for (mode, expected) in SecureMode::all().into_iter().zip(rows) {
+            let report = pinned_run(case, mode, SharedProbe::Null);
+            assert_eq!(report_fields(&report), expected, "{case} {}", mode.label());
+        }
+    }
+}
+
+#[test]
+fn pinned_des_runs_record_their_scheduler_and_fabric_counters() {
+    for (case, mode, expected) in [
+        ("straggler 1.5 N=4", SecureMode::TensorTee, [9, 31, 31, 7]),
+        ("pipeline N=4 m=8", SecureMode::SgxMgx, [33, 91, 91, 25]),
+    ] {
+        let probe = SharedProbe::recording();
+        pinned_run(case, mode, probe.clone());
+        let snap = probe.snapshot().expect("recording probe");
+        let counters = ["des.ticks", "des.deliveries", "des.sends", "link.grants"]
+            .map(|name| snap.metrics().get(name));
+        assert_eq!(counters, expected, "{case} {}", mode.label());
+    }
 }

@@ -79,31 +79,6 @@ fn chrome_export_is_well_formed_with_sane_timestamps() {
     }
 }
 
-#[test]
-fn begin_end_pairs_never_underflow_any_track() {
-    // Every recorded stream keeps per-track Begin/End depth non-negative
-    // when scanned in emission order — an End without a Begin would render
-    // as a dangling close in Perfetto.
-    for id in ["des_parity", "fleet_latency", "serve_latency", "tab2"] {
-        let snap = record(id);
-        let mut depth: std::collections::BTreeMap<&str, i64> = std::collections::BTreeMap::new();
-        for ev in snap.events() {
-            match ev {
-                ProbeEvent::Begin { track, .. } => *depth.entry(track).or_default() += 1,
-                ProbeEvent::End { track, .. } => {
-                    let d = depth.entry(track).or_default();
-                    *d -= 1;
-                    assert!(*d >= 0, "{id}: unmatched End on track {track}");
-                }
-                _ => {}
-            }
-        }
-        for (track, d) in depth {
-            assert_eq!(d, 0, "{id}: {d} unclosed Begin(s) on track {track}");
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::ci())]
     /// Merging per-shard counter sets is order-independent: any
