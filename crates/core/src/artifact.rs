@@ -17,15 +17,21 @@ use tee_serve::{SessionTraceConfig, TraceConfig};
 use tee_sim::probe::SharedProbe;
 use tee_workloads::zoo::{ModelConfig, TABLE2};
 
-/// Everything an artifact runner needs: the system/cluster configuration
-/// plus the sweep knobs (mode list, model subset, thread counts, …).
+/// Nominal serving arrival rate in requests per second: the
+/// `serve_*` and `attack_*` artifacts and the explore serve and attack
+/// evaluators scale their load from it.
+pub(crate) const SERVE_RATE_RPS: f64 = 8.0;
+
+/// Tenants mixed into every fleet session trace (the `fleet_*`
+/// artifacts and the explore fleet evaluator).
+pub(crate) const FLEET_TENANTS: u32 = 4;
+
+/// Everything an artifact runner needs: the system configuration plus
+/// the sweep knobs (mode list, model subset, thread counts, …).
 #[derive(Debug, Clone)]
 pub struct RunContext {
     /// Table-1 system configuration.
     pub cfg: SystemConfig,
-    /// Base cluster shape; `cluster_sizes` sweeps override `n_npus` but
-    /// inherit its interconnect.
-    pub cluster: ClusterConfig,
     /// Security modes to sweep, in presentation order.
     pub modes: Vec<SecureMode>,
     /// Model subset (of the Table-2 zoo) the per-model artifacts cover.
@@ -44,9 +50,8 @@ pub struct RunContext {
     pub seed: u64,
     /// Requests per serving trace (`serve_latency` / `serve_sweep`).
     pub serve_requests: u32,
-    /// Nominal serving arrival rate in requests per second.
-    pub serve_rate_rps: f64,
-    /// Load multipliers of the nominal rate swept by `serve_sweep`.
+    /// Load multipliers of the nominal 8 req/s serving rate swept by
+    /// `serve_sweep`.
     pub serve_load_factors: Vec<f64>,
     /// Serving instances in the fleet artifacts (`fleet_latency` /
     /// `fleet_handoff`).
@@ -55,8 +60,6 @@ pub struct RunContext {
     pub fleet_requests: u32,
     /// Nominal fleet arrival rate in turns per second.
     pub fleet_rate_rps: f64,
-    /// Tenants mixed into the fleet trace.
-    pub fleet_tenants: u32,
     /// Worker threads the design-space explorer fans points across (the
     /// CLI plumbs `--threads` here). Results are bit-identical for any
     /// value — the executor's partition is static and every evaluation
@@ -92,7 +95,6 @@ impl RunContext {
     pub fn full() -> Self {
         RunContext {
             cfg: SystemConfig::default(),
-            cluster: ClusterConfig::default(),
             modes: SecureMode::all().to_vec(),
             models: TABLE2.to_vec(),
             threads: vec![1, 2, 4, 8],
@@ -101,12 +103,10 @@ impl RunContext {
             hit_iterations: 20,
             seed: 42,
             serve_requests: 48,
-            serve_rate_rps: 8.0,
             serve_load_factors: vec![0.5, 1.0, 2.0],
             fleet_instances: 4,
             fleet_requests: 192,
             fleet_rate_rps: 24.0,
-            fleet_tenants: 4,
             worker_threads: 4,
             explore_points: 96,
             straggler_factors: vec![1.0, 1.1, 1.25, 1.5],
@@ -198,13 +198,10 @@ impl RunContext {
             .unwrap_or(self.models[0])
     }
 
-    /// The cluster shape for `n_npus` replicas on this context's
-    /// interconnect.
+    /// The cluster shape for `n_npus` replicas on the default PCIe
+    /// peer-to-peer fabric ([`ClusterConfig::of`]).
     pub fn cluster_of(&self, n_npus: u32) -> ClusterConfig {
-        ClusterConfig {
-            n_npus,
-            ..self.cluster
-        }
+        ClusterConfig::of(n_npus)
     }
 
     /// The `--fast` trim of a serving trace: shorter conversations keep

@@ -14,7 +14,7 @@
 //! whether the context probe is recording, and nothing here touches a
 //! thread pool — the artifacts are byte-identical across `--threads`.
 
-use crate::artifact::{find, RunContext};
+use crate::artifact::{find, RunContext, SERVE_RATE_RPS};
 use crate::experiments::{fleet_setup, serve_profile};
 use crate::obs::replay;
 use crate::report::{f2, pct, Report, Table};
@@ -52,7 +52,7 @@ fn attack_serve_setup(
     model: &ModelConfig,
     seed: u64,
 ) -> (ServeConfig, TraceConfig) {
-    let mut trace = TraceConfig::poisson(ctx.serve_requests, ctx.serve_rate_rps * 4.0, seed);
+    let mut trace = TraceConfig::poisson(ctx.serve_requests, SERVE_RATE_RPS * 4.0, seed);
     ctx.trim_serve_trace(&mut trace);
     (attack_serve_config(ctx, model, &trace), trace)
 }

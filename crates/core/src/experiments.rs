@@ -6,7 +6,7 @@
 //! The runners are addressed through [`crate::artifact::registry`]; the
 //! artifact index lives in EXPERIMENTS.md.
 
-use crate::artifact::RunContext;
+use crate::artifact::{RunContext, FLEET_TENANTS, SERVE_RATE_RPS};
 use crate::des_cluster::{DesClusterConfig, DesClusterSystem, DesStepReport};
 use crate::hw::HardwareBudget;
 use crate::memo::AdamRun;
@@ -1085,7 +1085,7 @@ pub(crate) fn mode_key(mode: crate::SecureMode) -> &'static str {
 /// spills KV to CPU DRAM), and the seeded Poisson trace shape.
 fn serve_setup(ctx: &RunContext) -> (ModelConfig, ServeConfig, TraceConfig) {
     let model = ctx.primary_model();
-    let mut trace = TraceConfig::poisson(ctx.serve_requests, ctx.serve_rate_rps, ctx.seed);
+    let mut trace = TraceConfig::poisson(ctx.serve_requests, SERVE_RATE_RPS, ctx.seed);
     ctx.trim_serve_trace(&mut trace);
     let cfg =
         ServeConfig::for_model(&model, 4, trace.steady_tokens()).with_npu(ctx.cfg.npu.clone());
@@ -1222,7 +1222,7 @@ pub fn serve_sweep(ctx: &RunContext) -> (Vec<ServeSweepRow>, Report) {
         "exposed KV",
     ]);
     for &factor in &ctx.serve_load_factors {
-        let rate = ctx.serve_rate_rps * factor;
+        let rate = SERVE_RATE_RPS * factor;
         let poisson = TraceConfig::poisson(ctx.serve_requests, rate, ctx.seed);
         let bursty = TraceConfig::bursty(ctx.serve_requests, rate, 8, ctx.seed);
         for mut trace_cfg in [poisson, bursty] {
@@ -1286,7 +1286,7 @@ pub(crate) fn fleet_setup(ctx: &RunContext) -> (ModelConfig, FleetConfig, Sessio
     let mut trace = SessionTraceConfig::poisson(
         ctx.fleet_requests,
         ctx.fleet_rate_rps,
-        ctx.fleet_tenants,
+        FLEET_TENANTS,
         ctx.seed,
     );
     ctx.trim_fleet_trace(&mut trace);
@@ -1381,7 +1381,7 @@ pub fn fleet_latency(ctx: &RunContext) -> (Vec<FleetRow>, Report) {
              exposed KV-handoff time {} vs {}.",
             trace.len(),
             trace_cfg.tenants,
-            trace_cfg.arrivals.rate_rps(),
+            trace_cfg.rate_rps,
             ctx.fleet_instances,
             trace_cfg.seed,
             ours.report.goodput_tps(),

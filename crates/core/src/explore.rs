@@ -36,7 +36,7 @@
 //! point order, so reports are byte-identical for any `--threads`
 //! value.
 
-use crate::artifact::RunContext;
+use crate::artifact::{RunContext, FLEET_TENANTS, SERVE_RATE_RPS};
 use crate::config::{ClusterConfig, SecureMode};
 use crate::des_cluster::{DesClusterConfig, DesClusterSystem, Parallelism};
 use crate::experiments::{mode_key, serve_profile};
@@ -506,7 +506,7 @@ fn kv_crypto_share(protocol: Protocol) -> f64 {
 /// the same uniform draws stretch to the new rate.
 fn eval_serve(ctx: &RunContext, space: &Space, point: &Point) -> Vec<ModeEval> {
     let model = model_at(ctx, space, point);
-    let rate = ctx.serve_rate_rps * space.value(point, 1);
+    let rate = SERVE_RATE_RPS * space.value(point, 1);
     let mut npu = ctx.cfg.npu.clone();
     npu.dram = hbm_dram(space.value(point, 2));
     npu.pe_dim = space.value(point, 3) as u64;
@@ -548,7 +548,7 @@ fn eval_fleet(ctx: &RunContext, space: &Space, point: &Point) -> Vec<ModeEval> {
     let rate = ctx.fleet_rate_rps * space.value(point, 3);
     let trace_seed = SplitMix64::new(ctx.seed).split(1).next_u64();
     let mut trace_cfg =
-        SessionTraceConfig::poisson(ctx.fleet_requests, rate, ctx.fleet_tenants, trace_seed);
+        SessionTraceConfig::poisson(ctx.fleet_requests, rate, FLEET_TENANTS, trace_seed);
     if space.value(point, 4) == 1.0 {
         trace_cfg = trace_cfg.with_diurnal(Diurnal::new(4.0, 0.6));
     }
@@ -588,7 +588,7 @@ fn eval_fleet(ctx: &RunContext, space: &Space, point: &Point) -> Vec<ModeEval> {
 /// fleet evaluators (stream 2).
 fn eval_attack(ctx: &RunContext, space: &Space, point: &Point) -> Vec<ModeEval> {
     let model = model_at(ctx, space, point);
-    let rate = ctx.serve_rate_rps * space.value(point, 1);
+    let rate = SERVE_RATE_RPS * space.value(point, 1);
     let shaping = Shaping::all()[space.value(point, 2) as usize];
     let shield = KvShield::all()[space.value(point, 3) as usize];
     let trace_seed = SplitMix64::new(ctx.seed).split(2).next_u64();

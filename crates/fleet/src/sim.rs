@@ -99,6 +99,11 @@ pub fn simulate(
 /// emit `link` spans, and each instance's iterations emit spans on its
 /// `NPU<i>` track. The report is byte-identical to the unprobed run —
 /// probes only observe.
+///
+/// Turns enter the scheduler in arrival order, each just before the
+/// simulation reaches its timestamp, so the event queue holds only
+/// in-flight work (the next arrival, each instance's wake, dispatches
+/// still crossing a handoff) rather than the whole trace.
 pub fn simulate_probed(
     cfg: &FleetConfig,
     model: &ModelConfig,
@@ -124,8 +129,17 @@ pub fn simulate_probed(
         );
         sched.add(Node::Instance(i, Box::new(inst)));
     }
-    for r in trace {
-        sched.send_at(r.request.arrival, ROUTER, Msg::Arrive(*r));
+    // Each arrival enters just before the scheduler reaches its time, in
+    // arrival order (same-time turns in trace order), so the router takes
+    // it in the first sub-round at that time, ahead of any `Done`.
+    let mut arrivals: Vec<&SessionRequest> = trace.iter().collect();
+    arrivals.sort_by_key(|r| r.request.arrival);
+    for r in arrivals {
+        let at = r.request.arrival;
+        if at > Time::ZERO {
+            sched.run_until(at - Time::from_ps(1));
+        }
+        sched.send_at(at, ROUTER, Msg::Arrive(*r));
     }
     let makespan = sched.run();
     let Node::Router(router) = &sched.components()[ROUTER] else {

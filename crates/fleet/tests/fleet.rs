@@ -1,7 +1,8 @@
 //! End-to-end fleet claims: determinism, KV-aware placement cutting
 //! migrations, the staged-vs-direct exposed-handoff gap and its exact
-//! accounting, admission control, pricing on the configured NPU, and the
-//! differential against `tee_serve::Instance::run`.
+//! accounting, admission control, pricing on the configured NPU, the
+//! differential against `tee_serve::Instance::run`, and whole reports
+//! pinned to recorded values.
 
 use tee_fleet::{simulate, simulate_probed, FleetConfig, FleetReport, Policy};
 use tee_npu::NpuEngine;
@@ -283,4 +284,105 @@ fn arrival_on_an_iteration_end_joins_one_iteration_later_in_the_fleet() {
         f.ttft_ns.max(),
         s.ttft_ns.max()
     );
+}
+
+/// The pinned runs' trace: 48 turns of a 4-tenant session mix.
+fn pinned_trace() -> Vec<SessionRequest> {
+    trace(48, 42)
+}
+
+/// Every scalar field of `r` in declaration order, then an FNV-1a digest
+/// of its `Debug` rendering, which also covers each histogram (count,
+/// sum, min, max, buckets) and the router counters.
+fn pinned_fields(r: &FleetReport) -> [u64; 13] {
+    let digest = format!("{r:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+    [
+        r.total_requests.into(),
+        r.completed_requests.into(),
+        r.rejected_requests.into(),
+        r.output_tokens,
+        r.makespan.as_ps(),
+        r.iterations,
+        r.migrations,
+        r.migrated_bytes,
+        r.handoff_transfer_time.as_ps(),
+        r.handoff_setup_time.as_ps(),
+        r.handoff_exposed_time.as_ps(),
+        r.events_processed,
+        digest,
+    ]
+}
+
+/// Runs `trace` forwards and reversed: the fleet serves turns in arrival
+/// order whatever order they are passed in, so both give one report. The
+/// arrival times are distinct, so that order is unambiguous.
+fn pinned_run(
+    cfg: &FleetConfig,
+    profile: &SecurityProfile,
+    trace: &[SessionRequest],
+) -> FleetReport {
+    let mut arrivals: Vec<Time> = trace.iter().map(|r| r.request.arrival).collect();
+    arrivals.sort();
+    arrivals.dedup();
+    assert_eq!(arrivals.len(), trace.len(), "arrival times are distinct");
+    let forward = run(cfg, profile, trace);
+    let reversed: Vec<SessionRequest> = trace.iter().rev().copied().collect();
+    assert_eq!(run(cfg, profile, &reversed), forward, "reversed trace");
+    forward
+}
+
+/// [`pinned_fields`] of `pinned_trace` on 2 and 4 instances under each
+/// policy ([`Policy::all`] order), SGX+MGX then TensorTEE.
+#[rustfmt::skip]
+const PINNED_REPORTS: [(&str, [u64; 13]); 12] = [
+    ("2 round_robin sgx_mgx", [48, 48, 0, 6930, 17309224137458, 5067, 20, 1105735680, 587437280000, 1000000000, 588437280000, 5258, 15856752976452166599]),
+    ("2 round_robin tensortee", [48, 48, 0, 6930, 17241716824254, 5101, 20, 1105735680, 34566240000, 1000000000, 1000000000, 5292, 16521675063976556016]),
+    ("2 least_loaded sgx_mgx", [48, 48, 0, 6930, 17377348881458, 5223, 16, 1336836096, 710206336000, 800000000, 711006336000, 5411, 14183199935281531646]),
+    ("2 least_loaded tensortee", [48, 48, 0, 6930, 17241766824254, 5242, 14, 1053130752, 32918736000, 700000000, 700000000, 5428, 8257393211290132755]),
+    ("2 kv_aware sgx_mgx", [48, 48, 0, 6930, 17367337040303, 4630, 0, 0, 0, 0, 0, 4797, 6603025831778200973]),
+    ("2 kv_aware tensortee", [48, 48, 0, 6930, 17357217974899, 4844, 0, 0, 0, 0, 0, 5011, 404483855312694899]),
+    ("4 round_robin sgx_mgx", [48, 48, 0, 6930, 17192047130974, 6241, 24, 1393827840, 740489280000, 1200000000, 741689280000, 6448, 11691225304774195876]),
+    ("4 round_robin tensortee", [48, 48, 0, 6930, 17126356696254, 6246, 24, 1393827840, 43571520000, 1200000000, 1200000000, 6453, 5905840992645108949]),
+    ("4 least_loaded sgx_mgx", [48, 48, 0, 6930, 17192047130974, 6411, 21, 1490669568, 791934168000, 1050000000, 792984168000, 6617, 10970982048098936078]),
+    ("4 least_loaded tensortee", [48, 48, 0, 6930, 17126356696254, 6416, 20, 1369239552, 42800736000, 1000000000, 1000000000, 6621, 767572283277570613]),
+    ("4 kv_aware sgx_mgx", [48, 48, 0, 6930, 17367337040303, 5831, 0, 0, 0, 0, 0, 6007, 3652445373582856985]),
+    ("4 kv_aware tensortee", [48, 48, 0, 6930, 17357217974899, 5850, 0, 0, 0, 0, 0, 6026, 10494672535860978581]),
+];
+
+#[test]
+fn pinned_fleet_reports_are_unchanged() {
+    let t = pinned_trace();
+    let mut pinned = PINNED_REPORTS.iter();
+    for n in [2, 4] {
+        for policy in Policy::all() {
+            for (name, profile) in [
+                ("sgx_mgx", SecurityProfile::sgx_mgx()),
+                ("tensortee", SecurityProfile::tensor_tee()),
+            ] {
+                let case = format!("{n} {} {name}", policy.label());
+                let (label, expected) = pinned.next().expect("a pinned row per case");
+                assert_eq!(*label, case);
+                let r = pinned_run(&fleet(n).with_policy(policy), &profile, &t);
+                assert_eq!(pinned_fields(&r), *expected, "{case}");
+            }
+        }
+    }
+}
+
+/// [`pinned_fields`] of `bounded_queues_reject_overload`'s flood on one
+/// instance.
+#[rustfmt::skip]
+const PINNED_OVERLOAD: [u64; 13] =
+    [1024, 348, 676, 43814, 40735176351565, 2999, 92, 4114649088, 128637984000, 0, 0, 4720, 5735292686852903723];
+
+#[test]
+fn pinned_overloaded_fleet_report_is_unchanged() {
+    let t = SessionTraceConfig::poisson(1024, 4000.0, 2, 9).generate();
+    let r = pinned_run(&fleet(1), &SecurityProfile::non_secure(), &t);
+    assert!(r.rejected_requests > 0, "overload must reject");
+    assert_eq!(pinned_fields(&r), PINNED_OVERLOAD);
 }

@@ -259,12 +259,18 @@ impl From<Request> for SessionRequest {
     }
 }
 
-/// A deterministic multi-tenant session trace: session *starts* follow the
-/// configured arrival process (optionally diurnally modulated); each
-/// session then runs a geometric number of follow-up turns separated by
-/// exponential think times, with all per-session draws taken from its
-/// tenant's private [`SplitMix64::split`] sub-stream — so adding a tenant
-/// or resizing one tenant's mix never shifts another tenant's trace.
+/// Mean turns per session (geometric-ish, clamped to `[1, 4·mean]`).
+const TURNS_MEAN: u32 = 4;
+
+/// Mean think time between consecutive turns of one session, in seconds.
+const THINK_MEAN_SECS: f64 = 2.0;
+
+/// A deterministic multi-tenant session trace: session *starts* are
+/// Poisson arrivals (optionally diurnally modulated); each session then
+/// runs a geometric number of follow-up turns separated by exponential
+/// think times, with all per-session draws taken from its tenant's
+/// private [`SplitMix64::split`] sub-stream — so adding a tenant or
+/// resizing one tenant's mix never shifts another tenant's trace.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SessionTraceConfig {
     /// Total requests (turns) in the trace; sessions whose later turns
@@ -272,14 +278,10 @@ pub struct SessionTraceConfig {
     pub n_requests: u32,
     /// Number of tenants sharing the fleet.
     pub tenants: u32,
-    /// Session-start arrival process (aggregate across tenants).
-    pub arrivals: ArrivalProcess,
+    /// Long-run session-start rate per second (aggregate across tenants).
+    pub rate_rps: f64,
     /// Optional diurnal modulation of the session-start rate.
     pub diurnal: Option<Diurnal>,
-    /// Mean turns per session (geometric-ish, clamped to `[1, 4·mean]`).
-    pub turns_mean: u32,
-    /// Mean think time between consecutive turns of one session.
-    pub think_mean_secs: f64,
     /// Mean prompt length per turn in tokens.
     pub prompt_mean: u64,
     /// Mean output length per turn in tokens.
@@ -294,10 +296,8 @@ impl SessionTraceConfig {
         SessionTraceConfig {
             n_requests,
             tenants: tenants.max(1),
-            arrivals: ArrivalProcess::Poisson { rate_rps },
+            rate_rps,
             diurnal: None,
-            turns_mean: 4,
-            think_mean_secs: 2.0,
             prompt_mean: 512,
             output_mean: 128,
             seed,
@@ -322,7 +322,7 @@ impl SessionTraceConfig {
     ///
     /// Panics if the arrival rate is not finite and positive.
     pub fn generate(&self) -> Vec<SessionRequest> {
-        let rate = self.arrivals.rate_rps();
+        let rate = self.rate_rps;
         assert!(
             rate.is_finite() && rate > 0.0,
             "arrival rate must be positive: {rate}"
@@ -337,22 +337,14 @@ impl SessionTraceConfig {
             .map(|t| root.split(TENANT_STREAM_BASE + u64::from(t)))
             .collect();
         let peak_rate = rate * self.diurnal.map_or(1.0, |d| d.peak());
-        let burst = match self.arrivals {
-            ArrivalProcess::Poisson { .. } => 1,
-            ArrivalProcess::Bursty { burst, .. } => burst.max(1),
-        };
         let mut out: Vec<SessionRequest> = Vec::with_capacity(self.n_requests as usize);
         let mut at = 0.0f64;
         let mut session: u64 = 0;
-        let mut in_burst = 0u32;
         while out.len() < self.n_requests as usize {
             // Candidate session starts arrive at the peak-envelope rate;
             // diurnal thinning accepts `rate(t)/peak` of them, which is
             // exactly an inhomogeneous Poisson process at `rate(t)`.
-            if in_burst == 0 {
-                at += starts.next_exp(f64::from(burst) / peak_rate);
-            }
-            in_burst = (in_burst + 1) % burst;
+            at += starts.next_exp(1.0 / peak_rate);
             if let Some(d) = self.diurnal {
                 if !mixer.next_bool(d.multiplier(at) / d.peak()) {
                     continue;
@@ -360,13 +352,13 @@ impl SessionTraceConfig {
             }
             let tenant = mixer.next_below(u64::from(self.tenants.max(1))) as u32;
             let rng = &mut tenant_rngs[tenant as usize];
-            let turns = (rng.next_exp(f64::from(self.turns_mean)).round() as u32)
-                .clamp(1, self.turns_mean * 4);
+            let turns =
+                (rng.next_exp(f64::from(TURNS_MEAN)).round() as u32).clamp(1, TURNS_MEAN * 4);
             let mut turn_at = at;
             let mut context = 0u64;
             for turn in 0..turns {
                 if turn > 0 {
-                    turn_at += rng.next_exp(self.think_mean_secs.max(1e-6));
+                    turn_at += rng.next_exp(THINK_MEAN_SECS);
                 }
                 let request = Request {
                     id: 0, // reassigned after the arrival sort
@@ -483,16 +475,18 @@ mod tests {
     #[test]
     fn diurnal_session_starts_keep_the_long_run_rate() {
         // Many compressed days, so the thinning averages out: the
-        // session-*start* rate must come back to the configured base.
-        let cfg = SessionTraceConfig {
-            turns_mean: 1,
-            ..SessionTraceConfig::poisson(4_000, 20.0, 3, 9)
-        }
-        .with_diurnal(Diurnal::new(10.0, 0.7));
+        // session-*start* rate, from the first start to the last, must
+        // come back to the configured base.
+        let cfg =
+            SessionTraceConfig::poisson(4_000, 20.0, 3, 9).with_diurnal(Diurnal::new(10.0, 0.7));
         let trace = cfg.generate();
-        let starts: Vec<&SessionRequest> = trace.iter().filter(|r| r.turn == 0).collect();
-        let span = trace.last().unwrap().request.arrival.as_secs_f64();
-        let rate = starts.len() as f64 / span;
+        let starts: Vec<Time> = trace
+            .iter()
+            .filter(|r| r.turn == 0)
+            .map(|r| r.request.arrival)
+            .collect();
+        let span = (starts[starts.len() - 1] - starts[0]).as_secs_f64();
+        let rate = (starts.len() - 1) as f64 / span;
         assert!(
             (rate - 20.0).abs() < 2.0,
             "empirical session-start rate {rate} vs 20"
@@ -541,28 +535,6 @@ mod tests {
         let a = SessionTraceConfig::poisson(50, 5.0, 1, 77).generate();
         let b = SessionTraceConfig::poisson(50, 5.0, 1, 77).generate();
         assert_eq!(a, b);
-        // And a bursty mix at the same rate still lands its groups together.
-        let c = SessionTraceConfig {
-            turns_mean: 1,
-            arrivals: ArrivalProcess::Bursty {
-                rate_rps: 10.0,
-                burst: 4,
-            },
-            ..SessionTraceConfig::poisson(400, 10.0, 2, 3)
-        };
-        let trace = c.generate();
-        let starts: Vec<Time> = trace
-            .iter()
-            .filter(|r| r.turn == 0)
-            .map(|r| r.request.arrival)
-            .collect();
-        let mut shared = 0;
-        for w in starts.windows(2) {
-            if w[0] == w[1] {
-                shared += 1;
-            }
-        }
-        assert!(shared > starts.len() / 3, "bursty starts share timestamps");
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! the next simulated time it wants to run ([`Component::next_tick`]) and
 //! reacts to wake-ups ([`Component::tick`]) and messages from other
 //! components ([`Component::receive`]); a [`Scheduler`] drives all
-//! components from one min-heap keyed by `(time, component_id)`.
+//! components from one min-heap, the [`EventQueue`], in
+//! `(time, component_id)` order.
 //!
 //! Determinism rules (what makes same-seed runs byte-identical):
 //!
@@ -251,9 +252,11 @@ impl<C: Component> Scheduler<C> {
         &self.components
     }
 
-    /// Injects a message from outside the simulation (the initial
-    /// stimulus). Panics if `to` is not a registered component or `at`
-    /// is in the past.
+    /// Injects a message from outside the simulation: the initial
+    /// stimulus, or, between [`run_until`](Self::run_until) calls, input
+    /// fed in as the run reaches it. The probe records no `send` for it.
+    /// Panics if `to` is not a registered component or `at` is in the
+    /// past.
     pub fn send_at(&mut self, at: Time, to: ComponentId, msg: C::Msg) {
         assert!(to < self.components.len(), "unknown component {to}");
         self.queue.schedule(at, Event::Deliver(to, msg));

@@ -10,10 +10,12 @@
 //!   domains with different frequencies (3.5 GHz CPU, 1 GHz NPU, PCIe link)
 //!   can be composed on one timeline,
 //! * [`ClockDomain`] — cycle → time conversion for one frequency,
-//! * [`EventQueue`] — a deterministic discrete-event queue,
+//! * [`EventQueue`] — a deterministic discrete-event queue: one binary
+//!   min-heap keyed `(time, insertion seq)`, FIFO among same-time events,
 //! * [`des`] — a component/scheduler discrete-event core layered on the
-//!   queue (`Component` with `next_tick`/`tick`, min-heap keyed
-//!   `(time, component_id)`), the substrate of `DesClusterSystem`,
+//!   queue (`Component` with `next_tick`/`tick`, dispatched in
+//!   `(time, component_id)` order), the substrate of `DesClusterSystem`
+//!   and the `tee-fleet` simulator,
 //! * [`BandwidthResource`] — a contention model for shared resources such
 //!   as AES engines, DRAM channels and PCIe lanes,
 //! * [`stats`] — counters/histograms used for every reported figure,
@@ -47,7 +49,7 @@ pub mod util;
 pub use bandwidth::BandwidthResource;
 pub use clock::{ClockDomain, Time};
 pub use des::{Component, ComponentId, Scheduler};
-pub use event::{EventQueue, HeapQueue};
+pub use event::EventQueue;
 pub use probe::{ProbeEvent, SharedProbe, TraceProbe};
 pub use rng::SplitMix64;
 pub use stats::{Counter, Histogram, StatSet};

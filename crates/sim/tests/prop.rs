@@ -3,13 +3,15 @@
 //! model — no event is lost or duplicated, ties break stably on
 //! `(time, component_id)` (FIFO within one component), and the dispatch
 //! order of distinct `(time, id)` keys is invariant under insertion order.
+//! The [`EventQueue`] under the scheduler is checked the same way,
+//! against a linear-scan model of `(time, insertion)` order.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
 use tee_sim::des::{Component, Ctx, Scheduler};
-use tee_sim::{SplitMix64, Time};
+use tee_sim::{EventQueue, SplitMix64, Time};
 
 /// One injected event: (time in ns, target component, payload).
 type Ev = (u64, usize, u32);
@@ -158,6 +160,18 @@ proptest! {
     }
 }
 
+/// Earliest pending time of the queue model (pending `(time, payload)`
+/// pairs, unsorted; the payload is the insertion index).
+fn model_peek(model: &[(Time, u64)]) -> Option<Time> {
+    model.iter().map(|&(t, _)| t).min()
+}
+
+/// Removes the model's `(time, insertion)` minimum by linear scan.
+fn model_pop(model: &mut Vec<(Time, u64)>) -> Option<(Time, u64)> {
+    let i = (0..model.len()).min_by_key(|&i| model[i])?;
+    Some(model.swap_remove(i))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::ci())]
 
@@ -188,36 +202,55 @@ proptest! {
         }
     }
 
-    /// The calendar-backed [`tee_sim::EventQueue`] and the binary-heap
-    /// reference pop identical `(time, payload)` sequences for any
-    /// interleaving of schedules and pops — the bit-identity the DES
-    /// scheduler relies on, as a property over random workloads.
+    /// [`EventQueue`] against a linear-scan model of `(time, insertion)`
+    /// order, over random interleavings of `schedule` (zero delays
+    /// included, so same-time ties are common), `pop` and
+    /// `pop_batch_into`: every popped event and batch, and `now` and
+    /// `peek_time` after every step, agree with the model.
     #[test]
-    fn calendar_queue_matches_heap_reference(
-        ops in vec((any::<bool>(), 0u64..5_000), 1..400)
+    fn event_queue_matches_linear_scan_model(
+        ops in vec((0u8..4, 0u64..6), 1..400)
     ) {
-        use tee_sim::{EventQueue, HeapQueue};
-        let mut cal: EventQueue<u64> = EventQueue::new();
-        let mut heap: HeapQueue<u64> = HeapQueue::new();
-        let mut payload = 0u64;
-        for &(is_pop, delay) in &ops {
-            if is_pop {
-                prop_assert_eq!(cal.pop(), heap.pop());
-                prop_assert_eq!(cal.now(), heap.now());
-            } else {
-                // Schedule relative to "now" so the workload stays legal
-                // (never in the past) no matter how many pops happened.
-                let at = cal.now() + Time::from_ns(delay);
-                cal.schedule(at, payload);
-                heap.schedule(at, payload);
-                payload += 1;
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut model: Vec<(Time, u64)> = Vec::new();
+        let mut model_now = Time::ZERO;
+        let mut next = 0u64;
+        let mut batch = Vec::new();
+        for &(op, delay) in &ops {
+            match op {
+                // Schedule as often as both pops together, relative to
+                // "now" so the workload never reaches into the past.
+                0 | 1 => {
+                    let at = model_now + Time::from_ns(delay);
+                    q.schedule(at, next);
+                    model.push((at, next));
+                    next += 1;
+                }
+                2 => {
+                    let want = model_pop(&mut model);
+                    if let Some((t, _)) = want {
+                        model_now = t;
+                    }
+                    prop_assert_eq!(q.pop(), want);
+                }
+                _ => {
+                    let mut want = Vec::new();
+                    if let Some(t) = model_peek(&model) {
+                        while model_peek(&model) == Some(t) {
+                            want.extend(model_pop(&mut model));
+                        }
+                        model_now = t;
+                    }
+                    q.pop_batch_into(&mut batch);
+                    prop_assert_eq!(&batch, &want);
+                }
             }
-            prop_assert_eq!(cal.peek_time(), heap.peek_time());
+            prop_assert_eq!(q.now(), model_now);
+            prop_assert_eq!(q.peek_time(), model_peek(&model));
         }
-        // Drain: the full remaining order must agree too.
-        while let Some(got) = cal.pop() {
-            prop_assert_eq!(Some(got), heap.pop());
+        while let Some(want) = model_pop(&mut model) {
+            prop_assert_eq!(q.pop(), Some(want));
         }
-        prop_assert_eq!(heap.pop(), None);
+        prop_assert_eq!(q.pop(), None);
     }
 }
