@@ -3,7 +3,9 @@
 //! Runs a sequence of [`Layer`]s (forward/backward phases of a transformer
 //! step) under a [`MacScheme`], composing per-layer stream timings from
 //! the Figure-13 pipeline model and accounting output write-back and
-//! (non-delayed) code-fetch verification.
+//! (non-delayed) code-fetch verification. The per-layer code stream
+//! depends only on the config and the scheme, so [`NpuEngine::new`] prices
+//! it once.
 
 use crate::config::NpuConfig;
 use crate::mac::MacScheme;
@@ -67,17 +69,27 @@ pub struct NpuRunReport {
 pub struct NpuEngine {
     cfg: NpuConfig,
     scheme: MacScheme,
-    /// Per-layer code image fetched and verified non-delayed (§4.3).
-    code_bytes_per_layer: u64,
+    /// Time to fetch and verify each layer's code image.
+    code_time: Time,
 }
+
+/// Per-layer code image fetched and verified non-delayed (§4.3).
+const CODE_BYTES_PER_LAYER: u64 = 16 << 10;
 
 impl NpuEngine {
     /// Creates an engine under the given protection scheme.
     pub fn new(cfg: NpuConfig, scheme: MacScheme) -> Self {
+        // Instruction fetches always take the *non-delayed* path: even in
+        // TensorTEE mode code is verified per-cacheline before issue.
+        let code_scheme = match scheme {
+            MacScheme::None => MacScheme::None,
+            _ => MacScheme::PerBlock { granularity: 64 },
+        };
+        let code_time = simulate_stream(&cfg, code_scheme, CODE_BYTES_PER_LAYER, Time::ZERO).total;
         NpuEngine {
             cfg,
             scheme,
-            code_bytes_per_layer: 16 << 10,
+            code_time,
         }
     }
 
@@ -89,23 +101,11 @@ impl NpuEngine {
             layer.stream_bytes(),
             layer.compute_time(&self.cfg),
         );
-        // Instruction fetches always take the *non-delayed* path: even in
-        // TensorTEE mode code is verified per-cacheline before issue.
-        let code_scheme = match self.scheme {
-            MacScheme::None => MacScheme::None,
-            _ => MacScheme::PerBlock { granularity: 64 },
-        };
-        let code = simulate_stream(
-            &self.cfg,
-            code_scheme,
-            self.code_bytes_per_layer,
-            Time::ZERO,
-        );
         // Output drain at (MAC-inflated) bandwidth; MAC generation for
         // writes is pipelined and adds no stall.
         let out_bw = self.cfg.dram_bandwidth() / (1.0 + self.scheme.traffic_overhead());
         let out_time = Time::from_secs_f64(layer.out_bytes as f64 / out_bw);
-        (stream, stream.total + code.total + out_time)
+        (stream, stream.total + self.code_time + out_time)
     }
 
     /// Runs a layer sequence to completion.
@@ -277,6 +277,127 @@ mod tests {
         let r = NpuEngine::new(cfg, MacScheme::TensorDelayed).run(&layers);
         assert_eq!(r.data_bytes, 3 * (2 << 20));
         assert_eq!(r.verify_stall, Time::ZERO);
+    }
+
+    /// One fused GPT2-M decode iteration (24 layers, hidden 1024): 16
+    /// requests at a 304-token context, weights streamed once and KV per
+    /// request, as the serve scheduler shapes it.
+    fn gpt2m_decode_iteration() -> Layer {
+        let (h, layers, fp16) = (1024u64, 24u64, 2u64);
+        let (r, ctx) = (16u64, 304u64);
+        let kv_per_layer = 2 * h * fp16;
+        Layer {
+            macs: layers * (r * 12 * h * h + r * ctx * 2 * h),
+            in_bytes: r * ctx * kv_per_layer * layers + r * h * fp16 * layers,
+            w_bytes: 12 * h * h * fp16 * layers,
+            out_bytes: r * h * fp16 * layers + r * kv_per_layer * layers,
+        }
+    }
+
+    /// Every number of whole `NpuRunReport`s, under `None` and each
+    /// Figure-20 scheme, on the default config and on one whose small
+    /// buffer and slow MAC make `PerBlock` fetches wait on verification.
+    /// Recorded with the block-by-block pipeline, before it was priced in
+    /// closed form and by period jumps. Pricing the code stream under the
+    /// data scheme moves every secure row but the 64 B ones.
+    #[test]
+    fn npu_run_reports_are_pinned() {
+        // (config, layers, data_bytes, (total ps, verify_stall ps) under
+        // `None` and then each Figure-20 scheme in sweep order)
+        type Pinned = (&'static str, &'static str, u64, [(u64, u64); 8]);
+        const PINNED: [Pinned; 4] = [
+            (
+                "default",
+                "mix",
+                58_720_256,
+                [
+                    (459_776_248, 0),
+                    (518_799_416, 279_560_960),
+                    (475_607_560, 254_658_032),
+                    (468_423_792, 250_530_264),
+                    (464_857_412, 248_451_500),
+                    (495_052_476, 279_342_380),
+                    (625_623_604, 410_165_404),
+                    (460_873_024, 0),
+                ],
+            ),
+            (
+                "default",
+                "decode",
+                1_085_276_160,
+                [
+                    (8_478_848_001, 0),
+                    (9_547_325_417, 9_509_443_650),
+                    (8_746_101_704, 8_709_946_437),
+                    (8_612_566_173, 8_574_581_834),
+                    (8_545_801_414, 8_507_957_075),
+                    (9_544_836_754, 9_507_056_416),
+                    (13_775_060_860, 13_737_036_137),
+                    (8_478_985_128, 0),
+                ],
+            ),
+            (
+                "gated",
+                "mix",
+                58_720_256,
+                [
+                    (459_776_248, 0),
+                    (1_275_145_256, 1_032_963_320),
+                    (1_256_726_008, 1_032_833_000),
+                    (1_253_671_008, 1_032_834_000),
+                    (1_515_216_700, 1_295_867_308),
+                    (2_169_540_324, 1_950_886_748),
+                    (1_840_984_628, 1_622_582_948),
+                    (1_250_248_504, 0),
+                ],
+            ),
+            (
+                "gated",
+                "decode",
+                1_085_276_160,
+                [
+                    (8_478_848_001, 0),
+                    (33_862_561_127, 33_824_311_425),
+                    (33_860_834_630, 33_824_311_428),
+                    (33_860_548_635, 33_822_196_361),
+                    (42_353_992_965, 42_315_780_691),
+                    (63_504_080_215, 63_465_931_942),
+                    (52_912_556_828, 52_874_164_170),
+                    (33_860_217_063, 0),
+                ],
+            ),
+        ];
+        let gated = NpuConfig {
+            verify_buffer_bytes: 2 << 10,
+            mac_lines_per_cycle: 0.5,
+            ..NpuConfig::default()
+        };
+        let configs = [("default", NpuConfig::default()), ("gated", gated)];
+        let workloads = [
+            ("mix", layer_mix()),
+            ("decode", vec![gpt2m_decode_iteration()]),
+        ];
+        let schemes: Vec<MacScheme> = std::iter::once(MacScheme::None)
+            .chain(figure20_sweep())
+            .collect();
+        assert_eq!(schemes.len(), 8);
+        let cases = configs
+            .iter()
+            .flat_map(|c| workloads.iter().map(move |w| (c, w)));
+        assert_eq!(cases.clone().count(), PINNED.len());
+        for (((config, cfg), (workload, layers)), pinned) in cases.zip(PINNED) {
+            let (pin_config, pin_workload, bytes, reports) = pinned;
+            assert_eq!((*config, *workload), (pin_config, pin_workload));
+            for (&scheme, (total, stall)) in schemes.iter().zip(reports) {
+                let r = NpuEngine::new(cfg.clone(), scheme).run(layers);
+                assert_eq!(
+                    (r.total.as_ps(), r.verify_stall.as_ps(), r.data_bytes),
+                    (total, stall, bytes),
+                    "{config} {workload} {}",
+                    scheme.label()
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The Figure-13 verification pipeline, simulated block by block.
+//! The Figure-13 verification pipeline: a per-block model, priced without
+//! stepping every block.
 //!
 //! A protected input stream flows DRAM → decrypt → MAC recompute →
 //! verification → compute. The three schemes differ in when compute may
@@ -13,6 +14,30 @@
 //!   verification runs in parallel and a single barrier at the end of the
 //!   tensor covers communication safety (Figure 13c).
 //! * `None`: straight streaming.
+//!
+//! The model is a per-block recurrence in which every finish time is the
+//! later of two earlier ones plus a per-block constant (a max-plus
+//! system). [`simulate_stream`] returns what stepping it block by block
+//! returns, bit for bit, but takes few of the steps:
+//!
+//! * **Closed form.** Under `None` and `TensorDelayed` no fetch is gated,
+//!   so block `k` lands at `k·F` and verify and compute are serial chains
+//!   fed by it. Each chain ends at the later of its two extreme critical
+//!   paths: the first block's input followed by `n` steps, or the last
+//!   block's input followed by one.
+//! * **Period jump.** Under `PerBlock` the fetch/verify/release part evolves
+//!   on its own around the ring of buffer slots. It is stepped until its
+//!   state at a ring boundary, taken relative to `fetch_done`, repeats one
+//!   saved snapshot (re-saved at power-of-two ring-turn distances, as in
+//!   Brent's cycle finder) with compute's lead over `fetch_done` repeated
+//!   too; then whole periods are jumped. A jump is taken only on a repeat
+//!   the loop has seen, so it is exact whatever the transient. A
+//!   compute-bound stream, whose compute lead grows every period, never
+//!   repeats and is stepped block by block.
+//!
+//! The unit tests keep the block-by-block loop as the oracle
+//! (`step_every_block`) and assert equal [`StreamTiming`]s over random
+//! schemes, configs, stream sizes and compute loads.
 
 use crate::config::NpuConfig;
 use crate::mac::MacScheme;
@@ -61,7 +86,6 @@ pub fn simulate_stream(
             fetch_done: Time::ZERO,
         };
     }
-    let clock = cfg.clock();
     let block = scheme.pipeline_block().min(bytes.next_power_of_two());
     let n_blocks = bytes.div_ceil(block);
     // The pipeline reaches steady state within a few buffer turnovers;
@@ -92,73 +116,379 @@ pub fn simulate_stream(
             fetch_done: head.fetch_done + scale(period),
         };
     }
-    let bw = cfg.dram_bandwidth() / (1.0 + scheme.traffic_overhead());
-    let fetch_per_block = Time::from_secs_f64(block as f64 / bw);
-    let compute_per_block = Time::from_ps(compute_total.as_ps() / n_blocks);
-    // Fractional cycles: the hash datapath is pipelined, so per-block
-    // recompute time is throughput-, not latency-, quantized.
-    let recompute =
-        Time::from_secs_f64((block as f64 / 64.0) / cfg.mac_lines_per_cycle / (cfg.freq_ghz * 1e9));
-    let mac_lat = clock.cycles_to_time(cfg.mac_latency);
-    let aes_lat = clock.cycles_to_time(cfg.aes_latency);
-    let buffer_slots = (cfg.verify_buffer_bytes / block).max(1) as usize;
+    let blocks = Blocks::new(
+        cfg,
+        scheme,
+        block,
+        Time::from_ps(compute_total.as_ps() / n_blocks),
+    );
+    if scheme.gates_compute() {
+        Gated::at_rest(blocks.slots).run(&blocks, n_blocks)
+    } else {
+        blocks.ungated(n_blocks)
+    }
+}
 
-    // Ring of verify-completion times for buffer-slot release.
-    let mut releases: Vec<Time> = vec![Time::ZERO; buffer_slots];
-    let mut fetch_done = Time::ZERO;
-    let mut verify_done = Time::ZERO;
-    let mut compute_done = Time::ZERO;
-    let mut stall = Time::ZERO;
+/// The per-block constants of one stream.
+struct Blocks {
+    scheme: MacScheme,
+    /// `F`: one block's fetch at the (MAC-inflated) DRAM bandwidth.
+    fetch: Time,
+    /// `R`: one block's MAC recompute.
+    recompute: Time,
+    /// `C`: the compute work one block carries.
+    compute: Time,
+    /// `M`: MAC latency.
+    mac_lat: Time,
+    /// `A`: AES latency.
+    aes_lat: Time,
+    /// Buffer slots in the release ring.
+    slots: usize,
+}
 
-    for k in 0..n_blocks as usize {
-        let gate = if scheme.gates_compute() {
-            releases[k % buffer_slots]
-        } else {
-            Time::ZERO
-        };
-        let fetch_start = fetch_done.max(gate);
-        fetch_done = fetch_start + fetch_per_block;
-
-        // Verification engine is pipelined but serial across blocks.
-        verify_done = fetch_done.max(verify_done) + recompute;
-        let block_verified = verify_done + mac_lat;
-        if scheme.gates_compute() {
-            releases[k % buffer_slots] = block_verified;
+impl Blocks {
+    fn new(cfg: &NpuConfig, scheme: MacScheme, block: u64, compute: Time) -> Self {
+        let clock = cfg.clock();
+        let bw = cfg.dram_bandwidth() / (1.0 + scheme.traffic_overhead());
+        Blocks {
+            scheme,
+            fetch: Time::from_secs_f64(block as f64 / bw),
+            // Fractional cycles: the hash datapath is pipelined, so
+            // per-block recompute time is throughput-, not latency-,
+            // quantized.
+            recompute: Time::from_secs_f64(
+                (block as f64 / 64.0) / cfg.mac_lines_per_cycle / (cfg.freq_ghz * 1e9),
+            ),
+            compute,
+            mac_lat: clock.cycles_to_time(cfg.mac_latency),
+            aes_lat: clock.cycles_to_time(cfg.aes_latency),
+            slots: (cfg.verify_buffer_bytes / block).max(1) as usize,
         }
-
-        let data_ready = match scheme {
-            MacScheme::PerBlock { .. } => block_verified + aes_lat,
-            MacScheme::TensorDelayed => fetch_done + aes_lat,
-            MacScheme::None => fetch_done,
-        };
-        let compute_start = data_ready.max(compute_done);
-        if scheme.gates_compute() {
-            // Bubble: time compute sat idle beyond pure data arrival.
-            let unsecured_ready = fetch_done.max(compute_done);
-            stall += compute_start.saturating_sub(unsecured_ready);
-        }
-        compute_done = compute_start + compute_per_block;
     }
 
-    let total = match scheme {
-        // Delayed verification: the barrier waits for the tensor MAC
-        // comparison, which trails the last block's recompute.
-        MacScheme::TensorDelayed => compute_done.max(verify_done + mac_lat),
-        _ => compute_done,
-    };
-    StreamTiming {
-        total,
-        verify_stall: stall,
-        fetch_done,
+    /// `None` and `TensorDelayed` over `n` blocks, in closed form.
+    fn ungated(&self, n: u64) -> StreamTiming {
+        let times = |t: Time| Time::from_ps(n * t.as_ps());
+        let (f, r, c) = (self.fetch, self.recompute, self.compute);
+        // Data is ready when fetched, plus the decrypt under TensorTEE.
+        let aes = match self.scheme {
+            MacScheme::TensorDelayed => self.aes_lat,
+            _ => Time::ZERO,
+        };
+        let fetch_done = times(f);
+        let compute_done = (f + aes + times(c)).max(fetch_done + aes + c);
+        let total = match self.scheme {
+            // Delayed verification: the barrier waits for the tensor MAC
+            // comparison, which trails the last block's recompute.
+            MacScheme::TensorDelayed => {
+                let verify_done = (f + times(r)).max(fetch_done + r);
+                compute_done.max(verify_done + self.mac_lat)
+            }
+            _ => compute_done,
+        };
+        StreamTiming {
+            total,
+            verify_stall: Time::ZERO,
+            fetch_done,
+        }
+    }
+}
+
+/// A `PerBlock` stream between two blocks.
+struct Gated {
+    /// Ring of verify-completion times for buffer-slot release.
+    releases: Vec<Time>,
+    fetch_done: Time,
+    verify_done: Time,
+    compute_done: Time,
+    stall: Time,
+}
+
+impl Gated {
+    /// A stream before its first block, with `slots` empty buffer slots.
+    fn at_rest(slots: usize) -> Self {
+        Gated {
+            releases: vec![Time::ZERO; slots],
+            fetch_done: Time::ZERO,
+            verify_done: Time::ZERO,
+            compute_done: Time::ZERO,
+            stall: Time::ZERO,
+        }
+    }
+
+    /// Runs `n` blocks from rest, stepping until the state at a ring
+    /// boundary repeats the snapshot, then jumping whole periods.
+    fn run(mut self, b: &Blocks, n: u64) -> StreamTiming {
+        let slots = b.slots as u64;
+        let mut snap = Snapshot {
+            releases: vec![Time::ZERO; b.slots],
+            ..Snapshot::default()
+        };
+        snap.save(&self, 0);
+        // Ring turns since the snapshot, and the distance at which it is
+        // re-saved (doubling, as in Brent's cycle finder).
+        let (mut turns, mut power) = (0u64, 1u64);
+        let mut k = 0u64;
+        while k < n {
+            self.step(b, (k % slots) as usize);
+            k += 1;
+            if !k.is_multiple_of(slots) {
+                continue;
+            }
+            if snap.repeats(&self) {
+                // The whole state repeats: every time moves by q·Δfetch
+                // and the stall grows by q·Δstall.
+                let period = k - snap.block;
+                let q = (n - k) / period;
+                let shift = Time::from_ps(q * (self.fetch_done - snap.fetch_done).as_ps());
+                let stall = Time::from_ps(q * (self.stall - snap.stall).as_ps());
+                for r in &mut self.releases {
+                    *r += shift;
+                }
+                self.fetch_done += shift;
+                self.verify_done += shift;
+                self.compute_done += shift;
+                self.stall += stall;
+                k += q * period;
+            }
+            turns += 1;
+            if turns == power {
+                snap.save(&self, k);
+                (turns, power) = (0, power * 2);
+            }
+        }
+        StreamTiming {
+            total: self.compute_done,
+            verify_stall: self.stall,
+            fetch_done: self.fetch_done,
+        }
+    }
+
+    /// Steps one block through buffer slot `slot`.
+    fn step(&mut self, b: &Blocks, slot: usize) {
+        let fetch_start = self.fetch_done.max(self.releases[slot]);
+        self.fetch_done = fetch_start + b.fetch;
+        // Verification engine is pipelined but serial across blocks.
+        self.verify_done = self.fetch_done.max(self.verify_done) + b.recompute;
+        let block_verified = self.verify_done + b.mac_lat;
+        self.releases[slot] = block_verified;
+        let data_ready = block_verified + b.aes_lat;
+        let compute_start = data_ready.max(self.compute_done);
+        // Bubble: time compute sat idle beyond pure data arrival.
+        let unsecured_ready = self.fetch_done.max(self.compute_done);
+        self.stall += compute_start.saturating_sub(unsecured_ready);
+        self.compute_done = compute_start + b.compute;
+    }
+}
+
+/// A [`Gated`] state at a ring boundary, relative to its `fetch_done`.
+#[derive(Default)]
+struct Snapshot {
+    /// Blocks stepped when it was taken.
+    block: u64,
+    fetch_done: Time,
+    stall: Time,
+    /// `verify_done - fetch_done`.
+    verify_lead: Time,
+    /// `compute_done - fetch_done`.
+    compute_lead: Time,
+    /// Each slot's release minus `fetch_done`, clamped at zero: a release
+    /// at or before `fetch_done` can never gate a fetch again.
+    releases: Vec<Time>,
+}
+
+impl Snapshot {
+    fn save(&mut self, state: &Gated, block: u64) {
+        let f = state.fetch_done;
+        self.block = block;
+        self.fetch_done = f;
+        self.stall = state.stall;
+        self.verify_lead = state.verify_done - f;
+        self.compute_lead = state.compute_done - f;
+        for (s, &r) in self.releases.iter_mut().zip(&state.releases) {
+            *s = r.saturating_sub(f);
+        }
+    }
+
+    /// Whether `state` is this snapshot's, moved later in time.
+    fn repeats(&self, state: &Gated) -> bool {
+        let f = state.fetch_done;
+        state.verify_done - f == self.verify_lead
+            && state.compute_done - f == self.compute_lead
+            && self
+                .releases
+                .iter()
+                .zip(&state.releases)
+                .all(|(&s, &r)| r.saturating_sub(f) == s)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cfg() -> NpuConfig {
         NpuConfig::default()
+    }
+
+    /// The block-by-block loop `simulate_stream` replaced, code unchanged
+    /// (extrapolation included), kept as its oracle.
+    fn step_every_block(
+        cfg: &NpuConfig,
+        scheme: MacScheme,
+        bytes: u64,
+        compute_total: Time,
+    ) -> StreamTiming {
+        if bytes == 0 {
+            return StreamTiming {
+                total: compute_total,
+                verify_stall: Time::ZERO,
+                fetch_done: Time::ZERO,
+            };
+        }
+        let clock = cfg.clock();
+        let block = scheme.pipeline_block().min(bytes.next_power_of_two());
+        let n_blocks = bytes.div_ceil(block);
+        const EXACT_BLOCKS: u64 = 4096;
+        if n_blocks > EXACT_BLOCKS {
+            let exact_bytes = EXACT_BLOCKS * block;
+            let head = step_every_block(
+                cfg,
+                scheme,
+                exact_bytes,
+                Time::from_ps(compute_total.as_ps() / n_blocks * EXACT_BLOCKS),
+            );
+            let half = step_every_block(
+                cfg,
+                scheme,
+                exact_bytes / 2,
+                Time::from_ps(compute_total.as_ps() / n_blocks * (EXACT_BLOCKS / 2)),
+            );
+            let period = head.total.saturating_sub(half.total);
+            let stall_period = head.verify_stall.saturating_sub(half.verify_stall);
+            let remaining = n_blocks - EXACT_BLOCKS;
+            let scale = |t: Time| Time::from_ps(t.as_ps() * remaining / (EXACT_BLOCKS / 2));
+            return StreamTiming {
+                total: head.total + scale(period),
+                verify_stall: head.verify_stall + scale(stall_period),
+                fetch_done: head.fetch_done + scale(period),
+            };
+        }
+        let bw = cfg.dram_bandwidth() / (1.0 + scheme.traffic_overhead());
+        let fetch_per_block = Time::from_secs_f64(block as f64 / bw);
+        let compute_per_block = Time::from_ps(compute_total.as_ps() / n_blocks);
+        let recompute = Time::from_secs_f64(
+            (block as f64 / 64.0) / cfg.mac_lines_per_cycle / (cfg.freq_ghz * 1e9),
+        );
+        let mac_lat = clock.cycles_to_time(cfg.mac_latency);
+        let aes_lat = clock.cycles_to_time(cfg.aes_latency);
+        let buffer_slots = (cfg.verify_buffer_bytes / block).max(1) as usize;
+
+        let mut releases: Vec<Time> = vec![Time::ZERO; buffer_slots];
+        let mut fetch_done = Time::ZERO;
+        let mut verify_done = Time::ZERO;
+        let mut compute_done = Time::ZERO;
+        let mut stall = Time::ZERO;
+
+        for k in 0..n_blocks as usize {
+            let gate = if scheme.gates_compute() {
+                releases[k % buffer_slots]
+            } else {
+                Time::ZERO
+            };
+            let fetch_start = fetch_done.max(gate);
+            fetch_done = fetch_start + fetch_per_block;
+
+            verify_done = fetch_done.max(verify_done) + recompute;
+            let block_verified = verify_done + mac_lat;
+            if scheme.gates_compute() {
+                releases[k % buffer_slots] = block_verified;
+            }
+
+            let data_ready = match scheme {
+                MacScheme::PerBlock { .. } => block_verified + aes_lat,
+                MacScheme::TensorDelayed => fetch_done + aes_lat,
+                MacScheme::None => fetch_done,
+            };
+            let compute_start = data_ready.max(compute_done);
+            if scheme.gates_compute() {
+                let unsecured_ready = fetch_done.max(compute_done);
+                stall += compute_start.saturating_sub(unsecured_ready);
+            }
+            compute_done = compute_start + compute_per_block;
+        }
+
+        let total = match scheme {
+            MacScheme::TensorDelayed => compute_done.max(verify_done + mac_lat),
+            _ => compute_done,
+        };
+        StreamTiming {
+            total,
+            verify_stall: stall,
+            fetch_done,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::ci())]
+        /// The closed form and the period jump return exactly what the
+        /// block loop returns, over schemes, configs (including a MAC
+        /// recompute slower than the fetch), 1 B–1 GiB streams (so the
+        /// head/half extrapolation is covered) and compute from none to
+        /// compute-bound.
+        #[test]
+        fn simulate_stream_matches_the_block_loop(
+            scheme_pick in 0u8..4,
+            granularity in (6u32..=12, 0u64..64, any::<bool>()),
+            buffer_bytes in (2u64 << 10)..=(32 << 10),
+            clock_and_mac in (500u64..=2000, 250u64..=4000, 0u64..=200, 0u64..=200),
+            dram in (1u32..=16, 1u64..=32),
+            stream in (0u32..=30, any::<u64>(), 0u64..=4000),
+        ) {
+            let (exp, odd, non_power) = granularity;
+            let scheme = match scheme_pick {
+                0 => MacScheme::None,
+                1 => MacScheme::TensorDelayed,
+                // A few non-power-of-two blocks: the API accepts any size.
+                _ if non_power && odd % 4 == 0 => MacScheme::PerBlock {
+                    granularity: 64 + (odd << (exp - 6)) % 4033,
+                },
+                _ => MacScheme::PerBlock { granularity: 1 << exp },
+            };
+            let (mhz, mac_milli_lines, aes_latency, mac_latency) = clock_and_mac;
+            let (channels, channel_gbs) = dram;
+            let mut cfg = NpuConfig {
+                freq_ghz: mhz as f64 / 1e3,
+                aes_latency,
+                mac_latency,
+                mac_lines_per_cycle: mac_milli_lines as f64 / 1e3,
+                verify_buffer_bytes: buffer_bytes,
+                ..NpuConfig::default()
+            };
+            cfg.dram.channels = channels;
+            cfg.dram.channel_bytes_per_sec = channel_gbs as f64 * 1e9;
+            // Log-uniform sizes from 1 B to 1 GiB.
+            let (size_exp, size_bits, load_milli) = stream;
+            let bytes = ((1u64 << size_exp) + size_bits % (1u64 << size_exp)).min(1 << 30);
+            // Compute from none (one case in ten) to 4x the plain fetch time.
+            let compute = if load_milli < 400 {
+                Time::ZERO
+            } else {
+                let fetch_secs = bytes as f64 / cfg.dram_bandwidth();
+                Time::from_secs_f64(fetch_secs * load_milli as f64 / 1e3)
+            };
+            prop_assert_eq!(
+                simulate_stream(&cfg, scheme, bytes, compute),
+                step_every_block(&cfg, scheme, bytes, compute),
+                "{:?} {} B compute {} on {:?}",
+                scheme,
+                bytes,
+                compute,
+                cfg
+            );
+        }
+
     }
 
     /// Memory-bound stream: compute much cheaper than fetch.

@@ -528,13 +528,39 @@ mod tests {
 
     #[test]
     fn tenant_sub_streams_are_isolated() {
-        // Same seed, different tenant count: tenant draws change (the mixer
-        // stream assigns them), but each *tenant's* parameter stream is a
-        // stable function of (seed, tenant id) — two configs that both
-        // route session 0 to tenant 0 draw identical session shapes.
-        let a = SessionTraceConfig::poisson(50, 5.0, 1, 77).generate();
-        let b = SessionTraceConfig::poisson(50, 5.0, 1, 77).generate();
-        assert_eq!(a, b);
+        // Same seed, 2 vs 4 tenants: the mixer stream hands tenant 0 other
+        // sessions, but tenant 0's parameter stream is a function of (seed,
+        // tenant id) alone, so its n-th session draws the same turns.
+        // Yields tenant 0's session ids and, per session, each turn's
+        // (prompt, output) tokens, in session order.
+        let tenant0 = |tenants: u32| {
+            let trace = SessionTraceConfig::poisson(400, 5.0, tenants, 77).generate();
+            let mut turns: Vec<&SessionRequest> = trace.iter().filter(|r| r.tenant == 0).collect();
+            turns.sort_by_key(|r| (r.session, r.turn));
+            let mut ids: Vec<u64> = Vec::new();
+            let mut shapes: Vec<Vec<(u64, u64)>> = Vec::new();
+            for r in turns {
+                if ids.last() != Some(&r.session) {
+                    ids.push(r.session);
+                    shapes.push(Vec::new());
+                }
+                let tokens = (r.request.prompt_tokens, r.request.output_tokens);
+                shapes.last_mut().expect("pushed above").push(tokens);
+            }
+            (ids, shapes)
+        };
+        let (two_ids, two) = tenant0(2);
+        let (four_ids, four) = tenant0(4);
+        assert_ne!(two_ids, four_ids, "tenant 0 owns other sessions");
+        let mut compared = 0;
+        for (a, b) in two.iter().zip(&four) {
+            // Truncation drops the latest turns, so compare the common prefix.
+            for (x, y) in a.iter().zip(b) {
+                assert_eq!(x, y);
+                compared += 1;
+            }
+        }
+        assert!(compared >= 50, "only {compared} turns compared");
     }
 
     #[test]
