@@ -9,11 +9,33 @@
 //! Figure 10. Writes follow the Figure-12 protocol: every line must flip
 //! its bitmap bit exactly once between the start and finish edges, at which
 //! point the tensor VN increments atomically.
+//!
+//! # The lookup index
+//!
+//! The hardware searches the table associatively. A simulated walk over
+//! all 512 slots on every read, write-back and insert would dominate the
+//! host time of cold detection runs, so the table indexes each live slot
+//! under every 4 KiB VA page its covered-line bounds
+//! `first_line..=last_line` touch, and under its frontier. Every slot list is kept in ascending slot order, and every
+//! slot write (insert, merge removal, compaction, invalidation, LRU
+//! overwrite, boundary growth) re-registers the slot, adding and removing
+//! only the pages whose membership changed. An entry covering no line
+//! registers under no page.
+//!
+//! The index returns the slot the scan returned. An entry containing `va`
+//! has `first_line <= va <= last_line`, so it is listed under `va`'s page,
+//! and the first listed slot that contains `va` is the lowest such slot:
+//! the one a walk from slot 0 stops at. Overlapping coverage (a >256-line
+//! insert passes the containment check while overlapping a live entry)
+//! therefore resolves to the lowest slot, as the walk does. The slot scans
+//! stay as `#[cfg(test)]` methods, the oracle of a differential property
+//! test.
 
 use crate::tensor::TensorDesc;
-use std::collections::HashSet;
+use std::ops::Range;
 use tee_crypto::MacTag;
-use tee_mem::LINE_BYTES;
+use tee_mem::{LINE_BYTES, PAGE_BYTES};
+use tee_sim::util::{IntMap, IntSet};
 
 /// Geometry of one detected tensor region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,7 +73,7 @@ pub struct MetaEntry {
     /// Updating Flag: a tensor update round is in progress.
     updating: bool,
     /// Lines flipped this round (bitmap bits that differ from BS).
-    flipped: HashSet<u64>,
+    flipped: IntSet<u64>,
     lru: u64,
 }
 
@@ -65,7 +87,7 @@ impl MetaEntry {
             vn,
             mac: MacTag::default(),
             updating: false,
-            flipped: HashSet::new(),
+            flipped: IntSet::default(),
             lru: 0,
         }
     }
@@ -86,7 +108,7 @@ impl MetaEntry {
                 vn,
                 mac: MacTag::default(),
                 updating: false,
-                flipped: HashSet::new(),
+                flipped: IntSet::default(),
                 lru: 0,
             }
         }
@@ -283,6 +305,62 @@ impl ReadCounts {
     }
 }
 
+/// What one slot is registered under in the index.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct IndexKeys {
+    /// The entry's `(first_line, last_line)`; `None` for a free slot or an
+    /// entry covering no line (whose `last_line` would underflow).
+    bounds: Option<(u64, u64)>,
+    frontier: Option<u64>,
+}
+
+impl IndexKeys {
+    fn of(entry: Option<&MetaEntry>) -> Self {
+        entry.map_or_else(IndexKeys::default, |e| IndexKeys {
+            bounds: (e.line_count() > 0).then(|| (e.first_line(), e.last_line())),
+            frontier: e.frontier(),
+        })
+    }
+
+    /// The 4 KiB pages the bounds touch.
+    fn pages(&self) -> Range<u64> {
+        self.bounds.map_or(0..0, |(first, last)| {
+            first / PAGE_BYTES..last / PAGE_BYTES + 1
+        })
+    }
+
+    fn bounds_hold(&self, va: u64) -> bool {
+        self.bounds
+            .is_some_and(|(first, last)| first <= va && va <= last)
+    }
+}
+
+/// The pages of `a` that are not in `b`: the parts of `a` below and above
+/// `b` (either may be empty).
+fn pages_minus(a: Range<u64>, b: Range<u64>) -> [Range<u64>; 2] {
+    [a.start..a.end.min(b.start), a.start.max(b.end)..a.end]
+}
+
+/// Adds `slot` to the ascending slot list under `key`.
+fn index_add(index: &mut IntMap<u64, Vec<usize>>, key: u64, slot: usize) {
+    let slots = index.entry(key).or_default();
+    if let Err(at) = slots.binary_search(&slot) {
+        slots.insert(at, slot);
+    }
+}
+
+/// Removes `slot` from the slot list under `key`, dropping an emptied list.
+fn index_remove(index: &mut IntMap<u64, Vec<usize>>, key: u64, slot: usize) {
+    if let Some(slots) = index.get_mut(&key) {
+        if let Ok(at) = slots.binary_search(&slot) {
+            slots.remove(at);
+        }
+        if slots.is_empty() {
+            index.remove(&key);
+        }
+    }
+}
+
 /// The Meta Table (512 entries in the paper's configuration, §6.5).
 ///
 /// # Example
@@ -298,6 +376,16 @@ impl ReadCounts {
 #[derive(Debug)]
 pub struct MetaTable {
     slots: Vec<Option<MetaEntry>>,
+    /// Per slot, the keys it is registered under in `by_page` and
+    /// `by_frontier`.
+    keys: Vec<IndexKeys>,
+    /// 4 KiB VA page → the slots, ascending, whose covered-line bounds
+    /// touch that page.
+    by_page: IntMap<u64, Vec<usize>>,
+    /// Frontier VA → the slots, ascending, with that frontier.
+    by_frontier: IntMap<u64, Vec<usize>>,
+    /// Number of live entries, read by the 7/8 occupancy test.
+    live: usize,
     tick: u64,
     reads: ReadCounts,
 }
@@ -312,6 +400,10 @@ impl MetaTable {
         assert!(capacity > 0, "meta table needs at least one slot");
         MetaTable {
             slots: (0..capacity).map(|_| None).collect(),
+            keys: vec![IndexKeys::default(); capacity],
+            by_page: IntMap::default(),
+            by_frontier: IntMap::default(),
+            live: 0,
             tick: 0,
             reads: ReadCounts::default(),
         }
@@ -328,28 +420,117 @@ impl MetaTable {
         self.slots.get(slot).and_then(|s| s.as_ref())
     }
 
+    /// Writes one slot. Every slot write goes through here, so the index
+    /// and the live count follow it.
+    fn set(&mut self, slot: usize, entry: Option<MetaEntry>) {
+        self.live =
+            self.live + usize::from(entry.is_some()) - usize::from(self.slots[slot].is_some());
+        self.slots[slot] = entry;
+        self.reindex(slot);
+    }
+
+    /// Re-registers `slot` after its entry changed, touching only the
+    /// pages (and the frontier) whose membership changed.
+    fn reindex(&mut self, slot: usize) {
+        let new = IndexKeys::of(self.slots[slot].as_ref());
+        let old = std::mem::replace(&mut self.keys[slot], new);
+        for pages in pages_minus(old.pages(), new.pages()) {
+            for page in pages {
+                index_remove(&mut self.by_page, page, slot);
+            }
+        }
+        for pages in pages_minus(new.pages(), old.pages()) {
+            for page in pages {
+                index_add(&mut self.by_page, page, slot);
+            }
+        }
+        if old.frontier != new.frontier {
+            if let Some(va) = old.frontier {
+                index_remove(&mut self.by_frontier, va, slot);
+            }
+            if let Some(va) = new.frontier {
+                index_add(&mut self.by_frontier, va, slot);
+            }
+        }
+    }
+
+    /// The candidate slots for `va`, ascending: every slot whose entry
+    /// contains `va` is among them.
+    fn candidates(&self, va: u64) -> &[usize] {
+        self.by_page
+            .get(&(va / PAGE_BYTES))
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// The lowest slot whose entry contains `va`, other than `skip`.
+    fn covering(&self, va: u64, skip: Option<usize>) -> Option<usize> {
+        self.candidates(va).iter().copied().find(|&slot| {
+            Some(slot) != skip
+                && self.keys[slot].bounds_hold(va)
+                && self.slots[slot].as_ref().is_some_and(|e| e.contains(va))
+        })
+    }
+
+    /// The lowest slot whose frontier is `va`.
+    fn at_frontier(&self, va: u64) -> Option<usize> {
+        self.by_frontier.get(&va).map(|slots| slots[0])
+    }
+
+    /// The slot an incoming entry overlaps, if any. Exact per-line check
+    /// for small (filter-sized) newcomers; preloads into a populated table
+    /// use the cheaper containment test.
+    fn overlap(&self, entry: &MetaEntry) -> Option<usize> {
+        if entry.line_count() <= 256 {
+            entry
+                .covered_lines()
+                .find_map(|line| self.covering(line, None))
+        } else {
+            let (first, last) = (entry.first_line(), entry.last_line());
+            self.candidates(first).iter().copied().find(|&slot| {
+                self.slots[slot]
+                    .as_ref()
+                    .is_some_and(|e| e.contains(first) && e.contains(last))
+            })
+        }
+    }
+
+    /// Whether growing the 2-D entry in `slot` would cover a line that
+    /// already belongs to another entry.
+    fn speculative_conflict(&self, slot: usize) -> bool {
+        match self.slots.get(slot).and_then(|s| s.as_ref()) {
+            Some(e) => match e.shape {
+                Shape::TwoD {
+                    row_lines,
+                    pitch,
+                    rows,
+                } => (1..rows).any(|r| {
+                    let line = e.base + r * pitch + row_lines * LINE_BYTES;
+                    self.covering(line, Some(slot)).is_some()
+                }),
+                Shape::OneD { .. } => false,
+            },
+            None => false,
+        }
+    }
+
     /// Figure 10 read dataflow.
     pub fn lookup_read(&mut self, va: u64) -> ReadLookup {
         self.tick += 1;
         let tick = self.tick;
-        for (slot, opt) in self.slots.iter_mut().enumerate() {
-            let Some(e) = opt.as_mut() else { continue };
-            if e.contains(va) {
-                e.lru = tick;
-                self.reads.hit_in += 1;
-                return ReadLookup::HitIn {
-                    slot,
-                    vn: e.read_vn(va),
-                };
-            }
+        if let Some(slot) = self.covering(va, None) {
+            let e = self.slots[slot].as_mut().expect("indexed slot is live");
+            e.lru = tick;
+            self.reads.hit_in += 1;
+            return ReadLookup::HitIn {
+                slot,
+                vn: e.read_vn(va),
+            };
         }
-        for (slot, opt) in self.slots.iter_mut().enumerate() {
-            let Some(e) = opt.as_mut() else { continue };
-            if e.frontier() == Some(va) {
-                e.lru = tick;
-                self.reads.hit_boundary += 1;
-                return ReadLookup::HitBoundary { slot, vn: e.vn };
-            }
+        if let Some(slot) = self.at_frontier(va) {
+            let e = self.slots[slot].as_mut().expect("indexed slot is live");
+            e.lru = tick;
+            self.reads.hit_boundary += 1;
+            return ReadLookup::HitBoundary { slot, vn: e.vn };
         }
         self.reads.miss += 1;
         ReadLookup::Miss
@@ -362,25 +543,7 @@ impl MetaTable {
         // 2-D growth covers one *speculative* new line per additional row;
         // refuse the extension if any of those lines already belongs to
         // another entry (overlap would desync write rounds).
-        let speculative_conflict = {
-            match self.slots.get(slot).and_then(|s| s.as_ref()) {
-                Some(e) => match e.shape {
-                    Shape::TwoD {
-                        row_lines,
-                        pitch,
-                        rows,
-                    } => (1..rows).any(|r| {
-                        let line = e.base + r * pitch + row_lines * LINE_BYTES;
-                        self.slots
-                            .iter()
-                            .enumerate()
-                            .any(|(i, s)| i != slot && s.as_ref().is_some_and(|o| o.contains(line)))
-                    }),
-                    Shape::OneD { .. } => false,
-                },
-                None => false,
-            }
-        };
+        let speculative_conflict = self.speculative_conflict(slot);
         let Some(e) = self.slots.get_mut(slot).and_then(|s| s.as_mut()) else {
             return;
         };
@@ -410,6 +573,9 @@ impl MetaTable {
                 };
             }
         }
+        // The one in-place geometry change: re-register the grown bounds
+        // and the new frontier.
+        self.reindex(slot);
     }
 
     /// Figure 12 write dataflow. `va` is a line-aligned write-back address
@@ -417,20 +583,16 @@ impl MetaTable {
     pub fn lookup_write(&mut self, va: u64) -> WriteLookup {
         self.tick += 1;
         let tick = self.tick;
-        let Some(slot) = self
-            .slots
-            .iter()
-            .position(|s| s.as_ref().is_some_and(|e| e.contains(va)))
-        else {
+        let Some(slot) = self.covering(va, None) else {
             return WriteLookup::Miss;
         };
-        let e = self.slots[slot].as_mut().expect("slot checked above");
+        let e = self.slots[slot].as_mut().expect("indexed slot is live");
         e.lru = tick;
         let ordinal = e.line_ordinal(va);
 
         // Assert1: each cacheline updates at most once per round.
         if e.flipped.contains(&ordinal) {
-            self.slots[slot] = None;
+            self.set(slot, None);
             return WriteLookup::Violation;
         }
 
@@ -466,28 +628,8 @@ impl MetaTable {
         entry.lru = self.tick;
         // Reject overlapping coverage: overlapping entries desync the
         // Figure-12 write rounds (flips landing in one entry while the
-        // other's bitmap goes stale). Exact per-line check for small
-        // (filter-sized) newcomers; preloads into a populated table use
-        // the cheaper containment test.
-        let overlap_slot = if entry.line_count() <= 256 {
-            let mut found = None;
-            'scan: for line in entry.covered_lines() {
-                for (i, s) in self.slots.iter().enumerate() {
-                    if s.as_ref().is_some_and(|e| e.contains(line)) {
-                        found = Some(i);
-                        break 'scan;
-                    }
-                }
-            }
-            found
-        } else {
-            self.slots.iter().position(|s| {
-                s.as_ref().is_some_and(|e| {
-                    e.contains(entry.first_line()) && e.contains(entry.last_line())
-                })
-            })
-        };
-        if let Some(slot) = overlap_slot {
+        // other's bitmap goes stale).
+        if let Some(slot) = self.overlap(&entry) {
             return slot;
         }
         // Attempt merges until no entry absorbs the newcomer. Exact
@@ -505,7 +647,7 @@ impl MetaTable {
                         // Remove the absorber and continue merging the
                         // result — chains of row entries collapse into one
                         // 2-D region.
-                        self.slots[slot] = None;
+                        self.set(slot, None);
                         entry = merged;
                         entry.lru = self.tick;
                         absorbed = true;
@@ -524,7 +666,7 @@ impl MetaTable {
         // existing entries before resorting to eviction ("merge a few
         // recently updated entries", §4.2 — different cores' fragments of
         // one tensor are merged with each other, not only with newcomers).
-        if self.slots.iter().filter(|s| s.is_some()).count() >= self.slots.len() * 7 / 8 {
+        if self.live >= self.slots.len() * 7 / 8 {
             self.compact();
         }
         let slot = self
@@ -539,7 +681,7 @@ impl MetaTable {
                     .map(|(i, _)| i)
                     .expect("non-empty table")
             });
-        self.slots[slot] = Some(entry);
+        self.set(slot, Some(entry));
         slot
     }
 
@@ -560,8 +702,8 @@ impl MetaTable {
                     if let Some(m) = try_merge(a, b, false) {
                         let mut m = m;
                         m.lru = self.tick;
-                        self.slots[i] = Some(m);
-                        self.slots[j] = None;
+                        self.set(i, Some(m));
+                        self.set(j, None);
                         merged_any = true;
                         continue 'outer;
                     }
@@ -570,6 +712,58 @@ impl MetaTable {
             if !merged_any {
                 break;
             }
+        }
+    }
+}
+
+/// The slot scans the index replaced, kept as its test oracle.
+#[cfg(test)]
+impl MetaTable {
+    /// The lowest live slot whose entry contains `va`, other than `skip`.
+    fn scan_covering(&self, va: u64, skip: Option<usize>) -> Option<usize> {
+        self.slots
+            .iter()
+            .enumerate()
+            .position(|(i, s)| Some(i) != skip && s.as_ref().is_some_and(|e| e.contains(va)))
+    }
+
+    /// The lowest live slot whose frontier is `va`.
+    fn scan_frontier(&self, va: u64) -> Option<usize> {
+        self.slots
+            .iter()
+            .position(|s| s.as_ref().is_some_and(|e| e.frontier() == Some(va)))
+    }
+
+    /// `insert`'s overlap check as a scan over every slot per line.
+    fn scan_overlap(&self, entry: &MetaEntry) -> Option<usize> {
+        if entry.line_count() <= 256 {
+            entry
+                .covered_lines()
+                .find_map(|line| self.scan_covering(line, None))
+        } else {
+            self.slots.iter().position(|s| {
+                s.as_ref().is_some_and(|e| {
+                    e.contains(entry.first_line()) && e.contains(entry.last_line())
+                })
+            })
+        }
+    }
+
+    /// `confirm_boundary`'s conflict check as a scan over every slot.
+    fn scan_speculative_conflict(&self, slot: usize) -> bool {
+        match self.slots.get(slot).and_then(|s| s.as_ref()) {
+            Some(e) => match e.shape {
+                Shape::TwoD {
+                    row_lines,
+                    pitch,
+                    rows,
+                } => (1..rows).any(|r| {
+                    let line = e.base + r * pitch + row_lines * LINE_BYTES;
+                    self.scan_covering(line, Some(slot)).is_some()
+                }),
+                Shape::OneD { .. } => false,
+            },
+            None => false,
         }
     }
 }
@@ -733,9 +927,172 @@ fn merge_row(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn live(t: &MetaTable) -> impl Iterator<Item = &MetaEntry> {
         t.slots.iter().flatten()
+    }
+
+    /// Base of the 64-page window the property's entries land in, so that
+    /// they meet, merge and overlap often.
+    const WINDOW_BASE: u64 = 0x10_0000;
+    const WINDOW_LINES: u64 = 64 * PAGE_BYTES / LINE_BYTES;
+
+    /// Every live entry's first line, last line and frontier, each also
+    /// ±1 line and ±1 page.
+    fn probes(t: &MetaTable) -> Vec<u64> {
+        let mut edges = Vec::new();
+        for e in live(t) {
+            edges.push(e.first_line());
+            if e.line_count() > 0 {
+                edges.push(e.last_line());
+            }
+            edges.extend(e.frontier());
+        }
+        edges
+            .into_iter()
+            .flat_map(|va| {
+                [
+                    va,
+                    va + LINE_BYTES,
+                    va - LINE_BYTES,
+                    va + PAGE_BYTES,
+                    va - PAGE_BYTES,
+                ]
+            })
+            .collect()
+    }
+
+    /// The index answers what the slot scans answer, at `va` and at every
+    /// probe address, and the live count matches.
+    fn check_index(t: &MetaTable, va: u64) -> Result<(), TestCaseError> {
+        for probe in probes(t).into_iter().chain([va]) {
+            prop_assert_eq!(
+                t.covering(probe, None),
+                t.scan_covering(probe, None),
+                "covering slot at {:#x}",
+                probe
+            );
+            prop_assert_eq!(
+                t.at_frontier(probe),
+                t.scan_frontier(probe),
+                "frontier slot at {:#x}",
+                probe
+            );
+        }
+        prop_assert_eq!(t.live, live(t).count());
+        Ok(())
+    }
+
+    /// An address for a lookup: a probe of a live entry, or any line of
+    /// the window.
+    fn pick_address(t: &MetaTable, a: u64) -> u64 {
+        let probes = probes(t);
+        if a.is_multiple_of(4) || probes.is_empty() {
+            WINDOW_BASE + (a >> 2) % WINDOW_LINES * LINE_BYTES
+        } else {
+            probes[(a >> 2) as usize % probes.len()]
+        }
+    }
+
+    /// The entry an insert operation adds. `kind` picks a dense or strided
+    /// filter-sized 1-D run, a 2-D tile (pitch within a page, or crossing
+    /// pages), a >256-line run partially overlapping a live entry, or a
+    /// tile covering no line.
+    fn arbitrary_entry(t: &MetaTable, kind: u8, a: u64, b: u64) -> MetaEntry {
+        let base = WINDOW_BASE + a % WINDOW_LINES * LINE_BYTES;
+        // Mostly one VN, so that entries merge.
+        let vn = u64::from(b.is_multiple_of(8));
+        let small = 4 + (b >> 3) % 5;
+        match kind {
+            0 => MetaEntry::new_1d(base, small, LINE_BYTES, vn),
+            1 => MetaEntry::new_1d(base, small, LINE_BYTES * (2 + (b >> 6) % 7), vn),
+            2 => {
+                let row_lines = 1 + (b >> 6) % 8;
+                let pitch = if b & (1 << 9) == 0 {
+                    // Growable up to the pitch, where it collapses to 1-D.
+                    (row_lines + 1 + (b >> 10) % 4) * LINE_BYTES
+                } else {
+                    PAGE_BYTES / 2 + (b >> 10) % 160 * LINE_BYTES
+                };
+                let mut e = MetaEntry::new_1d(base, 1, LINE_BYTES, vn);
+                e.shape = Shape::TwoD {
+                    row_lines,
+                    pitch,
+                    rows: 2 + (b >> 20) % 5,
+                };
+                e
+            }
+            3 => {
+                // Starts inside, or at most 8 lines before, a live entry:
+                // unless one entry contains both of its ends, it is
+                // inserted over that entry's coverage.
+                let lines = 257 + (b >> 6) % 400;
+                let anchor = live(t)
+                    .nth((a >> 32) as usize % t.live.max(1))
+                    .map_or(base, MetaEntry::first_line);
+                let start = anchor + (b >> 20) % 64 * LINE_BYTES;
+                MetaEntry::new_1d(start.saturating_sub(8 * LINE_BYTES), lines, LINE_BYTES, vn)
+            }
+            _ => {
+                // A tile of empty rows covers no line (`new_1d` refuses
+                // zero lines); its frontier is its base, so it can still
+                // be hit there and grow.
+                let desc = TensorDesc {
+                    base,
+                    bytes: 0,
+                    rows: 2 + (b >> 6) % 3,
+                    row_bytes: 0,
+                    pitch: (1 + (b >> 8) % 3) * LINE_BYTES,
+                };
+                MetaEntry::from_desc(&desc, vn)
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::ci())]
+        /// The page and frontier index returns the slot the slot scans
+        /// return, through random inserts (1-D, strided, 2-D, >256-line
+        /// overlapping and zero-line entries), reads with boundary
+        /// confirmations (VN matched or not), writes (including Assert1
+        /// violations) and compactions, on tables small enough that LRU
+        /// eviction and pressure compaction run.
+        #[test]
+        fn index_matches_the_slot_scans(
+            capacity in 4usize..=32,
+            ops in proptest::collection::vec((0u8..12, any::<u64>(), any::<u64>()), 1..160),
+        ) {
+            let mut t = MetaTable::new(capacity);
+            for (op, a, b) in ops {
+                match op {
+                    0..=4 => {
+                        let e = arbitrary_entry(&t, op, a, b);
+                        check_index(&t, e.first_line())?;
+                        prop_assert_eq!(t.overlap(&e), t.scan_overlap(&e));
+                        t.insert(e);
+                    }
+                    5..=8 => {
+                        let va = pick_address(&t, a);
+                        check_index(&t, va)?;
+                        if let ReadLookup::HitBoundary { slot, .. } = t.lookup_read(va) {
+                            prop_assert_eq!(
+                                t.speculative_conflict(slot),
+                                t.scan_speculative_conflict(slot)
+                            );
+                            t.confirm_boundary(slot, va, b % 4 != 0);
+                        }
+                    }
+                    9 | 10 => {
+                        let va = pick_address(&t, a);
+                        check_index(&t, va)?;
+                        t.lookup_write(va);
+                    }
+                    _ => t.compact(),
+                }
+            }
+            check_index(&t, WINDOW_BASE)?;
+        }
     }
 
     #[test]

@@ -21,12 +21,13 @@ use crate::config::CpuConfig;
 use crate::kernels::{AdamWorkload, GemmWorkload};
 use crate::mee::{IntegrityError, SgxMee, VnPath};
 use crate::softvn::{SoftVnConfig, SoftVnTable};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use tee_crypto::Key;
 use tee_mem::cache::{CacheHierarchy, HitLevel};
 use tee_mem::mc::RequestClass;
 use tee_mem::store::LineData;
 use tee_mem::{MemoryController, PageMapper, PhysMem, LINE_BYTES};
+use tee_sim::util::IntMap;
 use tee_sim::Time;
 
 /// Which TEE scheme the engine runs under.
@@ -107,7 +108,7 @@ pub struct CpuEngine {
     mee: SgxMee,
     mem: PhysMem,
     mapper: PageMapper,
-    va_of_pa: HashMap<u64, u64>,
+    va_of_pa: IntMap<u64, u64>,
     integrity_errors: u64,
     last_integrity_error: Option<IntegrityError>,
 }
@@ -131,7 +132,7 @@ impl CpuEngine {
             source,
             mem: PhysMem::new(),
             mapper: PageMapper::new(0x7EE),
-            va_of_pa: HashMap::new(),
+            va_of_pa: IntMap::default(),
             integrity_errors: 0,
             last_integrity_error: None,
             cfg,
@@ -203,7 +204,7 @@ impl CpuEngine {
 
         let outcome = self.hierarchy.access(core, pa, is_write);
         for &wb_pa in &outcome.mem_writebacks {
-            self.writeback(wb_pa, th.t);
+            self.writeback(wb_pa, self.va_of(wb_pa), th.t);
         }
 
         // The fill and the on-chip background VN fetch are both issued at
@@ -288,12 +289,17 @@ impl CpuEngine {
         op.done
     }
 
-    /// Retires one LLC write-back through the active TEE path.
-    fn writeback(&mut self, wb_pa: u64, at: Time) {
-        let va = *self
+    /// The VA that first translated to `pa`.
+    fn va_of(&self, pa: u64) -> u64 {
+        *self
             .va_of_pa
-            .get(&wb_pa)
-            .expect("write-back of a never-translated line");
+            .get(&pa)
+            .expect("write-back of a never-translated line")
+    }
+
+    /// Retires one LLC write-back of line `wb_pa` (first touched at `va`)
+    /// through the active TEE path.
+    fn writeback(&mut self, wb_pa: u64, va: u64, at: Time) {
         let path = match &mut self.source {
             VnSource::NonSecure => {
                 self.mc.request(wb_pa, RequestClass::Demand, at);
@@ -430,12 +436,19 @@ impl CpuEngine {
             // hierarchy. Draining here also closes every tensor's VN
             // update round before the next iteration re-writes it
             // (Figure 12 semantics), identically for all TEE modes.
-            let mut dirty = self.hierarchy.flush_all();
             // The weight DMA drains regions in *virtual* address order;
-            // physical frames are scattered by paging.
-            dirty.sort_unstable_by_key(|pa| self.va_of_pa.get(pa).copied().unwrap_or(*pa));
-            for pa in dirty {
-                self.writeback(pa, end);
+            // physical frames are scattered by paging. A VA translates to
+            // one PA, so no two dirty lines share a first-touch VA and the
+            // sorted (va, pa) pairs are in VA order.
+            let mut dirty: Vec<(u64, u64)> = self
+                .hierarchy
+                .flush_all()
+                .into_iter()
+                .map(|pa| (self.va_of(pa), pa))
+                .collect();
+            dirty.sort_unstable();
+            for (va, pa) in dirty {
+                self.writeback(pa, va, end);
             }
             end = end.max(self.mc.idle_at());
             match &mut self.source {
@@ -737,6 +750,29 @@ mod tests {
             [
                 1421466, 286, 112, 50, 448, 27, 1065189, 448, 0, 0, 448, 0, 1068522, 448, 0, 0,
                 448, 1, 3555177, 0
+            ]
+        );
+    }
+
+    /// A cold 16-entry Meta Table under 8 threads and Table-1 caches. The
+    /// per-thread chunks of the 96 KiB tensor are too far apart to pair
+    /// into tiles, so its 32 fragments (8 threads × 4 streams) crowd the
+    /// table: inserts past 7/8 occupancy compact it (~4,700 times) and
+    /// most then evict the LRU entry (~4,600 times), which the 512-entry
+    /// pins never reach.
+    #[test]
+    fn crowded_tensortee_report_is_pinned() {
+        let mode = TeeMode::TensorTee(TenAnalyzerConfig {
+            meta_entries: 16,
+            ..TenAnalyzerConfig::default()
+        });
+        let w = AdamWorkload::from_tensor_sizes(&[32 << 10, 96 << 10, 32 << 10]);
+        let report = CpuEngine::new(CpuConfig::default(), mode).run_adam(&w, 8, 3);
+        assert_eq!(
+            numbers(&report),
+            [
+                119225760, 7218, 752, 9950, 17920, 8679, 114637773, 7218, 752, 9950, 17920, 8578,
+                114634440, 7218, 752, 9950, 17920, 8578, 348497973, 0
             ]
         );
     }

@@ -11,7 +11,6 @@
 //! Merkle walk exactly as the Meta Table does.
 
 use crate::config::CpuConfig;
-use std::collections::HashMap;
 use tee_crypto::ctr::LINE_BYTES as CRYPTO_LINE;
 use tee_crypto::mac::{line_mac, MacKey, MacTag};
 use tee_crypto::{CtrEngine, Key, LineCounter, VnMerkleTree};
@@ -19,6 +18,7 @@ use tee_mem::mc::RequestClass;
 use tee_mem::metadata::MetaKind;
 use tee_mem::store::LineData;
 use tee_mem::{MemoryController, MetadataCache, PhysMem};
+use tee_sim::util::IntMap;
 use tee_sim::Time;
 
 /// How the VN for a request is obtained.
@@ -102,13 +102,13 @@ pub struct SgxMee {
     ctr: CtrEngine,
     mac_key: MacKey,
     tree: Option<VnMerkleTree>,
-    leaf_map: HashMap<u64, usize>,
+    leaf_map: IntMap<u64, usize>,
     next_leaf: usize,
-    macs: HashMap<u64, MacTag>,
+    macs: IntMap<u64, MacTag>,
     /// Count-only mode: lightweight per-line VN mirror (the functional
     /// tree serves this in functional mode). TenAnalyzer's detection
     /// depends on observing real off-chip VNs.
-    plain_vns: HashMap<u64, u64>,
+    plain_vns: IntMap<u64, u64>,
     meta_cache: MetadataCache,
     bitmap_pending: u64,
 }
@@ -138,10 +138,10 @@ impl SgxMee {
             ctr: CtrEngine::new(key.derive("enc")),
             mac_key,
             tree,
-            leaf_map: HashMap::new(),
+            leaf_map: IntMap::default(),
             next_leaf: 0,
-            macs: HashMap::new(),
-            plain_vns: HashMap::new(),
+            macs: IntMap::default(),
+            plain_vns: IntMap::default(),
             meta_cache: MetadataCache::new(cfg.metadata_cache_bytes, 8),
             bitmap_pending: 0,
         }

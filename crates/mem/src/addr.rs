@@ -7,7 +7,7 @@
 //! memory controller sees realistic discontinuous physical traffic.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use tee_sim::util::IntMap;
 use tee_sim::SplitMix64;
 
 /// Page size (4 KiB).
@@ -31,7 +31,7 @@ pub const PAGE_BYTES: u64 = 4096;
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PageMapper {
-    table: HashMap<u64, u64>,
+    table: IntMap<u64, u64>,
     rng: SplitMix64,
 }
 
@@ -40,7 +40,7 @@ impl PageMapper {
     /// default, per Figure 9).
     pub fn new(seed: u64) -> Self {
         PageMapper {
-            table: HashMap::new(),
+            table: IntMap::default(),
             rng: SplitMix64::new(seed),
         }
     }

@@ -7,7 +7,7 @@
 //! (corruption) and replay of previously captured lines.
 
 use crate::LINE_BYTES;
-use std::collections::HashMap;
+use tee_sim::util::IntMap;
 
 /// One 64 B line as stored in DRAM.
 pub type LineData = [u8; LINE_BYTES as usize];
@@ -27,7 +27,7 @@ pub type LineData = [u8; LINE_BYTES as usize];
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PhysMem {
-    lines: HashMap<u64, LineData>,
+    lines: IntMap<u64, LineData>,
 }
 
 impl PhysMem {
