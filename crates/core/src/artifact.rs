@@ -83,10 +83,10 @@ pub struct RunContext {
     /// probe is installed (pinned by a differential test over the
     /// registry).
     pub probe: SharedProbe,
-    /// The simulation memo the runners price CPU Adam runs and NPU
-    /// reports through ([`crate::memo`]). Clones share it, so the
-    /// artifacts of one `run --all` share work; every
-    /// [`RunContext::full`] / [`RunContext::fast`] starts an empty one.
+    /// The simulation memo the runners price CPU Adam runs through
+    /// ([`crate::memo`]). Clones share it, so the artifacts of one
+    /// `run --all` share work; every [`RunContext::full`] /
+    /// [`RunContext::fast`] starts an empty one.
     pub(crate) memo: Memo,
 }
 
@@ -270,7 +270,7 @@ pub struct Artifact {
 
 impl Artifact {
     /// Runs the artifact under `ctx`. A recording probe also gets the
-    /// run's `memo.{adam,npu}_{hits,misses}` counts (non-zero ones only).
+    /// run's `memo.adam_{hits,misses}` counts (non-zero ones only).
     pub fn run(&self, ctx: &RunContext) -> Report {
         let before = ctx.memo.counts();
         let report = (self.runner)(ctx);

@@ -15,15 +15,13 @@
 //! thread pool — the artifacts are byte-identical across `--threads`.
 
 use crate::artifact::{find, RunContext, SERVE_RATE_RPS};
-use crate::experiments::{fleet_setup, serve_profile};
+use crate::experiments::{serve_profile, traced_round_robin_fleet};
 use crate::obs::replay;
 use crate::report::{f2, pct, Report, Table};
 use tee_attack::{
     extractable_bits, instants_named, link_sessions, mutual_information_bits, size_bucket,
     KvShield, Observation, ResidencyFinding, Shaping, TrafficClassifier, MEASUREMENT_QUANTUM,
 };
-use tee_fleet::simulate_probed as fleet_simulate_probed;
-use tee_fleet::Policy;
 use tee_serve::{simulate_probed, KvSpec, ServeConfig, ServeReport, TraceConfig};
 use tee_sim::probe::{SharedProbe, TraceProbe};
 use tee_sim::{SplitMix64, Time};
@@ -222,17 +220,7 @@ pub fn attack_kv_residency(ctx: &RunContext) -> Report {
         .expect("attack_kv_residency is registered")
         .new_report();
 
-    let (model, fleet_cfg, trace_cfg) = fleet_setup(ctx);
-    let trace = trace_cfg.generate();
-    let probe = SharedProbe::recording();
-    let rep = fleet_simulate_probed(
-        &fleet_cfg.with_policy(Policy::RoundRobin),
-        &model,
-        &serve_profile(crate::SecureMode::TensorTee, &ctx.cfg),
-        &trace,
-        &probe,
-    );
-    let snap = probe.snapshot().expect("freshly created recording probe");
+    let (model, trace, rep, snap) = traced_round_robin_fleet(ctx);
 
     let handoffs = Observation::from_trace(&snap);
     let fetches = instants_named(&snap, "CPU", "kv_fetch");
@@ -355,19 +343,7 @@ pub fn attack_defended(ctx: &RunContext) -> Report {
     report.table(shaping_table);
 
     // --- At-rest shielding: one fleet run, two adversary views ------
-    let (fleet_model, fleet_cfg, trace_cfg) = fleet_setup(ctx);
-    let trace = trace_cfg.generate();
-    let fleet_probe = SharedProbe::recording();
-    let fleet_rep = fleet_simulate_probed(
-        &fleet_cfg.with_policy(Policy::RoundRobin),
-        &fleet_model,
-        &serve_profile(crate::SecureMode::TensorTee, &ctx.cfg),
-        &trace,
-        &fleet_probe,
-    );
-    let fleet_snap = fleet_probe
-        .snapshot()
-        .expect("freshly created recording probe");
+    let (fleet_model, trace, fleet_rep, fleet_snap) = traced_round_robin_fleet(ctx);
     let (sessions, sizes) = spilled_objects(&fleet_model, &trace);
     let mut shield_table = Table::new([
         "KV at rest",

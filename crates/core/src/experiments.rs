@@ -24,8 +24,10 @@ use tee_fleet::{simulate_probed as fleet_simulate, FleetConfig, FleetReport, Pol
 use tee_npu::mac::figure20_sweep;
 use tee_npu::NpuEngine;
 use tee_serve::{
-    simulate_probed, SecurityProfile, ServeConfig, ServeReport, SessionTraceConfig, TraceConfig,
+    simulate_probed, SecurityProfile, ServeConfig, ServeReport, SessionRequest, SessionTraceConfig,
+    TraceConfig,
 };
+use tee_sim::probe::{SharedProbe, TraceProbe};
 use tee_sim::Time;
 use tee_workloads::census::TensorCensus;
 use tee_workloads::zoo::{ModelConfig, TABLE2};
@@ -1294,6 +1296,27 @@ pub(crate) fn fleet_setup(ctx: &RunContext) -> (ModelConfig, FleetConfig, Sessio
         ServeConfig::for_model(&model, 4, trace.steady_tokens()).with_npu(ctx.cfg.npu.clone());
     let cfg = FleetConfig::new(serve, ctx.fleet_instances);
     (model, cfg, trace)
+}
+
+/// The [`fleet_setup`] trace served round-robin under the TensorTEE
+/// profile, recorded into a fresh probe: the model, the trace, the report
+/// and the recording (`obs_utilization`'s fleet run, which the attack
+/// artifacts observe).
+pub(crate) fn traced_round_robin_fleet(
+    ctx: &RunContext,
+) -> (ModelConfig, Vec<SessionRequest>, FleetReport, TraceProbe) {
+    let (model, cfg, trace_cfg) = fleet_setup(ctx);
+    let trace = trace_cfg.generate();
+    let probe = SharedProbe::recording();
+    let report = fleet_simulate(
+        &cfg.with_policy(Policy::RoundRobin),
+        &model,
+        &serve_profile(crate::SecureMode::TensorTee, &ctx.cfg),
+        &trace,
+        &probe,
+    );
+    let snap = probe.snapshot().expect("freshly created recording probe");
+    (model, trace, report, snap)
 }
 
 /// One fleet sample: one placement policy, one mode, the shared trace.

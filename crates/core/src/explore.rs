@@ -345,10 +345,8 @@ fn eval_train(ctx: &RunContext, space: &Space, point: &Point) -> Vec<ModeEval> {
         .map(|&mode| {
             // Price the CPU and NPU phases and the transfers once, then
             // compose the step from them — the same components feed the
-            // crypto objective. The CPU phase depends on no point knob
-            // and the NPU phase on no bus knob, so the context memo
-            // serves both across points: only the bus re-pricing below
-            // is paid per point.
+            // crypto objective. The CPU phase depends on no point knob,
+            // so the context memo serves it across points.
             let sys = TrainingSystem::new(cfg.clone(), mode).with_memo(&ctx.memo);
             let cpu = sys.cpu_time(&schedule);
             let npu = sys.npu_report(&schedule);
@@ -943,7 +941,7 @@ pub fn explore_sensitivity_for(scenario: Scenario, ctx: &RunContext) -> (Explore
 /// Runs both sweeps of `tensortee explore <scenario>`: the
 /// [`explore_pareto_for`] and [`explore_sensitivity_for`] reports, in that
 /// order. A recording context probe gets the sweeps'
-/// `memo.{adam,npu}_{hits,misses}` counts (non-zero ones only), as
+/// `memo.adam_{hits,misses}` counts (non-zero ones only), as
 /// [`crate::Artifact::run`] gives it an artifact's; no evaluator traces
 /// into the context probe, so those counters are all an explore trace
 /// holds.

@@ -1,19 +1,21 @@
-//! One content-addressed memo for the pure simulation phases.
+//! One content-addressed memo for the CPU Adam phase.
 //!
-//! The cacheline-level CPU Adam run and the NPU forward+backward report
-//! are pure functions of their inputs, and the registry prices the same
-//! inputs many times over: fig05's runs recur in fig16, fig17,
-//! `scaling_strong`, the `des_*` artifacts and explore. A [`Memo`]
-//! prices each distinct input once. Its key is the *full* input — every
-//! configuration field (`f64`s by bit pattern), the CPU mode with its
-//! TenAnalyzer/SoftVN configuration, the workload's tensor list or the
-//! NPU layer list — so two runs share an entry only when the engines
-//! would return equal results.
+//! The cacheline-level CPU Adam run is a pure function of its inputs,
+//! and the registry prices the same inputs many times over: fig05's runs
+//! recur in fig16, fig17, `scaling_strong`, the `des_*` artifacts and
+//! explore. A [`Memo`] prices each distinct input once. Its key is the
+//! *full* input — every CPU configuration field (`f64`s by bit pattern),
+//! the mode with its TenAnalyzer/SoftVN configuration and the workload's
+//! tensor list — so two runs share an entry only when the engines would
+//! return equal results. The NPU phase is not memoized: one
+//! forward+backward run costs about 20 µs in `tensortee run --all
+//! --fast` (~4 ms a pass) and about 60 µs in a full `tensortee explore
+//! des`.
 //!
 //! A [`crate::RunContext`] owns one memo and its clones share it, so
 //! `tensortee run --all` pays each distinct run once. A system built
 //! outside a context gets a private empty memo, so standalone callers
-//! keep recomputing. Values are computed outside the lock (workers on
+//! keep recomputing. Runs are simulated outside the lock (workers on
 //! different keys never wait for each other's simulations) and the first
 //! insert of a key wins, so a miss is exactly a first insert: the hit
 //! and miss counts do not depend on worker count or interleaving.
@@ -25,7 +27,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use tee_cpu::kernels::AdamTensorSet;
 use tee_cpu::{AdamReport, AdamWorkload, CpuConfig, CpuEngine, TeeMode, TensorDesc};
 use tee_mem::{CacheConfig, DramConfig, HierarchyConfig};
-use tee_npu::{Layer, MacScheme, NpuConfig, NpuEngine, NpuRunReport};
 use tee_sim::probe::SharedProbe;
 
 /// One Adam run on a fresh [`CpuEngine`]: everything the run reads.
@@ -56,6 +57,7 @@ impl AdamRun {
         engine.run_adam(&self.workload, self.threads, self.iterations)
     }
 
+    /// Every input of the run: runs are equal when these are.
     fn identity(&self) -> (Vec<u64>, &TeeMode, bool, &AdamWorkload, u32, u32) {
         (
             cpu_bits(&self.cpu),
@@ -67,6 +69,9 @@ impl AdamRun {
         )
     }
 
+    /// The hashed part of the identity: the last tensor set instead of
+    /// the whole list, so a lookup costs little next to the run it saves.
+    /// Equal identities have equal hash parts.
     fn hash_part(&self) -> (Vec<u64>, &TeeMode, bool, u32, u32, Option<&AdamTensorSet>) {
         (
             cpu_bits(&self.cpu),
@@ -79,58 +84,19 @@ impl AdamRun {
     }
 }
 
-/// One forward+backward layer list on a fresh [`NpuEngine`].
-#[derive(Debug, Clone)]
-pub(crate) struct NpuRun {
-    pub(crate) cfg: NpuConfig,
-    pub(crate) scheme: MacScheme,
-    pub(crate) layers: Vec<Layer>,
-}
-
-impl NpuRun {
-    fn run(&self) -> NpuRunReport {
-        NpuEngine::new(self.cfg.clone(), self.scheme).run(&self.layers)
-    }
-
-    fn identity(&self) -> (Vec<u64>, MacScheme, &[Layer]) {
-        (npu_bits(&self.cfg), self.scheme, &self.layers)
-    }
-
-    fn hash_part(&self) -> (Vec<u64>, MacScheme, usize, Option<&Layer>, Option<&Layer>) {
-        (
-            npu_bits(&self.cfg),
-            self.scheme,
-            self.layers.len(),
-            self.layers.first(),
-            self.layers.last(),
-        )
+impl PartialEq for AdamRun {
+    fn eq(&self, other: &Self) -> bool {
+        self.identity() == other.identity()
     }
 }
 
-/// Keys a run type on its `identity()` (every input) and hashes its
-/// `hash_part()`: a few words of the identity instead of the whole tensor
-/// or layer list, so a lookup costs little next to the run it saves (an
-/// NPU run takes tens of µs). Equal identities have equal hash parts, so
-/// equal runs hash equally.
-macro_rules! keyed_by_identity {
-    ($($run:ty),*) => {$(
-        impl PartialEq for $run {
-            fn eq(&self, other: &Self) -> bool {
-                self.identity() == other.identity()
-            }
-        }
+impl Eq for AdamRun {}
 
-        impl Eq for $run {}
-
-        impl Hash for $run {
-            fn hash<H: Hasher>(&self, state: &mut H) {
-                self.hash_part().hash(state);
-            }
-        }
-    )*};
+impl Hash for AdamRun {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.hash_part().hash(state);
+    }
 }
-
-keyed_by_identity!(AdamRun, NpuRun);
 
 /// Every field of a CPU configuration, `f64`s by bit pattern. The
 /// destructuring is exhaustive, so a field added to any of these structs
@@ -139,7 +105,16 @@ fn cpu_bits(cfg: &CpuConfig) -> Vec<u64> {
     let CpuConfig {
         freq_ghz,
         hierarchy: HierarchyConfig { cores, l1, l2, l3 },
-        dram,
+        dram:
+            DramConfig {
+                channels,
+                banks_per_channel,
+                row_bytes,
+                channel_bytes_per_sec,
+                t_cas,
+                t_rcd,
+                t_rp,
+            },
         l1_latency,
         l2_latency,
         l3_latency,
@@ -160,8 +135,14 @@ fn cpu_bits(cfg: &CpuConfig) -> Vec<u64> {
     {
         bits.extend([size_bytes, u64::from(ways), line_bytes]);
     }
-    bits.extend(dram_bits(dram));
     bits.extend([
+        u64::from(*channels),
+        u64::from(*banks_per_channel),
+        *row_bytes,
+        channel_bytes_per_sec.to_bits(),
+        t_cas.as_ps(),
+        t_rcd.as_ps(),
+        t_rp.as_ps(),
         *l1_latency,
         *l2_latency,
         *l3_latency,
@@ -176,134 +157,56 @@ fn cpu_bits(cfg: &CpuConfig) -> Vec<u64> {
     bits
 }
 
-/// Every field of an NPU configuration, `f64`s by bit pattern
-/// (exhaustive, like [`cpu_bits`]).
-fn npu_bits(cfg: &NpuConfig) -> Vec<u64> {
-    let NpuConfig {
-        freq_ghz,
-        pe_dim,
-        scratchpad_bytes,
-        dram_bytes,
-        dram,
-        aes_latency,
-        mac_latency,
-        mac_lines_per_cycle,
-        verify_buffer_bytes,
-    } = cfg;
-    let mut bits = vec![freq_ghz.to_bits(), *pe_dim, *scratchpad_bytes, *dram_bytes];
-    bits.extend(dram_bits(dram));
-    bits.extend([
-        *aes_latency,
-        *mac_latency,
-        mac_lines_per_cycle.to_bits(),
-        *verify_buffer_bytes,
-    ]);
-    bits
-}
-
-/// Every field of a DRAM configuration, `f64`s by bit pattern.
-fn dram_bits(dram: &DramConfig) -> [u64; 7] {
-    let DramConfig {
-        channels,
-        banks_per_channel,
-        row_bytes,
-        channel_bytes_per_sec,
-        t_cas,
-        t_rcd,
-        t_rp,
-    } = dram;
-    [
-        u64::from(*channels),
-        u64::from(*banks_per_channel),
-        *row_bytes,
-        channel_bytes_per_sec.to_bits(),
-        t_cas.as_ps(),
-        t_rcd.as_ps(),
-        t_rp.as_ps(),
-    ]
-}
-
-/// Results by full input, with hit and miss counts.
-struct Table<K, V> {
-    map: HashMap<K, V>,
+/// Adam reports by full input, with hit and miss counts.
+#[derive(Default)]
+struct AdamTable {
+    reports: HashMap<AdamRun, AdamReport>,
     hits: u64,
     misses: u64,
-}
-
-impl<K, V> Default for Table<K, V> {
-    fn default() -> Self {
-        Table {
-            map: HashMap::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-}
-
-fn lock<K, V>(table: &Mutex<Table<K, V>>) -> MutexGuard<'_, Table<K, V>> {
-    table.lock().expect("memo lock poisoned")
-}
-
-/// `run(&key)`, priced once per distinct key in `table`.
-fn get_or_run<K: Eq + Hash, V: Clone>(
-    table: &Mutex<Table<K, V>>,
-    key: K,
-    run: impl FnOnce(&K) -> V,
-) -> V {
-    {
-        let mut t = lock(table);
-        if let Some(v) = t.map.get(&key).cloned() {
-            t.hits += 1;
-            return v;
-        }
-    }
-    let value = run(&key);
-    let mut guard = lock(table);
-    let t = &mut *guard;
-    match t.map.entry(key) {
-        // Another worker inserted the key while this one computed: that
-        // insert was the miss, and its value stands.
-        Entry::Occupied(e) => {
-            t.hits += 1;
-            e.get().clone()
-        }
-        Entry::Vacant(e) => {
-            t.misses += 1;
-            e.insert(value).clone()
-        }
-    }
-}
-
-#[derive(Default)]
-struct Tables {
-    adam: Mutex<Table<AdamRun, AdamReport>>,
-    npu: Mutex<Table<NpuRun, NpuRunReport>>,
 }
 
 /// A shared memo handle: clones share one memo, [`Memo::default`] starts
 /// an empty one.
 #[derive(Clone, Default)]
-pub(crate) struct Memo(Arc<Tables>);
+pub(crate) struct Memo(Arc<Mutex<AdamTable>>);
 
 impl Memo {
-    /// The report of `run`, simulated once per distinct run.
-    pub(crate) fn adam(&self, run: AdamRun) -> AdamReport {
-        get_or_run(&self.0.adam, run, AdamRun::run)
+    fn table(&self) -> MutexGuard<'_, AdamTable> {
+        self.0.lock().expect("memo lock poisoned")
     }
 
     /// The report of `run`, simulated once per distinct run.
-    pub(crate) fn npu(&self, run: NpuRun) -> NpuRunReport {
-        get_or_run(&self.0.npu, run, NpuRun::run)
+    pub(crate) fn adam(&self, run: AdamRun) -> AdamReport {
+        {
+            let mut t = self.table();
+            if let Some(report) = t.reports.get(&run).cloned() {
+                t.hits += 1;
+                return report;
+            }
+        }
+        let report = run.run();
+        let mut guard = self.table();
+        let t = &mut *guard;
+        match t.reports.entry(run) {
+            // Another worker inserted the run while this one simulated:
+            // that insert was the miss, and its report stands.
+            Entry::Occupied(e) => {
+                t.hits += 1;
+                e.get().clone()
+            }
+            Entry::Vacant(e) => {
+                t.misses += 1;
+                e.insert(report).clone()
+            }
+        }
     }
 
     /// The hit and miss counts so far.
     pub(crate) fn counts(&self) -> MemoCounts {
-        let (adam, npu) = (lock(&self.0.adam), lock(&self.0.npu));
+        let t = self.table();
         MemoCounts {
-            adam_hits: adam.hits,
-            adam_misses: adam.misses,
-            npu_hits: npu.hits,
-            npu_misses: npu.misses,
+            hits: t.hits,
+            misses: t.misses,
         }
     }
 }
@@ -317,22 +220,18 @@ impl fmt::Debug for Memo {
 /// A [`Memo`]'s hit and miss counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct MemoCounts {
-    pub(crate) adam_hits: u64,
-    pub(crate) adam_misses: u64,
-    pub(crate) npu_hits: u64,
-    pub(crate) npu_misses: u64,
+    pub(crate) hits: u64,
+    pub(crate) misses: u64,
 }
 
 impl MemoCounts {
-    /// Bumps the `memo.*` counters on `probe` by the growth since
-    /// `before`. Zero deltas are skipped, so the traces of artifacts that
-    /// never touch the memo do not change.
+    /// Bumps the `memo.adam_{hits,misses}` counters on `probe` by the
+    /// growth since `before`. Zero deltas are skipped, so the traces of
+    /// artifacts that never touch the memo do not change.
     pub(crate) fn emit_since(&self, before: &MemoCounts, probe: &SharedProbe) {
         for (name, now, then) in [
-            ("memo.adam_hits", self.adam_hits, before.adam_hits),
-            ("memo.adam_misses", self.adam_misses, before.adam_misses),
-            ("memo.npu_hits", self.npu_hits, before.npu_hits),
-            ("memo.npu_misses", self.npu_misses, before.npu_misses),
+            ("memo.adam_hits", self.hits, before.hits),
+            ("memo.adam_misses", self.misses, before.misses),
         ] {
             if now > then {
                 probe.count(name, now - then);
@@ -415,59 +314,14 @@ mod tests {
         engine.run_adam(&run.workload, run.threads, run.iterations)
     }
 
-    /// A layer list from `(macs, in, w, out)` draws.
-    fn layers_of(draws: &[(u64, u64, u64, u64)]) -> Vec<Layer> {
-        draws
-            .iter()
-            .map(|&(macs, in_bytes, w_bytes, out_bytes)| Layer {
-                macs,
-                in_bytes,
-                w_bytes,
-                out_bytes,
-            })
-            .collect()
-    }
-
-    fn scheme_of(kind: u64) -> MacScheme {
-        match kind % 3 {
-            0 => MacScheme::None,
-            1 => MacScheme::PerBlock {
-                granularity: 64 << (kind / 3 % 7),
-            },
-            _ => MacScheme::TensorDelayed,
-        }
-    }
-
-    /// `base` with the one knob `knob` moved to a value drawn from `v`.
-    fn mutate_npu(base: &NpuRun, knob: u8, v: u64) -> NpuRun {
-        let mut run = base.clone();
-        match knob {
-            0 => run.scheme = scheme_of(v),
-            1 => {
-                run.scheme = MacScheme::PerBlock {
-                    granularity: 64 << (v % 7),
-                }
-            }
-            2 => run.cfg.pe_dim = 128 << (v % 4),
-            3 => run.cfg.dram.channel_bytes_per_sec *= [0.5, 2.0][(v % 2) as usize],
-            4 => run.cfg.verify_buffer_bytes = 2048 << (v % 4),
-            5 => run.cfg.mac_lines_per_cycle = [0.5, 1.0, 4.0][(v % 3) as usize],
-            _ => {
-                let i = (v % run.layers.len() as u64) as usize;
-                run.layers[i].in_bytes += 64 * (1 + v % 64);
-            }
-        }
-        run
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::ci())]
 
-        /// Memo vs recompute, CPU side: a sequence drawn from a base
-        /// input and single-knob mutations of it (so a key that dropped
-        /// a field would hand a mutation its base's report), priced
-        /// through one memo, equals fresh-engine runs; each distinct
-        /// input misses exactly once.
+        /// Memo vs recompute: a sequence drawn from a base input and
+        /// single-knob mutations of it (so a key that dropped a field
+        /// would hand a mutation its base's report), priced through one
+        /// memo, equals fresh-engine runs; each distinct input misses
+        /// exactly once.
         #[test]
         fn memoized_adam_runs_match_fresh_engines(
             base in (any::<u64>(), any::<bool>(), 1u32..=4, 1u32..=3, vec(1u64..=48, 1..=3)),
@@ -489,41 +343,8 @@ mod tests {
                 }
             }
             let counts = memo.counts();
-            prop_assert_eq!(counts.adam_misses, distinct.len() as u64);
-            prop_assert_eq!(counts.adam_hits + counts.adam_misses, picks.len() as u64);
-        }
-
-        /// Memo vs recompute, NPU side: the same design over NPU
-        /// configurations, MAC schemes (every MGX granularity) and layer
-        /// lists.
-        #[test]
-        fn memoized_npu_reports_match_fresh_engines(
-            scheme in any::<u64>(),
-            draws in vec((1u64..1 << 24, 64u64..1 << 20, 0u64..1 << 20, 64u64..1 << 20), 1..=4),
-            mutations in vec((0u8..7, any::<u64>()), 1..=4),
-            picks in vec(any::<Index>(), 1..=8),
-        ) {
-            let base = NpuRun {
-                cfg: NpuConfig::default(),
-                scheme: scheme_of(scheme),
-                layers: layers_of(&draws),
-            };
-            let pool: Vec<NpuRun> = std::iter::once(base.clone())
-                .chain(mutations.iter().map(|&(knob, v)| mutate_npu(&base, knob, v)))
-                .collect();
-            let memo = Memo::default();
-            let mut distinct: Vec<&NpuRun> = Vec::new();
-            for pick in &picks {
-                let run = &pool[pick.index(pool.len())];
-                let fresh = NpuEngine::new(run.cfg.clone(), run.scheme).run(&run.layers);
-                prop_assert_eq!(memo.npu(run.clone()), fresh);
-                if !distinct.contains(&run) {
-                    distinct.push(run);
-                }
-            }
-            let counts = memo.counts();
-            prop_assert_eq!(counts.npu_misses, distinct.len() as u64);
-            prop_assert_eq!(counts.npu_hits + counts.npu_misses, picks.len() as u64);
+            prop_assert_eq!(counts.misses, distinct.len() as u64);
+            prop_assert_eq!(counts.hits + counts.misses, picks.len() as u64);
         }
     }
 
@@ -537,41 +358,29 @@ mod tests {
         let clone = ctx.clone().with_seed(7);
         let report = clone.memo.adam(run.clone());
         assert_eq!(ctx.memo.adam(run.clone()), report);
-        let shared = MemoCounts {
-            adam_hits: 1,
-            adam_misses: 1,
-            ..empty
-        };
+        let shared = MemoCounts { hits: 1, misses: 1 };
         assert_eq!(ctx.memo.counts(), shared);
         assert_eq!(clone.memo.counts(), shared);
         // A new context does not see the first one's entries.
         let other = RunContext::fast();
         assert_eq!(other.memo.counts(), empty);
         other.memo.adam(run);
-        assert_eq!(other.memo.counts().adam_misses, 1);
+        assert_eq!(other.memo.counts().misses, 1);
         assert_eq!(ctx.memo.counts(), shared);
     }
 
     #[test]
     fn counters_reach_the_probe_only_when_they_moved() {
         let probe = SharedProbe::recording();
-        let before = MemoCounts {
-            adam_hits: 2,
-            npu_misses: 5,
-            ..MemoCounts::default()
-        };
-        let after = MemoCounts {
-            adam_hits: 4,
-            adam_misses: 1,
-            ..before
-        };
+        let before = MemoCounts { hits: 2, misses: 1 };
+        let after = MemoCounts { hits: 4, ..before };
         after.emit_since(&before, &probe);
-        before.emit_since(&before, &probe);
         let snap = probe.snapshot().unwrap();
         let counters: Vec<(&str, u64)> = snap.metrics().iter().collect();
-        assert_eq!(
-            counters,
-            vec![("memo.adam_hits", 2), ("memo.adam_misses", 1)]
-        );
+        assert_eq!(counters, vec![("memo.adam_hits", 2)]);
+        // A run that never touched the memo leaves a fresh probe empty.
+        let idle = SharedProbe::recording();
+        after.emit_since(&after, &idle);
+        assert_eq!(idle.snapshot().unwrap().metrics().iter().count(), 0);
     }
 }

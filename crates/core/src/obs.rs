@@ -23,12 +23,10 @@
 
 use crate::artifact::{find, RunContext};
 use crate::des_cluster::{DesClusterConfig, DesClusterSystem};
-use crate::experiments::{fleet_setup, serve_profile};
+use crate::experiments::traced_round_robin_fleet;
 use crate::json::Json;
 use crate::report::{pct, Report, Table};
 use crate::system::StepBreakdown;
-use tee_fleet::simulate_probed as fleet_simulate_probed;
-use tee_fleet::Policy;
 use tee_sim::probe::{ProbeEvent, SharedProbe, TraceProbe};
 use tee_sim::{StatSet, Time};
 use tee_workloads::StepSchedule;
@@ -279,17 +277,7 @@ pub fn obs_utilization(ctx: &RunContext) -> Report {
     let cluster_snap = cluster_probe.snapshot().expect("recording probe");
 
     // --- Instrumented fleet run --------------------------------------
-    let fleet_probe = SharedProbe::recording();
-    let (fleet_model, fleet_cfg, trace_cfg) = fleet_setup(ctx);
-    let trace = trace_cfg.generate();
-    let fleet = fleet_simulate_probed(
-        &fleet_cfg.with_policy(Policy::RoundRobin),
-        &fleet_model,
-        &serve_profile(crate::SecureMode::TensorTee, &ctx.cfg),
-        &trace,
-        &fleet_probe,
-    );
-    let fleet_snap = fleet_probe.snapshot().expect("recording probe");
+    let (_, _, fleet, fleet_snap) = traced_round_robin_fleet(ctx);
 
     // --- Rollup ------------------------------------------------------
     report.table(utilization_table(

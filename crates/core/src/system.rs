@@ -20,14 +20,14 @@
 //! [`TrainingSystem`] bit-for-bit.
 
 use crate::config::{ClusterConfig, SecureMode, SystemConfig};
-use crate::memo::{AdamRun, Memo, NpuRun};
+use crate::memo::{AdamRun, Memo};
 use crate::report::PhaseLedger;
 use tee_comm::protocol::TransferBreakdown;
 use tee_comm::ring::{AllReduceBreakdown, RingAllReduce};
 use tee_cpu::analyzer::TenAnalyzerConfig;
 use tee_cpu::{AdamWorkload, TeeMode};
-use tee_npu::engine::Layer as NpuLayer;
-use tee_npu::MacScheme;
+use tee_npu::engine::{Layer as NpuLayer, NpuRunReport};
+use tee_npu::{MacScheme, NpuEngine};
 use tee_sim::Time;
 use tee_workloads::layers::LayerSpec;
 use tee_workloads::zoo::ModelConfig;
@@ -93,9 +93,9 @@ pub struct TrainingSystem {
 }
 
 impl TrainingSystem {
-    /// Creates a system. It prices its CPU and NPU phases through a
-    /// private, empty memo; the artifact runners attach their context's
-    /// instead, so systems of one run share work.
+    /// Creates a system. It prices its CPU Adam phase through a private,
+    /// empty memo; the artifact runners attach their context's instead,
+    /// so systems of one run share work.
     pub fn new(cfg: SystemConfig, mode: SecureMode) -> Self {
         TrainingSystem {
             cfg,
@@ -150,14 +150,10 @@ impl TrainingSystem {
 
     /// The full NPU-engine report for the forward+backward phase — the
     /// design-space explorer reads `verify_stall` off it for the
-    /// crypto-overhead objective. Priced once per distinct (NPU config,
-    /// MAC scheme, layer list) in the system's memo.
-    pub fn npu_report(&self, schedule: &StepSchedule) -> tee_npu::engine::NpuRunReport {
-        self.memo.npu(NpuRun {
-            cfg: self.cfg.npu.clone(),
-            scheme: self.mac_scheme(),
-            layers: Self::npu_layers(&schedule.npu_layers),
-        })
+    /// crypto-overhead objective. Priced on a fresh engine every call.
+    pub fn npu_report(&self, schedule: &StepSchedule) -> NpuRunReport {
+        NpuEngine::new(self.cfg.npu.clone(), self.mac_scheme())
+            .run(&Self::npu_layers(&schedule.npu_layers))
     }
 
     /// Simulates the CPU Adam phase: runs the scaled cacheline-level

@@ -40,58 +40,22 @@ impl Default for TenAnalyzerConfig {
     }
 }
 
-/// The analyzer's verdict on a core read request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadDecision {
-    /// VN served on-chip; no off-chip metadata traffic at all.
-    HitIn {
-        /// The on-chip VN for this line.
-        vn: u64,
-    },
-    /// VN assumed from the entry; a background confirmation fetch must be
-    /// issued, and [`TenAnalyzer::confirm_boundary`] called with its result.
-    HitBoundary {
-        /// Meta Table slot to confirm against.
-        slot: usize,
-        /// The assumed VN.
-        vn: u64,
-    },
-    /// Fall back to the cacheline-granularity (SGX) path; the off-chip VN
-    /// should be reported back via [`TenAnalyzer::observe_miss_vn`] so the
-    /// filter can learn the pattern.
-    Miss,
-}
-
-/// The analyzer's verdict on an LLC write-back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteDecision {
-    /// Covered by an entry: on-chip VN bookkeeping done; the line carries
-    /// `vn`; off-chip VN equivalence update proceeds in the background.
-    Covered {
-        /// VN the written-back line must be encrypted under.
-        vn: u64,
-        /// Whether this write completed a tensor update round.
-        finished_round: bool,
-    },
-    /// Not covered: full off-chip (SGX) write path.
-    Miss,
-}
-
 /// The TenAnalyzer unit.
 ///
 /// # Example
 ///
 /// ```
-/// use tee_cpu::analyzer::{ReadDecision, TenAnalyzer, TenAnalyzerConfig};
+/// use tee_cpu::analyzer::meta_table::ReadLookup;
+/// use tee_cpu::analyzer::{TenAnalyzer, TenAnalyzerConfig};
 ///
 /// let mut a = TenAnalyzer::new(TenAnalyzerConfig::default());
 /// // Four sequential misses teach the filter a streaming tensor.
 /// for i in 0..4u64 {
-///     assert_eq!(a.on_read(i * 64), ReadDecision::Miss);
+///     assert_eq!(a.on_read(i * 64), ReadLookup::Miss);
 ///     a.observe_miss_vn(i * 64, 0);
 /// }
 /// // The next line is the entry's boundary...
-/// assert!(matches!(a.on_read(4 * 64), ReadDecision::HitBoundary { .. }));
+/// assert!(matches!(a.on_read(4 * 64), ReadLookup::HitBoundary { .. }));
 /// ```
 #[derive(Debug)]
 pub struct TenAnalyzer {
@@ -108,13 +72,15 @@ impl TenAnalyzer {
         }
     }
 
-    /// Core read request (VA, line-aligned). Figure 10 dataflow.
-    pub fn on_read(&mut self, va: u64) -> ReadDecision {
-        match self.table.lookup_read(va) {
-            ReadLookup::HitIn { vn, .. } => ReadDecision::HitIn { vn },
-            ReadLookup::HitBoundary { slot, vn } => ReadDecision::HitBoundary { slot, vn },
-            ReadLookup::Miss => ReadDecision::Miss,
-        }
+    /// Core read request (VA, line-aligned). Figure 10 dataflow. A
+    /// boundary hit's VN is assumed: its background confirmation fetch
+    /// must be issued and [`TenAnalyzer::confirm_boundary`] called with
+    /// the result. A miss falls back to the cacheline-granularity (SGX)
+    /// path, and its off-chip VN should be reported back through
+    /// [`TenAnalyzer::observe_miss_vn`] so the filter can learn the
+    /// pattern.
+    pub fn on_read(&mut self, va: u64) -> ReadLookup {
+        self.table.lookup_read(va)
     }
 
     /// Reports the off-chip VN observed for a missed read so the filter
@@ -132,20 +98,16 @@ impl TenAnalyzer {
         self.table.confirm_boundary(slot, va, vn_matched);
     }
 
-    /// LLC write-back (VA, line-aligned). Figure 12 dataflow.
-    pub fn on_writeback(&mut self, va: u64) -> WriteDecision {
+    /// LLC write-back (VA, line-aligned). Figure 12 dataflow. A line an
+    /// entry covers returns the VN it must be encrypted under (on-chip
+    /// bookkeeping done; the off-chip VN equivalence update proceeds in
+    /// the background); `None` takes the full off-chip (SGX) write path.
+    pub fn on_writeback(&mut self, va: u64) -> Option<u64> {
         match self.table.lookup_write(va) {
-            WriteLookup::HitEdgeStart { vn, .. } | WriteLookup::HitIn { vn, .. } => {
-                WriteDecision::Covered {
-                    vn,
-                    finished_round: false,
-                }
-            }
-            WriteLookup::HitEdgeFinish { vn, .. } => WriteDecision::Covered {
-                vn,
-                finished_round: true,
-            },
-            WriteLookup::Miss | WriteLookup::Violation => WriteDecision::Miss,
+            WriteLookup::HitEdgeStart { vn, .. }
+            | WriteLookup::HitIn { vn, .. }
+            | WriteLookup::HitEdgeFinish { vn, .. } => Some(vn),
+            WriteLookup::Miss | WriteLookup::Violation => None,
         }
     }
 
@@ -191,12 +153,12 @@ mod tests {
         for i in 0..lines {
             let va = base + i * 64;
             match a.on_read(va) {
-                ReadDecision::HitIn { .. } => hit_in += 1,
-                ReadDecision::HitBoundary { slot, .. } => {
+                ReadLookup::HitIn { .. } => hit_in += 1,
+                ReadLookup::HitBoundary { slot, .. } => {
                     boundary += 1;
                     a.confirm_boundary(slot, va, true);
                 }
-                ReadDecision::Miss => {
+                ReadLookup::Miss => {
                     miss += 1;
                     a.observe_miss_vn(va, vn);
                 }
@@ -222,25 +184,20 @@ mod tests {
     fn writeback_round_trips_vn() {
         let mut a = analyzer();
         stream_pass(&mut a, 0, 16, 0);
-        // Full write round in order.
-        let mut finished = false;
+        // Full write round in order: every line carries vn+1.
         for i in 0..16u64 {
-            match a.on_writeback(i * 64) {
-                WriteDecision::Covered {
-                    vn, finished_round, ..
-                } => {
-                    assert_eq!(vn, 1, "written lines carry vn+1");
-                    finished |= finished_round;
-                }
-                WriteDecision::Miss => panic!("covered line reported miss"),
-            }
+            assert_eq!(a.on_writeback(i * 64), Some(1), "line {i}");
         }
-        assert!(finished, "last line must complete the round");
-        // Next read sees the incremented VN.
-        match a.on_read(0) {
-            ReadDecision::HitIn { vn } => assert_eq!(vn, 1),
-            other => panic!("{other:?}"),
+        // Every line reads back the incremented VN.
+        for i in 0..16u64 {
+            assert!(
+                matches!(a.on_read(i * 64), ReadLookup::HitIn { vn: 1, .. }),
+                "line {i}"
+            );
         }
+        // The round completed: writing line 0 again starts the next round
+        // (inside an open round it would violate Assert1 and miss).
+        assert_eq!(a.on_writeback(0), Some(2));
     }
 
     #[test]
@@ -249,7 +206,7 @@ mod tests {
         let d = TensorDesc::new_1d(0x8000, 64 * 64);
         a.preload_from_transfer(&d, 9, MacTag::from_raw(0xAB));
         match a.on_read(0x8000 + 40 * 64) {
-            ReadDecision::HitIn { vn } => assert_eq!(vn, 9),
+            ReadLookup::HitIn { vn, .. } => assert_eq!(vn, 9),
             other => panic!("{other:?}"),
         }
     }
@@ -261,8 +218,8 @@ mod tests {
         a.on_writeback(0);
         a.on_writeback(64);
         // Double write violates Assert1; entry invalidated.
-        assert_eq!(a.on_writeback(64), WriteDecision::Miss);
-        assert_eq!(a.on_read(0), ReadDecision::Miss, "coverage lost");
+        assert_eq!(a.on_writeback(64), None);
+        assert_eq!(a.on_read(0), ReadLookup::Miss, "coverage lost");
     }
 
     #[test]

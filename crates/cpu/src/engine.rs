@@ -16,7 +16,8 @@
 //!   and verification against the `PhysMem` ciphertext image.
 
 use crate::analyzer::meta_table::ReadCounts;
-use crate::analyzer::{ReadDecision, TenAnalyzer, TenAnalyzerConfig, WriteDecision};
+use crate::analyzer::meta_table::ReadLookup;
+use crate::analyzer::{TenAnalyzer, TenAnalyzerConfig};
 use crate::config::CpuConfig;
 use crate::kernels::{AdamWorkload, GemmWorkload};
 use crate::mee::{IntegrityError, SgxMee, VnPath};
@@ -218,7 +219,7 @@ impl CpuEngine {
             // even when the data itself is served on-chip.
             if matches!(
                 decision,
-                Some(ReadDecision::HitBoundary { .. } | ReadDecision::Miss)
+                Some(ReadLookup::HitBoundary { .. } | ReadLookup::Miss)
             ) {
                 self.mee.background_vn_fetch(pa, th.t, &mut self.mc);
             }
@@ -245,16 +246,16 @@ impl CpuEngine {
     /// TenAnalyzer feedback once a read's off-chip VN is known: confirm a
     /// boundary hit against it, or teach the filter a miss. No-op outside
     /// TensorTEE mode.
-    fn analyzer_feedback(&mut self, pa: u64, va_line: u64, decision: Option<ReadDecision>) {
+    fn analyzer_feedback(&mut self, pa: u64, va_line: u64, decision: Option<ReadLookup>) {
         let VnSource::TensorTee(analyzer) = &mut self.source else {
             return;
         };
         match decision {
-            Some(ReadDecision::HitBoundary { slot, vn }) => {
+            Some(ReadLookup::HitBoundary { slot, vn }) => {
                 analyzer.confirm_boundary(slot, va_line, self.mee.line_vn(pa) == vn);
             }
-            Some(ReadDecision::Miss) => analyzer.observe_miss_vn(va_line, self.mee.line_vn(pa)),
-            Some(ReadDecision::HitIn { .. }) | None => {}
+            Some(ReadLookup::Miss) => analyzer.observe_miss_vn(va_line, self.mee.line_vn(pa)),
+            Some(ReadLookup::HitIn { .. }) | None => {}
         }
     }
 
@@ -264,7 +265,7 @@ impl CpuEngine {
         &mut self,
         pa: u64,
         va_line: u64,
-        decision: Option<ReadDecision>,
+        decision: Option<ReadLookup>,
         mut at: Time,
     ) -> Time {
         let path = match &self.source {
@@ -277,9 +278,9 @@ impl CpuEngine {
                     .map_or(VnPath::OffChip, VnPath::OnChip)
             }
             VnSource::TensorTee(_) => match decision {
-                Some(ReadDecision::HitIn { vn }) => VnPath::OnChipTensorMac(vn),
-                Some(ReadDecision::HitBoundary { vn, .. }) => VnPath::Background(vn),
-                Some(ReadDecision::Miss) | None => VnPath::OffChip,
+                Some(ReadLookup::HitIn { vn, .. }) => VnPath::OnChipTensorMac(vn),
+                Some(ReadLookup::HitBoundary { vn, .. }) => VnPath::Background(vn),
+                Some(ReadLookup::Miss) | None => VnPath::OffChip,
             },
         };
         let op = self
@@ -307,10 +308,9 @@ impl CpuEngine {
             }
             VnSource::Sgx => VnPath::OffChip,
             VnSource::SoftVn(table) => table.write_vn(va).map_or(VnPath::OffChip, VnPath::OnChip),
-            VnSource::TensorTee(analyzer) => match analyzer.on_writeback(va) {
-                WriteDecision::Covered { vn, .. } => VnPath::OnChipTensorMac(vn),
-                WriteDecision::Miss => VnPath::OffChip,
-            },
+            VnSource::TensorTee(analyzer) => analyzer
+                .on_writeback(va)
+                .map_or(VnPath::OffChip, VnPath::OnChipTensorMac),
         };
         let data = Self::synth_line(va);
         let data = self.cfg.functional_crypto.then_some(&data);

@@ -287,6 +287,9 @@ fn memo_counts_do_not_depend_on_worker_threads() {
     };
     let one = counts(1);
     assert_eq!(one, counts(4));
+    // One table: the Adam memo's two counters are the only memo.* names.
+    let names: Vec<&str> = one.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names, ["memo.adam_hits", "memo.adam_misses"], "{one:?}");
     // One model under three modes: three distinct CPU phases.
     assert!(one.contains(&("memo.adam_misses".to_owned(), 3)), "{one:?}");
 }
