@@ -36,7 +36,8 @@ impl Policy {
 /// Static configuration of one fleet run.
 #[derive(Debug, Clone, Serialize)]
 pub struct FleetConfig {
-    /// Per-instance serving configuration (NPU shape, KV budget).
+    /// Per-instance serving configuration. Fleet instances hold no KV
+    /// budget, so only its NPU shape (`serve.npu`) is read.
     pub serve: ServeConfig,
     /// Serving instances, every one active for the whole run.
     pub n_instances: usize,

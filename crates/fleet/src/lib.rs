@@ -4,7 +4,7 @@
 //! core: M continuous-batching serving instances behind a cluster
 //! [`router::Router`]. Each instance is a [`tee_serve::Instance`] — the
 //! same batching core `tee_serve::simulate` runs — wrapped as a [`des`]
-//! component, without a KV pool and priced by the [`IterCost`] surrogate
+//! component, without a KV budget and priced by the [`IterCost`] surrogate
 //! of the fused NPU iteration, calibrated once per run on the configured
 //! NPU. The router adds
 //!

@@ -6,7 +6,7 @@ use crate::report::FleetReport;
 use crate::sim::Msg;
 use std::collections::BTreeMap;
 use tee_serve::{kv_transfer_time, Protocol, SessionRequest};
-use tee_sim::des::{Component, Ctx};
+use tee_sim::des::Ctx;
 use tee_sim::probe::SharedProbe;
 use tee_sim::Time;
 
@@ -174,12 +174,11 @@ impl Router {
     pub fn report(&self) -> &FleetReport {
         &self.report
     }
-}
 
-impl Component for Router {
-    type Msg = Msg;
-
-    fn receive(&mut self, now: Time, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
+    /// Handles a message delivered at `now`: routes an arrival, or
+    /// retires a turn an instance finished. The router never ticks; it
+    /// acts only on messages.
+    pub(crate) fn receive(&mut self, now: Time, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
         match msg {
             Msg::Arrive(req) => self.route(now, req, ctx),
             Msg::Done(instance) => {

@@ -51,8 +51,6 @@ impl ServeConfig {
 pub struct KvSpec {
     /// KV bytes appended per generated/prefilled token.
     pub bytes_per_token: u64,
-    /// KV bytes read per layer per cached token during decode attention.
-    pub bytes_per_token_per_layer: u64,
 }
 
 impl KvSpec {
@@ -60,10 +58,8 @@ impl KvSpec {
     /// per token.
     pub fn of(model: &ModelConfig) -> Self {
         const FP16: u64 = 2;
-        let per_layer = 2 * model.hidden * FP16;
         KvSpec {
-            bytes_per_token: model.layers * per_layer,
-            bytes_per_token_per_layer: per_layer,
+            bytes_per_token: model.layers * 2 * model.hidden * FP16,
         }
     }
 }
@@ -131,7 +127,6 @@ mod tests {
         let m = by_name("GPT2-M").unwrap();
         let kv = KvSpec::of(&m);
         assert_eq!(kv.bytes_per_token, m.layers * 2 * m.hidden * 2);
-        assert_eq!(kv.bytes_per_token, m.layers * kv.bytes_per_token_per_layer);
     }
 
     #[test]

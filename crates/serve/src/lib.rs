@@ -12,14 +12,16 @@
 //!   [`KvSpec`], the [`SecurityProfile`] mapping each paper mode to a MAC
 //!   scheme + KV transfer [`Protocol`] (coarse-MAC + staging vs
 //!   tensor-MAC + direct), and [`kv_transfer_time`], the KV path's price,
-//! * [`kv`] — the bounded HBM [`KvPool`] with LRU spill to CPU DRAM,
 //! * [`cost`] — the fused prefill/decode iteration kernel and its
 //!   [`Pricer`]: exact through [`tee_npu::NpuEngine`], or the calibrated
 //!   [`IterCost`] surrogate,
 //! * [`scheduler`] — the continuous-batching [`Instance`] (admission,
-//!   optional KV pool, stall window, completion accounting) that both
-//!   [`simulate`] and `tee-fleet` run, and the trace loop feeding
-//!   [`simulate`]'s one exact-priced instance,
+//!   optional KV budget with LRU spill to CPU DRAM, stall window,
+//!   completion accounting) that both [`simulate`] and `tee-fleet` run,
+//!   and the trace loop feeding [`simulate`]'s one exact-priced instance.
+//!   Each running request carries its own KV state (bytes, HBM or DRAM
+//!   residency, last reserving round); the instance keeps only the
+//!   budget and the HBM in use,
 //! * [`report`] — [`ServeReport`]: TTFT/TPOT/latency percentiles,
 //!   goodput, and exposed KV-migration time.
 //!
@@ -39,14 +41,12 @@
 
 pub mod config;
 pub mod cost;
-pub mod kv;
 pub mod report;
 pub mod scheduler;
 pub mod trace;
 
 pub use config::{kv_transfer_time, KvSpec, SecurityProfile, ServeConfig};
 pub use cost::{IterCost, Pricer};
-pub use kv::{KvPool, Residency};
 pub use report::ServeReport;
 pub use scheduler::{simulate, simulate_probed, Instance};
 /// The transfer protocol type, re-exported so serving callers (the fleet

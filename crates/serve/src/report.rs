@@ -34,7 +34,7 @@ pub struct ServeReport {
     /// makespan — the serving analogue of the exposed-communication
     /// fraction.
     pub kv_exposed_time: Time,
-    /// KV pool migration counters (`fetches`, `offloads`,
+    /// KV migration counters (`fetches`, `offloads`,
     /// `fetched_bytes`, `offloaded_bytes`).
     pub kv_stats: StatSet,
 }

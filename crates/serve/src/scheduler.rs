@@ -6,9 +6,8 @@
 //! 1. requests join a FIFO admission queue ([`Instance::admit`]),
 //! 2. each iteration admits waiting requests up to `MAX_BATCH` (16) slots
 //!    and `PREFILL_TOKEN_BUDGET` (4,096) new prompt tokens, then — with a
-//!    KV pool — schedules the subset of active requests whose KV caches
-//!    fit the HBM budget (in admission order; surplus KV offloads to CPU
-//!    DRAM via [`KvPool`]),
+//!    KV budget — schedules the subset of active requests whose KV caches
+//!    fit it (in admission order; surplus KV offloads to CPU DRAM),
 //! 3. the iteration is priced as **one fused NPU kernel** by the
 //!    instance's [`Pricer`]: exactly through [`tee_npu::NpuEngine`] under
 //!    the profile's MAC scheme, or by the calibrated
@@ -20,21 +19,25 @@
 //!    holds back the next one — how a fleet's staged KV handoff
 //!    serializes against the destination's compute.
 //!
+//! Each running request carries its own KV state: the bytes it holds,
+//! whether they sit in NPU HBM or were offloaded to CPU DRAM, and the
+//! round that last reserved them. The instance keeps only the budget, the
+//! HBM in use and the migration counters.
+//!
 //! [`simulate`] feeds a request trace to one exact-priced instance with a
-//! bounded KV pool; `tee-fleet` runs M calibrated instances without a
-//! pool as discrete-event components behind its router. Both are
+//! bounded KV budget; `tee-fleet` runs M calibrated instances without one
+//! as discrete-event components behind its router. Both are
 //! bit-reproducible: same inputs → the same report.
 
 use crate::config::{kv_transfer_time, KvSpec, SecurityProfile, ServeConfig};
 use crate::cost::Pricer;
-use crate::kv::KvPool;
 use crate::report::ServeReport;
 use crate::trace::{Request, SessionRequest};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use tee_comm::Protocol;
 use tee_npu::engine::NpuEngine;
 use tee_sim::probe::SharedProbe;
-use tee_sim::Time;
+use tee_sim::{StatSet, Time};
 use tee_workloads::zoo::ModelConfig;
 
 /// Maximum simultaneously active (prefilling + decoding) requests per
@@ -54,9 +57,16 @@ struct Active {
     /// When the first token came out (set at the end of the prefill
     /// iteration).
     first_token_at: Option<Time>,
-    /// Scheduled in the in-flight iteration: always without a KV pool,
+    /// Scheduled in the in-flight iteration: always without a KV budget,
     /// otherwise when its KV reservation succeeded.
     scheduled: bool,
+    /// KV bytes it holds (0 until its first reservation).
+    kv_bytes: u64,
+    /// Whether those bytes sit in NPU HBM; once offloaded to CPU DRAM they
+    /// must be fetched back before it runs again.
+    kv_in_hbm: bool,
+    /// The round that last reserved its KV: the LRU eviction key.
+    kv_round: u64,
 }
 
 impl Active {
@@ -67,13 +77,102 @@ impl Active {
     }
 }
 
-/// A bounded HBM pool of per-request KV and the protocol its spills and
-/// fetches pay.
+/// A bounded HBM budget for the running requests' KV, which each
+/// [`Active`] carries, and the protocol its spills and fetches pay. All
+/// byte accounting is integer.
 #[derive(Debug)]
 struct Kv {
-    pool: KvPool,
+    budget: u64,
+    hbm_used: u64,
+    /// Reservation rounds so far, one per iteration.
+    round: u64,
     protocol: Protocol,
     bytes_per_token: u64,
+    /// `fetches`, `offloads`, `fetched_bytes` and `offloaded_bytes`.
+    stats: StatSet,
+}
+
+impl Kv {
+    fn new(budget: u64, protocol: Protocol, bytes_per_token: u64) -> Self {
+        Kv {
+            budget,
+            hbm_used: 0,
+            round: 0,
+            protocol,
+            bytes_per_token,
+            stats: StatSet::new("kv_pool"),
+        }
+    }
+
+    /// Starts a round: reserves HBM for each running request's KV in
+    /// admission order, at the size it reaches by the end of the
+    /// iteration, and marks the requests that got it scheduled. Returns
+    /// the bytes fetched from and offloaded to CPU DRAM.
+    ///
+    /// Room is made by offloading resident KV this round has not reserved
+    /// yet, least recently reserved first (then the lower request id). A
+    /// request that still does not fit sits the iteration out and changes
+    /// nothing, except the head, which is forced so progress is guaranteed
+    /// even when its KV alone exceeds the budget.
+    fn reserve_round(&mut self, running: &mut [Active]) -> (u64, u64) {
+        self.round += 1;
+        let (mut fetched, mut offloaded) = (0u64, 0u64);
+        for i in 0..running.len() {
+            let a = &running[i];
+            // KV tokens this request holds by the end of the iteration:
+            // its context for a prefill, one more token for a decode.
+            let bytes = (a.context() + u64::from(a.generated > 0)) * self.bytes_per_token;
+            let held = if a.kv_in_hbm { a.kv_bytes } else { 0 };
+            let over = (self.hbm_used - held + bytes).saturating_sub(self.budget);
+            let mut victims: Vec<(u64, u32, usize)> = Vec::new();
+            if over > 0 {
+                victims = running
+                    .iter()
+                    .enumerate()
+                    .filter(|&(j, v)| j != i && v.kv_in_hbm && v.kv_round != self.round)
+                    .map(|(j, v)| (v.kv_round, v.req.request.id, j))
+                    .collect();
+                victims.sort_unstable();
+                let (mut n, mut freed) = (0, 0);
+                while n < victims.len() && freed < over {
+                    freed += running[victims[n].2].kv_bytes;
+                    n += 1;
+                }
+                victims.truncate(n);
+                if freed < over && i > 0 {
+                    running[i].scheduled = false;
+                    continue;
+                }
+            }
+            for &(_, _, j) in &victims {
+                let v = &mut running[j];
+                v.kv_in_hbm = false;
+                self.hbm_used -= v.kv_bytes;
+                offloaded += v.kv_bytes;
+                self.stats.bump("offloads");
+                self.stats.add("offloaded_bytes", v.kv_bytes);
+            }
+            let a = &mut running[i];
+            if !a.kv_in_hbm && a.kv_bytes > 0 {
+                fetched += a.kv_bytes;
+                self.stats.bump("fetches");
+                self.stats.add("fetched_bytes", a.kv_bytes);
+            }
+            self.hbm_used = self.hbm_used - held + bytes;
+            a.scheduled = true;
+            a.kv_bytes = bytes;
+            a.kv_in_hbm = true;
+            a.kv_round = self.round;
+        }
+        (fetched, offloaded)
+    }
+
+    /// Frees a completed request's KV: HBM only if it is resident there.
+    fn free(&mut self, a: &Active) {
+        if a.kv_in_hbm {
+            self.hbm_used -= a.kv_bytes;
+        }
+    }
 }
 
 /// One continuous-batching serving instance.
@@ -131,11 +230,8 @@ impl Instance {
     /// Bounds the KV caches to `budget` HBM bytes: KV
     /// beyond it spills to CPU DRAM and pays `protocol` to come back.
     pub fn with_kv_pool(mut self, budget: u64, protocol: Protocol) -> Self {
-        self.kv = Some(Kv {
-            pool: KvPool::new(budget),
-            protocol,
-            bytes_per_token: KvSpec::of(&self.model).bytes_per_token,
-        });
+        let bytes_per_token = KvSpec::of(&self.model).bytes_per_token;
+        self.kv = Some(Kv::new(budget, protocol, bytes_per_token));
         self
     }
 
@@ -162,10 +258,10 @@ impl Instance {
         &self.report
     }
 
-    /// The finished report, with the KV pool's counters.
+    /// The finished report, with the KV migration counters.
     pub fn into_report(mut self) -> ServeReport {
-        if let Some(kv) = &self.kv {
-            self.report.kv_stats = kv.pool.stats().clone();
+        if let Some(kv) = self.kv {
+            self.report.kv_stats = kv.stats;
         }
         self.report
     }
@@ -267,39 +363,22 @@ impl Instance {
                 generated: 0,
                 first_token_at: None,
                 scheduled: self.kv.is_none(),
+                kv_bytes: 0,
+                kv_in_hbm: false,
+                kv_round: 0,
             });
         }
         if self.running.is_empty() {
             self.wake = Time::MAX;
             return;
         }
-        // With a KV pool, reserve residency in admission order; the head
-        // request is forced so progress is guaranteed even when its KV
-        // alone exceeds the budget, and what does not fit sits this
-        // iteration out (its KV stays, or goes, cold). Without a pool
-        // every running request is always scheduled.
-        let (mut fetched, mut offloaded) = (0u64, 0u64);
-        if let Some(kv) = &mut self.kv {
-            kv.pool.tick();
-            let mut protected: BTreeSet<u32> = BTreeSet::new();
-            for a in &mut self.running {
-                // KV tokens this request holds by the end of the
-                // iteration: its context for a prefill, one more token
-                // for a decode.
-                let tokens = a.context() + u64::from(a.generated > 0);
-                let id = a.req.request.id;
-                let force = protected.is_empty();
-                let out = kv
-                    .pool
-                    .reserve(id, tokens * kv.bytes_per_token, &protected, force);
-                a.scheduled = out.is_some();
-                if let Some(out) = out {
-                    protected.insert(id);
-                    fetched += out.fetched_bytes;
-                    offloaded += out.offloaded_bytes;
-                }
-            }
-        }
+        // With a KV budget, reserve residency in admission order; what
+        // does not fit sits this iteration out (its KV stays, or goes,
+        // cold). Without one every running request is always scheduled.
+        let (fetched, offloaded) = match &mut self.kv {
+            Some(kv) => kv.reserve_round(&mut self.running),
+            None => (0, 0),
+        };
         let (mut decodes, mut ctx_sum) = (0u64, 0u64);
         self.prefills.clear();
         for a in self.running.iter().filter(|a| a.scheduled) {
@@ -391,7 +470,7 @@ impl Instance {
                 report.tpot_ns.record(per_token.round() as u64);
             }
             if let Some(kv) = kv {
-                kv.pool.release(r.id);
+                kv.free(a);
             }
             on_done(&a.req);
             false
@@ -434,7 +513,317 @@ mod tests {
     use super::*;
     use crate::cost::iteration_layer;
     use crate::trace::TraceConfig;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
     use tee_workloads::zoo::by_name;
+
+    /// The id-keyed KV pool the running list replaced, its reservation
+    /// rule kept verbatim as the oracle of `kv_rounds_match_the_old_pool`:
+    /// an entry per request id, an explicit set of ids protected this
+    /// round, and `force` while nothing is reserved yet this round.
+    #[derive(Debug)]
+    struct OldPool {
+        budget: u64,
+        hbm_used: u64,
+        /// Request id → (bytes, resident in HBM, clock of the last
+        /// reservation).
+        entries: BTreeMap<u32, (u64, bool, u64)>,
+        clock: u64,
+        stats: StatSet,
+    }
+
+    impl OldPool {
+        fn new(budget: u64) -> Self {
+            OldPool {
+                budget,
+                hbm_used: 0,
+                entries: BTreeMap::new(),
+                clock: 0,
+                stats: StatSet::new("kv_pool"),
+            }
+        }
+
+        /// Returns the bytes fetched and offloaded, or `None` (changing
+        /// nothing) when `bytes` cannot fit and `force` is unset.
+        fn reserve(
+            &mut self,
+            id: u32,
+            bytes: u64,
+            protected: &BTreeSet<u32>,
+            force: bool,
+        ) -> Option<(u64, u64)> {
+            let is_new = !self.entries.contains_key(&id);
+            let entry = *self.entries.entry(id).or_insert((0, false, self.clock));
+            let old_hbm = if entry.1 { entry.0 } else { 0 };
+            let mut victims: Vec<(u32, u64)> = Vec::new();
+            let mut freed = 0u64;
+            if self.hbm_used - old_hbm + bytes > self.budget {
+                let mut candidates: Vec<(u64, u32, u64)> = self
+                    .entries
+                    .iter()
+                    .filter(|(&k, e)| k != id && e.1 && !protected.contains(&k))
+                    .map(|(&k, e)| (e.2, k, e.0))
+                    .collect();
+                candidates.sort_unstable();
+                for (_, k, b) in candidates {
+                    if self.hbm_used - old_hbm - freed + bytes <= self.budget {
+                        break;
+                    }
+                    victims.push((k, b));
+                    freed += b;
+                }
+                if self.hbm_used - old_hbm - freed + bytes > self.budget && !force {
+                    if is_new {
+                        self.entries.remove(&id);
+                    }
+                    return None;
+                }
+            }
+            for (k, b) in &victims {
+                self.entries.get_mut(k).expect("victim exists").1 = false;
+                self.hbm_used -= b;
+                self.stats.bump("offloads");
+                self.stats.add("offloaded_bytes", *b);
+            }
+            let fetched = if !entry.1 && entry.0 > 0 {
+                self.stats.bump("fetches");
+                self.stats.add("fetched_bytes", entry.0);
+                entry.0
+            } else {
+                0
+            };
+            self.entries.insert(id, (bytes, true, self.clock));
+            self.hbm_used = self.hbm_used - old_hbm + bytes;
+            Some((fetched, victims.iter().map(|(_, b)| *b).sum()))
+        }
+
+        /// One scheduler round as the pool ran it: each `(id, bytes)`
+        /// reserved in order. Returns the scheduled flags and the bytes
+        /// fetched and offloaded.
+        fn round(&mut self, sizes: &[(u32, u64)]) -> (Vec<bool>, u64, u64) {
+            self.clock += 1;
+            let mut protected = BTreeSet::new();
+            let (mut flags, mut fetched, mut offloaded) = (Vec::new(), 0, 0);
+            for &(id, bytes) in sizes {
+                let force = protected.is_empty();
+                let out = self.reserve(id, bytes, &protected, force);
+                flags.push(out.is_some());
+                if let Some((f, o)) = out {
+                    protected.insert(id);
+                    fetched += f;
+                    offloaded += o;
+                }
+            }
+            (flags, fetched, offloaded)
+        }
+
+        fn release(&mut self, id: u32) {
+            if let Some((bytes, true, _)) = self.entries.remove(&id) {
+                self.hbm_used -= bytes;
+            }
+        }
+    }
+
+    /// A running request that holds no KV yet: `prompt` tokens of
+    /// prefill on top of `context` carried tokens.
+    fn active(id: u32, context: u64, prompt: u64, output: u64) -> Active {
+        let request = Request {
+            id,
+            arrival: Time::ZERO,
+            prompt_tokens: prompt,
+            output_tokens: output,
+        };
+        Active {
+            req: SessionRequest {
+                context_tokens: context,
+                ..SessionRequest::from(request)
+            },
+            generated: 0,
+            first_token_at: None,
+            scheduled: false,
+            kv_bytes: 0,
+            kv_in_hbm: false,
+            kv_round: 0,
+        }
+    }
+
+    /// Prefills needing `tokens[i]` bytes of KV each (one byte per token),
+    /// request ids in order.
+    fn prefills(tokens: &[u64]) -> Vec<Active> {
+        (0u32..)
+            .zip(tokens)
+            .map(|(id, &t)| active(id, 0, t, 2))
+            .collect()
+    }
+
+    fn kv(budget: u64) -> Kv {
+        Kv::new(budget, Protocol::Plain, 1)
+    }
+
+    /// The requests' `(bytes, in HBM)` KV state.
+    fn held(running: &[Active]) -> Vec<(u64, bool)> {
+        running.iter().map(|a| (a.kv_bytes, a.kv_in_hbm)).collect()
+    }
+
+    #[test]
+    fn reservation_grows_kv_in_place() {
+        let mut kv = kv(1000);
+        let mut running = prefills(&[100]);
+        assert_eq!(kv.reserve_round(&mut running), (0, 0));
+        running[0].req.request.prompt_tokens = 150;
+        assert_eq!(kv.reserve_round(&mut running), (0, 0));
+        assert_eq!(kv.hbm_used, 150);
+        assert_eq!(held(&running), [(150, true)]);
+        assert!(running[0].scheduled);
+    }
+
+    #[test]
+    fn eviction_takes_the_least_recently_reserved_kv() {
+        let mut kv = kv(300);
+        let mut running = prefills(&[100, 100, 100]);
+        kv.reserve_round(&mut running);
+        // Request 2 cannot grow: its KV stays resident, last reserved in
+        // round 1, while 0 and 1 are reserved again in round 2.
+        running[2].req.request.prompt_tokens = 101;
+        kv.reserve_round(&mut running);
+        assert!(!running[2].scheduled);
+        assert_eq!(held(&running), [(100, true); 3]);
+        // Request 0 grows: the older round goes first, ahead of the lower
+        // id.
+        running[0].req.request.prompt_tokens = 150;
+        assert_eq!(kv.reserve_round(&mut running), (0, 100));
+        assert_eq!(held(&running), [(150, true), (100, true), (100, false)]);
+        assert_eq!(kv.stats.get("offloads"), 1);
+        assert_eq!(kv.stats.get("offloaded_bytes"), 100);
+    }
+
+    #[test]
+    fn offloaded_kv_is_fetched_back_at_its_old_size() {
+        let mut kv = kv(200);
+        let mut running = prefills(&[100, 100]);
+        kv.reserve_round(&mut running);
+        running[0].req.request.prompt_tokens = 150;
+        assert_eq!(kv.reserve_round(&mut running), (0, 100));
+        assert_eq!(held(&running), [(150, true), (100, false)]);
+        kv.free(&running.remove(0));
+        running[0].req.request.prompt_tokens = 110;
+        assert_eq!(
+            kv.reserve_round(&mut running),
+            (100, 0),
+            "old bytes travel back"
+        );
+        assert_eq!(held(&running), [(110, true)]);
+        assert_eq!(kv.hbm_used, 110);
+        assert_eq!(kv.stats.get("fetches"), 1);
+        assert_eq!(kv.stats.get("fetched_bytes"), 100);
+    }
+
+    #[test]
+    fn failed_reservation_changes_nothing() {
+        let mut kv = kv(200);
+        let mut running = prefills(&[150, 100]);
+        assert_eq!(kv.reserve_round(&mut running), (0, 0));
+        assert!(running[0].scheduled && !running[1].scheduled);
+        assert_eq!(kv.hbm_used, 150);
+        assert_eq!(held(&running), [(150, true), (0, false)]);
+        assert_eq!(
+            running[1].kv_round, 0,
+            "no KV state for a request never reserved"
+        );
+        assert_eq!(kv.stats, StatSet::new("kv_pool"));
+    }
+
+    #[test]
+    fn the_head_is_forced_over_budget() {
+        let mut kv = kv(50);
+        let mut running = prefills(&[100, 10]);
+        assert_eq!(kv.reserve_round(&mut running), (0, 0));
+        assert!(running[0].scheduled, "the head always runs");
+        assert!(!running[1].scheduled, "nothing else is forced");
+        assert_eq!(kv.hbm_used, 100);
+        assert_eq!(held(&running), [(100, true), (0, false)]);
+    }
+
+    #[test]
+    fn completion_frees_only_resident_kv() {
+        let mut kv = kv(200);
+        let mut running = prefills(&[100, 100]);
+        kv.reserve_round(&mut running);
+        running[0].req.request.prompt_tokens = 150;
+        kv.reserve_round(&mut running);
+        assert_eq!(held(&running), [(150, true), (100, false)]);
+        kv.free(&running[1]);
+        assert_eq!(kv.hbm_used, 150, "offloaded KV frees no HBM");
+        kv.free(&running[0]);
+        assert_eq!(kv.hbm_used, 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::ci())]
+        /// Round by round, the KV state on the running list schedules,
+        /// fetches, offloads and counts exactly as the id-keyed pool did:
+        /// 1–16 running requests (refilled from a queue of up to 16 more)
+        /// whose contexts grow a token per scheduled round until they
+        /// complete, under budgets from below one request's KV to ample.
+        #[test]
+        fn kv_rounds_match_the_old_pool(
+            requests in vec((0u64..=64, 1u64..=64, 1u64..=8), 1..=32),
+            initial in 1usize..=16,
+            bytes_per_token in 1u64..=3,
+            budget in (0u8..4, any::<u64>()),
+        ) {
+            let (scale, raw) = budget;
+            let budget = match scale {
+                0 => raw % 64,
+                1 => raw % 1024,
+                2 => raw % 8192,
+                _ => u64::MAX / 2,
+            };
+            let mut queue = (0u32..)
+                .zip(&requests)
+                .map(|(id, &(context, prompt, output))| active(id, context, prompt, output));
+            let mut running: Vec<Active> = queue.by_ref().take(initial).collect();
+            let mut kv = Kv::new(budget, Protocol::Plain, bytes_per_token);
+            let mut old = OldPool::new(budget);
+            while !running.is_empty() {
+                let sizes: Vec<(u32, u64)> = running
+                    .iter()
+                    .map(|a| {
+                        let tokens = a.context() + u64::from(a.generated > 0);
+                        (a.req.request.id, tokens * bytes_per_token)
+                    })
+                    .collect();
+                let (flags, fetched, offloaded) = old.round(&sizes);
+                prop_assert_eq!(kv.reserve_round(&mut running), (fetched, offloaded));
+                let scheduled: Vec<bool> = running.iter().map(|a| a.scheduled).collect();
+                prop_assert_eq!(scheduled, flags);
+                prop_assert_eq!(kv.hbm_used, old.hbm_used);
+                prop_assert_eq!(&kv.stats, &old.stats);
+                for a in &running {
+                    let id = a.req.request.id;
+                    let want = old.entries.get(&id).copied().unwrap_or((0, false, 0));
+                    prop_assert_eq!((a.kv_bytes, a.kv_in_hbm, a.kv_round), want, "request {}", id);
+                }
+                // Every scheduled request makes a token; the finished ones
+                // leave and free their KV, and the queue refills the batch.
+                running.retain_mut(|a| {
+                    if !a.scheduled {
+                        return true;
+                    }
+                    a.generated += 1;
+                    if a.generated < a.req.request.output_tokens {
+                        return true;
+                    }
+                    kv.free(a);
+                    old.release(a.req.request.id);
+                    false
+                });
+                prop_assert_eq!(kv.hbm_used, old.hbm_used);
+                running.extend(queue.by_ref().take(MAX_BATCH - running.len()));
+            }
+        }
+    }
 
     fn small_cfg(model: &ModelConfig) -> ServeConfig {
         ServeConfig::for_model(model, 4, 640)

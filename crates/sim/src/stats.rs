@@ -181,8 +181,8 @@ impl Histogram {
 }
 
 /// A named bundle of counters without a fixed schema, with an
-/// order-independent merge: the serving KV pool's and the fleet router's
-/// statistics, and a trace probe's counters.
+/// order-independent merge: a serving instance's KV migration counters,
+/// the fleet router's statistics, and a trace probe's counters.
 ///
 /// # Example
 ///
