@@ -64,6 +64,32 @@ impl NpuConfig {
 }
 
 #[cfg(test)]
+impl NpuConfig {
+    /// A config the pricing properties vary: clock (MHz), MAC throughput
+    /// (thousandths of a line per cycle), AES and MAC latency (cycles),
+    /// the MEE buffer, and the DRAM channel count and per-channel GB/s.
+    pub(crate) fn varied(
+        clock_and_mac: (u64, u64, u64, u64),
+        verify_buffer_bytes: u64,
+        dram: (u32, u64),
+    ) -> Self {
+        let (mhz, mac_milli_lines, aes_latency, mac_latency) = clock_and_mac;
+        let (channels, channel_gbs) = dram;
+        let mut cfg = NpuConfig {
+            freq_ghz: mhz as f64 / 1e3,
+            aes_latency,
+            mac_latency,
+            mac_lines_per_cycle: mac_milli_lines as f64 / 1e3,
+            verify_buffer_bytes,
+            ..NpuConfig::default()
+        };
+        cfg.dram.channels = channels;
+        cfg.dram.channel_bytes_per_sec = channel_gbs as f64 * 1e9;
+        cfg
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

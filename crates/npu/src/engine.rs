@@ -3,13 +3,20 @@
 //! Runs a sequence of [`Layer`]s (forward/backward phases of a transformer
 //! step) under a [`MacScheme`], composing per-layer stream timings from
 //! the Figure-13 pipeline model and accounting output write-back and
-//! (non-delayed) code-fetch verification. The per-layer code stream
-//! depends only on the config and the scheme, so [`NpuEngine::new`] prices
-//! it once.
+//! (non-delayed) code-fetch verification. What depends only on the config
+//! and the scheme is computed once, in [`NpuEngine::new`]: the per-layer
+//! code stream's price, the scheme's per-block pipeline constants and the
+//! MAC-inflated output bandwidth. A run then costs only each layer's
+//! stream arithmetic, and a one-layer run (a serving iteration) skips the
+//! table that prices repeated shapes once.
+//!
+//! The unit tests check every run against the free
+//! [`simulate_stream`] composed per layer, as the engine priced before it
+//! cached anything.
 
 use crate::config::NpuConfig;
 use crate::mac::MacScheme;
-use crate::pipeline::{simulate_stream, StreamTiming};
+use crate::pipeline::{simulate_stream, Blocks, StreamTiming};
 use serde::{Deserialize, Serialize};
 use tee_sim::Time;
 
@@ -68,7 +75,10 @@ pub struct NpuRunReport {
 #[derive(Debug, Clone)]
 pub struct NpuEngine {
     cfg: NpuConfig,
-    scheme: MacScheme,
+    /// The scheme's full-block pipeline constants.
+    blocks: Blocks,
+    /// Output drain bandwidth in bytes/s, inflated by the scheme's MACs.
+    out_bw: f64,
     /// Time to fetch and verify each layer's code image.
     code_time: Time,
 }
@@ -87,24 +97,23 @@ impl NpuEngine {
         };
         let code_time = simulate_stream(&cfg, code_scheme, CODE_BYTES_PER_LAYER, Time::ZERO).total;
         NpuEngine {
+            blocks: Blocks::new(&cfg, scheme),
+            out_bw: cfg.dram_bandwidth() / (1.0 + scheme.traffic_overhead()),
             cfg,
-            scheme,
             code_time,
         }
     }
 
     /// Simulates one layer; returns its stream timing and total layer time.
     fn run_layer(&self, layer: &Layer) -> (StreamTiming, Time) {
-        let stream = simulate_stream(
+        let stream = self.blocks.stream(
             &self.cfg,
-            self.scheme,
             layer.stream_bytes(),
             layer.compute_time(&self.cfg),
         );
         // Output drain at (MAC-inflated) bandwidth; MAC generation for
         // writes is pipelined and adds no stall.
-        let out_bw = self.cfg.dram_bandwidth() / (1.0 + self.scheme.traffic_overhead());
-        let out_time = Time::from_secs_f64(layer.out_bytes as f64 / out_bw);
+        let out_time = Time::from_secs_f64(layer.out_bytes as f64 / self.out_bw);
         (stream, stream.total + self.code_time + out_time)
     }
 
@@ -115,8 +124,17 @@ impl NpuEngine {
     /// [`Time`] is integer picoseconds and the accumulation loop is
     /// unchanged, so the deduplicated run is bit-identical to pricing
     /// every layer from scratch — just ~`L`× cheaper on an `L`-block
-    /// model.
+    /// model. A single layer (a fused serving iteration) is priced
+    /// directly, without the table.
     pub fn run(&self, layers: &[Layer]) -> NpuRunReport {
+        if let [layer] = layers {
+            let (stream, total) = self.run_layer(layer);
+            return NpuRunReport {
+                total,
+                verify_stall: stream.verify_stall,
+                data_bytes: layer.stream_bytes() + layer.out_bytes,
+            };
+        }
         let mut priced: Vec<(Layer, (StreamTiming, Time))> = Vec::new();
         let mut total = Time::ZERO;
         let mut stall = Time::ZERO;
@@ -176,6 +194,8 @@ mod tests {
         }
     }
     use crate::mac::figure20_sweep;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     /// A transformer-ish mix: large GEMMs (compute-bound) plus
     /// element-wise layers (memory-bound).
@@ -267,6 +287,94 @@ mod tests {
             assert_eq!(whole.total, total, "{}", scheme.label());
             assert_eq!(whole.verify_stall, stall, "{}", scheme.label());
             assert_eq!(whole.data_bytes, bytes, "{}", scheme.label());
+        }
+    }
+
+    /// A run priced as before [`NpuEngine::new`] cached anything: per
+    /// layer, the free [`simulate_stream`], the code stream and the output
+    /// drain at the MAC-inflated bandwidth, summed.
+    fn fresh_price(cfg: &NpuConfig, scheme: MacScheme, layers: &[Layer]) -> NpuRunReport {
+        let code_scheme = match scheme {
+            MacScheme::None => MacScheme::None,
+            _ => MacScheme::PerBlock { granularity: 64 },
+        };
+        let code_time = simulate_stream(cfg, code_scheme, CODE_BYTES_PER_LAYER, Time::ZERO).total;
+        let out_bw = cfg.dram_bandwidth() / (1.0 + scheme.traffic_overhead());
+        let mut report = NpuRunReport {
+            total: Time::ZERO,
+            verify_stall: Time::ZERO,
+            data_bytes: 0,
+        };
+        for layer in layers {
+            let stream =
+                simulate_stream(cfg, scheme, layer.stream_bytes(), layer.compute_time(cfg));
+            let out_time = Time::from_secs_f64(layer.out_bytes as f64 / out_bw);
+            report.total += stream.total + code_time + out_time;
+            report.verify_stall += stream.verify_stall;
+            report.data_bytes += layer.stream_bytes() + layer.out_bytes;
+        }
+        report
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::ci())]
+        /// `run` on one layer, and on a slice that repeats several, equals
+        /// the fresh per-layer price, over configs, `None`,
+        /// `TensorDelayed` and every Figure-20 granularity, and streams
+        /// that are empty, shorter than one block, up to `EXACT_BLOCKS`
+        /// blocks and longer (to 1 GiB), with compute from none to 4x the
+        /// fetch time.
+        #[test]
+        fn engine_runs_match_fresh_stream_pricing(
+            scheme_pick in 0usize..8,
+            buffer_bytes in (2u64 << 10)..=(32 << 10),
+            clock_and_mac in (500u64..=2000, 250u64..=4000, 0u64..=200, 0u64..=200),
+            dram in (1u32..=16, 1u64..=32),
+            shapes in vec((0u8..4, any::<u64>(), any::<u64>(), 0u64..=4000, 0u64..=(1 << 30)), 1..=3),
+        ) {
+            let cfg = NpuConfig::varied(clock_and_mac, buffer_bytes, dram);
+            let scheme = std::iter::once(MacScheme::None)
+                .chain(figure20_sweep())
+                .nth(scheme_pick)
+                .expect("eight schemes");
+            let block = scheme.pipeline_block();
+            let layers: Vec<Layer> = shapes
+                .iter()
+                .map(|&(class, size_bits, split_bits, load_milli, out_bytes)| {
+                    let bytes = match class {
+                        0 => 0,
+                        1 => 1 + size_bits % (block - 1),
+                        2 => block + size_bits % (4096 * block),
+                        _ => 4096 * block + 1 + size_bits % ((1 << 30) - 4096 * block),
+                    };
+                    let in_bytes = split_bits % (bytes + 1);
+                    let fetch_secs = bytes as f64 / cfg.dram_bandwidth();
+                    let macs = fetch_secs * load_milli as f64 / 1e3
+                        * cfg.freq_ghz
+                        * 1e9
+                        * cfg.macs_per_cycle() as f64;
+                    Layer {
+                        macs: macs as u64,
+                        in_bytes,
+                        w_bytes: bytes - in_bytes,
+                        out_bytes,
+                    }
+                })
+                .collect();
+            let engine = NpuEngine::new(cfg.clone(), scheme);
+            for layer in &layers {
+                let one = std::slice::from_ref(layer);
+                prop_assert_eq!(engine.run(one), fresh_price(&cfg, scheme, one), "{:?} {:?}", scheme, layer);
+            }
+            let repeated: Vec<Layer> = layers.iter().chain(layers.iter().rev()).copied().collect();
+            prop_assert_eq!(
+                engine.run(&repeated),
+                fresh_price(&cfg, scheme, &repeated),
+                "{:?} {:?} on {:?}",
+                scheme,
+                repeated,
+                cfg
+            );
         }
     }
 

@@ -35,9 +35,24 @@
 //!   compute-bound stream, whose compute lead grows every period, never
 //!   repeats and is stepped block by block.
 //!
+//! A stream of more than `EXACT_BLOCKS` (4,096) blocks is priced from its
+//! first 4,096 and 2,048 blocks, whose difference is extrapolated. Both
+//! carry the same per-block compute, so under `PerBlock` one walk yields
+//! both: the recurrence is deterministic and shift-invariant, so a period
+//! it confirmed before the 2,048 mark still holds after it, and the walk
+//! jumps on to 4,096 without looking for it again.
+//!
+//! The per-block constants depend only on the config, the scheme and the
+//! block size, so an [`NpuEngine`](crate::engine::NpuEngine) builds its
+//! scheme's once (`Blocks::new`) and prices every layer with them; only a
+//! stream shorter than one block builds its own. [`simulate_stream`]
+//! builds them at the stream's own block size, so it checks that reuse.
+//!
 //! The unit tests keep the block-by-block loop as the oracle
 //! (`step_every_block`) and assert equal [`StreamTiming`]s over random
-//! schemes, configs, stream sizes and compute loads.
+//! schemes, configs, stream sizes and compute loads; a second property
+//! checks that a walk continued past a mark returns, at the mark and at
+//! the end, what fresh walks of those lengths return.
 
 use crate::config::NpuConfig;
 use crate::mac::MacScheme;
@@ -50,9 +65,10 @@ pub struct StreamTiming {
     pub total: Time,
     /// Time computation spent stalled waiting on verification.
     pub verify_stall: Time,
-    /// When the last byte of data had been fetched from DRAM.
-    pub fetch_done: Time,
 }
+
+/// Blocks priced exactly; a longer stream extrapolates from them.
+const EXACT_BLOCKS: u64 = 4096;
 
 /// Simulates streaming `bytes` of protected input overlapped with
 /// `compute_total` of computation, under `scheme`.
@@ -79,65 +95,20 @@ pub fn simulate_stream(
     bytes: u64,
     compute_total: Time,
 ) -> StreamTiming {
-    if bytes == 0 {
-        return StreamTiming {
-            total: compute_total,
-            verify_stall: Time::ZERO,
-            fetch_done: Time::ZERO,
-        };
-    }
     let block = scheme.pipeline_block().min(bytes.next_power_of_two());
-    let n_blocks = bytes.div_ceil(block);
-    // The pipeline reaches steady state within a few buffer turnovers;
-    // simulate a bounded prefix exactly and extrapolate the steady-state
-    // period for the (identical) remaining blocks.
-    const EXACT_BLOCKS: u64 = 4096;
-    if n_blocks > EXACT_BLOCKS {
-        let exact_bytes = EXACT_BLOCKS * block;
-        let head = simulate_stream(
-            cfg,
-            scheme,
-            exact_bytes,
-            Time::from_ps(compute_total.as_ps() / n_blocks * EXACT_BLOCKS),
-        );
-        let half = simulate_stream(
-            cfg,
-            scheme,
-            exact_bytes / 2,
-            Time::from_ps(compute_total.as_ps() / n_blocks * (EXACT_BLOCKS / 2)),
-        );
-        let period = head.total.saturating_sub(half.total);
-        let stall_period = head.verify_stall.saturating_sub(half.verify_stall);
-        let remaining = n_blocks - EXACT_BLOCKS;
-        let scale = |t: Time| Time::from_ps(t.as_ps() * remaining / (EXACT_BLOCKS / 2));
-        return StreamTiming {
-            total: head.total + scale(period),
-            verify_stall: head.verify_stall + scale(stall_period),
-            fetch_done: head.fetch_done + scale(period),
-        };
-    }
-    let blocks = Blocks::new(
-        cfg,
-        scheme,
-        block,
-        Time::from_ps(compute_total.as_ps() / n_blocks),
-    );
-    if scheme.gates_compute() {
-        Gated::at_rest(blocks.slots).run(&blocks, n_blocks)
-    } else {
-        blocks.ungated(n_blocks)
-    }
+    Blocks::sized(cfg, scheme, block).stream(cfg, bytes, compute_total)
 }
 
-/// The per-block constants of one stream.
-struct Blocks {
+/// The per-block constants of one scheme's pipeline at one block size.
+#[derive(Debug, Clone)]
+pub(crate) struct Blocks {
     scheme: MacScheme,
+    /// Bytes per block.
+    block: u64,
     /// `F`: one block's fetch at the (MAC-inflated) DRAM bandwidth.
     fetch: Time,
     /// `R`: one block's MAC recompute.
     recompute: Time,
-    /// `C`: the compute work one block carries.
-    compute: Time,
     /// `M`: MAC latency.
     mac_lat: Time,
     /// `A`: AES latency.
@@ -147,11 +118,17 @@ struct Blocks {
 }
 
 impl Blocks {
-    fn new(cfg: &NpuConfig, scheme: MacScheme, block: u64, compute: Time) -> Self {
+    /// The constants of `scheme`'s full pipeline block on `cfg`.
+    pub(crate) fn new(cfg: &NpuConfig, scheme: MacScheme) -> Self {
+        Self::sized(cfg, scheme, scheme.pipeline_block())
+    }
+
+    fn sized(cfg: &NpuConfig, scheme: MacScheme, block: u64) -> Self {
         let clock = cfg.clock();
         let bw = cfg.dram_bandwidth() / (1.0 + scheme.traffic_overhead());
         Blocks {
             scheme,
+            block,
             fetch: Time::from_secs_f64(block as f64 / bw),
             // Fractional cycles: the hash datapath is pipelined, so
             // per-block recompute time is throughput-, not latency-,
@@ -159,17 +136,68 @@ impl Blocks {
             recompute: Time::from_secs_f64(
                 (block as f64 / 64.0) / cfg.mac_lines_per_cycle / (cfg.freq_ghz * 1e9),
             ),
-            compute,
             mac_lat: clock.cycles_to_time(cfg.mac_latency),
             aes_lat: clock.cycles_to_time(cfg.aes_latency),
             slots: (cfg.verify_buffer_bytes / block).max(1) as usize,
         }
     }
 
+    /// [`simulate_stream`] on these constants, which must be `cfg`'s; `cfg`
+    /// is read only to build the constants of a stream shorter than one
+    /// block.
+    pub(crate) fn stream(&self, cfg: &NpuConfig, bytes: u64, compute_total: Time) -> StreamTiming {
+        if bytes == 0 {
+            return StreamTiming {
+                total: compute_total,
+                verify_stall: Time::ZERO,
+            };
+        }
+        let block = self.block.min(bytes.next_power_of_two());
+        if block < self.block {
+            // One block of its own, smaller size.
+            return Blocks::sized(cfg, self.scheme, block).walk(1, compute_total);
+        }
+        let n_blocks = bytes.div_ceil(block);
+        let compute = Time::from_ps(compute_total.as_ps() / n_blocks);
+        if n_blocks <= EXACT_BLOCKS {
+            return self.walk(n_blocks, compute);
+        }
+        // The pipeline reaches steady state within a few buffer turnovers;
+        // price a bounded prefix exactly and extrapolate the steady-state
+        // period for the (identical) remaining blocks.
+        let (head, half) = if self.scheme.gates_compute() {
+            let mut walk = Gated::at_rest(self.slots);
+            let half = walk.run(self, compute, EXACT_BLOCKS / 2);
+            (walk.run(self, compute, EXACT_BLOCKS), half)
+        } else {
+            (
+                self.ungated(EXACT_BLOCKS, compute),
+                self.ungated(EXACT_BLOCKS / 2, compute),
+            )
+        };
+        let period = head.total.saturating_sub(half.total);
+        let stall_period = head.verify_stall.saturating_sub(half.verify_stall);
+        let remaining = n_blocks - EXACT_BLOCKS;
+        let scale = |t: Time| Time::from_ps(t.as_ps() * remaining / (EXACT_BLOCKS / 2));
+        StreamTiming {
+            total: head.total + scale(period),
+            verify_stall: head.verify_stall + scale(stall_period),
+        }
+    }
+
+    /// `n` blocks carrying `compute` each, from rest.
+    fn walk(&self, n: u64, compute: Time) -> StreamTiming {
+        if self.scheme.gates_compute() {
+            Gated::at_rest(self.slots).run(self, compute, n)
+        } else {
+            self.ungated(n, compute)
+        }
+    }
+
     /// `None` and `TensorDelayed` over `n` blocks, in closed form.
-    fn ungated(&self, n: u64) -> StreamTiming {
+    fn ungated(&self, n: u64, compute: Time) -> StreamTiming {
         let times = |t: Time| Time::from_ps(n * t.as_ps());
-        let (f, r, c) = (self.fetch, self.recompute, self.compute);
+        let (f, r, c) = (self.fetch, self.recompute, compute);
         // Data is ready when fetched, plus the decrypt under TensorTEE.
         let aes = match self.scheme {
             MacScheme::TensorDelayed => self.aes_lat,
@@ -189,13 +217,12 @@ impl Blocks {
         StreamTiming {
             total,
             verify_stall: Time::ZERO,
-            fetch_done,
         }
     }
 }
 
 /// A `PerBlock` stream between two blocks.
-struct Gated {
+struct Pipe {
     /// Ring of verify-completion times for buffer-slot release.
     releases: Vec<Time>,
     fetch_done: Time,
@@ -204,68 +231,9 @@ struct Gated {
     stall: Time,
 }
 
-impl Gated {
-    /// A stream before its first block, with `slots` empty buffer slots.
-    fn at_rest(slots: usize) -> Self {
-        Gated {
-            releases: vec![Time::ZERO; slots],
-            fetch_done: Time::ZERO,
-            verify_done: Time::ZERO,
-            compute_done: Time::ZERO,
-            stall: Time::ZERO,
-        }
-    }
-
-    /// Runs `n` blocks from rest, stepping until the state at a ring
-    /// boundary repeats the snapshot, then jumping whole periods.
-    fn run(mut self, b: &Blocks, n: u64) -> StreamTiming {
-        let slots = b.slots as u64;
-        let mut snap = Snapshot {
-            releases: vec![Time::ZERO; b.slots],
-            ..Snapshot::default()
-        };
-        snap.save(&self, 0);
-        // Ring turns since the snapshot, and the distance at which it is
-        // re-saved (doubling, as in Brent's cycle finder).
-        let (mut turns, mut power) = (0u64, 1u64);
-        let mut k = 0u64;
-        while k < n {
-            self.step(b, (k % slots) as usize);
-            k += 1;
-            if !k.is_multiple_of(slots) {
-                continue;
-            }
-            if snap.repeats(&self) {
-                // The whole state repeats: every time moves by q·Δfetch
-                // and the stall grows by q·Δstall.
-                let period = k - snap.block;
-                let q = (n - k) / period;
-                let shift = Time::from_ps(q * (self.fetch_done - snap.fetch_done).as_ps());
-                let stall = Time::from_ps(q * (self.stall - snap.stall).as_ps());
-                for r in &mut self.releases {
-                    *r += shift;
-                }
-                self.fetch_done += shift;
-                self.verify_done += shift;
-                self.compute_done += shift;
-                self.stall += stall;
-                k += q * period;
-            }
-            turns += 1;
-            if turns == power {
-                snap.save(&self, k);
-                (turns, power) = (0, power * 2);
-            }
-        }
-        StreamTiming {
-            total: self.compute_done,
-            verify_stall: self.stall,
-            fetch_done: self.fetch_done,
-        }
-    }
-
-    /// Steps one block through buffer slot `slot`.
-    fn step(&mut self, b: &Blocks, slot: usize) {
+impl Pipe {
+    /// Steps one block carrying `compute` through buffer slot `slot`.
+    fn step(&mut self, b: &Blocks, compute: Time, slot: usize) {
         let fetch_start = self.fetch_done.max(self.releases[slot]);
         self.fetch_done = fetch_start + b.fetch;
         // Verification engine is pipelined but serial across blocks.
@@ -277,15 +245,116 @@ impl Gated {
         // Bubble: time compute sat idle beyond pure data arrival.
         let unsecured_ready = self.fetch_done.max(self.compute_done);
         self.stall += compute_start.saturating_sub(unsecured_ready);
-        self.compute_done = compute_start + b.compute;
+        self.compute_done = compute_start + compute;
     }
 }
 
-/// A [`Gated`] state at a ring boundary, relative to its `fetch_done`.
+/// A walk of a `PerBlock` stream from rest, and the period it has found.
+struct Gated {
+    pipe: Pipe,
+    /// Blocks stepped or jumped so far.
+    blocks: u64,
+    /// The state the repeat check compares against, the ring turns since
+    /// it was saved, and the distance at which it is re-saved (doubling,
+    /// as in Brent's cycle finder).
+    snap: Snapshot,
+    turns: u64,
+    power: u64,
+    /// Once a repeat confirms it: the period in blocks, and what one
+    /// period adds to every time and to the stall.
+    period: Option<(u64, Time, Time)>,
+}
+
+impl Gated {
+    /// A stream before its first block, with `slots` empty buffer slots.
+    fn at_rest(slots: usize) -> Self {
+        let pipe = Pipe {
+            releases: vec![Time::ZERO; slots],
+            fetch_done: Time::ZERO,
+            verify_done: Time::ZERO,
+            compute_done: Time::ZERO,
+            stall: Time::ZERO,
+        };
+        let mut snap = Snapshot {
+            releases: vec![Time::ZERO; slots],
+            ..Snapshot::default()
+        };
+        snap.save(&pipe, 0);
+        Gated {
+            pipe,
+            blocks: 0,
+            snap,
+            turns: 0,
+            power: 1,
+            period: None,
+        }
+    }
+
+    /// Walks on to `n` blocks in all (no fewer than so far), each carrying
+    /// `compute`: steps until the state at a ring boundary repeats the
+    /// snapshot, then jumps whole periods and steps the rest.
+    fn run(&mut self, b: &Blocks, compute: Time, n: u64) -> StreamTiming {
+        while self.period.is_none() && self.blocks < n {
+            self.step(b, compute);
+            if self.blocks.is_multiple_of(b.slots as u64) {
+                self.watch();
+            }
+        }
+        if let Some((period, fetch, stall)) = self.period {
+            // The whole state repeats: every time moves by q·Δfetch and
+            // the stall grows by q·Δstall.
+            let q = (n - self.blocks) / period;
+            let shift = Time::from_ps(q * fetch.as_ps());
+            let pipe = &mut self.pipe;
+            for r in &mut pipe.releases {
+                *r += shift;
+            }
+            pipe.fetch_done += shift;
+            pipe.verify_done += shift;
+            pipe.compute_done += shift;
+            pipe.stall += Time::from_ps(q * stall.as_ps());
+            self.blocks += q * period;
+        }
+        while self.blocks < n {
+            self.step(b, compute);
+        }
+        StreamTiming {
+            total: self.pipe.compute_done,
+            verify_stall: self.pipe.stall,
+        }
+    }
+
+    /// Steps the next block through its buffer slot.
+    fn step(&mut self, b: &Blocks, compute: Time) {
+        let slot = (self.blocks % b.slots as u64) as usize;
+        self.pipe.step(b, compute, slot);
+        self.blocks += 1;
+    }
+
+    /// At a ring boundary: records the period if the state repeats the
+    /// snapshot, and otherwise re-saves the snapshot when due.
+    fn watch(&mut self) {
+        if self.snap.repeats(&self.pipe) {
+            self.period = Some((
+                self.blocks - self.snap.blocks,
+                self.pipe.fetch_done - self.snap.fetch_done,
+                self.pipe.stall - self.snap.stall,
+            ));
+            return;
+        }
+        self.turns += 1;
+        if self.turns == self.power {
+            self.snap.save(&self.pipe, self.blocks);
+            (self.turns, self.power) = (0, self.power * 2);
+        }
+    }
+}
+
+/// A [`Pipe`] at a ring boundary, relative to its `fetch_done`.
 #[derive(Default)]
 struct Snapshot {
     /// Blocks stepped when it was taken.
-    block: u64,
+    blocks: u64,
     fetch_done: Time,
     stall: Time,
     /// `verify_done - fetch_done`.
@@ -298,27 +367,27 @@ struct Snapshot {
 }
 
 impl Snapshot {
-    fn save(&mut self, state: &Gated, block: u64) {
-        let f = state.fetch_done;
-        self.block = block;
+    fn save(&mut self, pipe: &Pipe, blocks: u64) {
+        let f = pipe.fetch_done;
+        self.blocks = blocks;
         self.fetch_done = f;
-        self.stall = state.stall;
-        self.verify_lead = state.verify_done - f;
-        self.compute_lead = state.compute_done - f;
-        for (s, &r) in self.releases.iter_mut().zip(&state.releases) {
+        self.stall = pipe.stall;
+        self.verify_lead = pipe.verify_done - f;
+        self.compute_lead = pipe.compute_done - f;
+        for (s, &r) in self.releases.iter_mut().zip(&pipe.releases) {
             *s = r.saturating_sub(f);
         }
     }
 
-    /// Whether `state` is this snapshot's, moved later in time.
-    fn repeats(&self, state: &Gated) -> bool {
-        let f = state.fetch_done;
-        state.verify_done - f == self.verify_lead
-            && state.compute_done - f == self.compute_lead
+    /// Whether `pipe` is this snapshot's state, moved later in time.
+    fn repeats(&self, pipe: &Pipe) -> bool {
+        let f = pipe.fetch_done;
+        pipe.verify_done - f == self.verify_lead
+            && pipe.compute_done - f == self.compute_lead
             && self
                 .releases
                 .iter()
-                .zip(&state.releases)
+                .zip(&pipe.releases)
                 .all(|(&s, &r)| r.saturating_sub(f) == s)
     }
 }
@@ -332,8 +401,9 @@ mod tests {
         NpuConfig::default()
     }
 
-    /// The block-by-block loop `simulate_stream` replaced, code unchanged
-    /// (extrapolation included), kept as its oracle.
+    /// The block-by-block loop `simulate_stream` replaced (extrapolation
+    /// included), kept as its oracle. It no longer tracks when the last
+    /// fetch ends, which [`StreamTiming`] does not report.
     fn step_every_block(
         cfg: &NpuConfig,
         scheme: MacScheme,
@@ -344,7 +414,6 @@ mod tests {
             return StreamTiming {
                 total: compute_total,
                 verify_stall: Time::ZERO,
-                fetch_done: Time::ZERO,
             };
         }
         let clock = cfg.clock();
@@ -372,7 +441,6 @@ mod tests {
             return StreamTiming {
                 total: head.total + scale(period),
                 verify_stall: head.verify_stall + scale(stall_period),
-                fetch_done: head.fetch_done + scale(period),
             };
         }
         let bw = cfg.dram_bandwidth() / (1.0 + scheme.traffic_overhead());
@@ -426,7 +494,6 @@ mod tests {
         StreamTiming {
             total,
             verify_stall: stall,
-            fetch_done,
         }
     }
 
@@ -456,18 +523,7 @@ mod tests {
                 },
                 _ => MacScheme::PerBlock { granularity: 1 << exp },
             };
-            let (mhz, mac_milli_lines, aes_latency, mac_latency) = clock_and_mac;
-            let (channels, channel_gbs) = dram;
-            let mut cfg = NpuConfig {
-                freq_ghz: mhz as f64 / 1e3,
-                aes_latency,
-                mac_latency,
-                mac_lines_per_cycle: mac_milli_lines as f64 / 1e3,
-                verify_buffer_bytes: buffer_bytes,
-                ..NpuConfig::default()
-            };
-            cfg.dram.channels = channels;
-            cfg.dram.channel_bytes_per_sec = channel_gbs as f64 * 1e9;
+            let cfg = NpuConfig::varied(clock_and_mac, buffer_bytes, dram);
             // Log-uniform sizes from 1 B to 1 GiB.
             let (size_exp, size_bits, load_milli) = stream;
             let bytes = ((1u64 << size_exp) + size_bits % (1u64 << size_exp)).min(1 << 30);
@@ -489,6 +545,51 @@ mod tests {
             );
         }
 
+        /// A walk run to a mark and on to an end returns, at each, what a
+        /// fresh walk of that many blocks returns, jumping or stepping
+        /// every block: a period found before the mark still holds after
+        /// it. Marks fall before any repeat can be confirmed (under two
+        /// ring turns), anywhere (mostly off a ring boundary) and on the
+        /// end; compute ranges from none to compute-bound, which never
+        /// repeats.
+        #[test]
+        fn a_continued_walk_matches_fresh_walks(
+            granularity in 6u32..=12,
+            buffer_bytes in (2u64 << 10)..=(32 << 10),
+            clock_and_mac in (500u64..=2000, 250u64..=4000, 0u64..=200, 0u64..=200),
+            dram in (1u32..=16, 1u64..=32),
+            walk in (1u64..=6000, any::<u64>(), 0u8..4, 0u64..=4000),
+        ) {
+            let cfg = NpuConfig::varied(clock_and_mac, buffer_bytes, dram);
+            let b = Blocks::new(&cfg, MacScheme::PerBlock { granularity: 1 << granularity });
+            let (n, mark_bits, mark_pick, load_milli) = walk;
+            let mark = match mark_pick {
+                0 => n,
+                1 => mark_bits % (2 * b.slots as u64).min(n + 1),
+                _ => mark_bits % (n + 1),
+            };
+            // Per-block compute from none (one case in ten) to 4x a fetch.
+            let compute = if load_milli < 400 {
+                Time::ZERO
+            } else {
+                Time::from_ps(b.fetch.as_ps() * load_milli / 1000)
+            };
+            let mut walk = Gated::at_rest(b.slots);
+            let mut stepped = Gated::at_rest(b.slots);
+            for blocks in [mark, n] {
+                let got = walk.run(&b, compute, blocks);
+                while stepped.blocks < blocks {
+                    stepped.step(&b, compute);
+                }
+                let every_block = StreamTiming {
+                    total: stepped.pipe.compute_done,
+                    verify_stall: stepped.pipe.stall,
+                };
+                prop_assert_eq!(got, every_block, "{} of {} blocks, {:?}", blocks, n, b);
+                let fresh = Gated::at_rest(b.slots).run(&b, compute, blocks);
+                prop_assert_eq!(got, fresh, "{} of {} blocks, {:?}", blocks, n, b);
+            }
+        }
     }
 
     /// Memory-bound stream: compute much cheaper than fetch.

@@ -114,9 +114,15 @@ impl Kv {
     /// request that still does not fit sits the iteration out and changes
     /// nothing, except the head, which is forced so progress is guaranteed
     /// even when its KV alone exceeds the budget.
+    ///
+    /// The round keeps the bytes it could still offload (`evictable`), so a
+    /// request that cannot fit is refused without listing any victim:
+    /// every request's reservation removes its resident bytes from that
+    /// pool, and every offload its victim's.
     fn reserve_round(&mut self, running: &mut [Active]) -> (u64, u64) {
         self.round += 1;
         let (mut fetched, mut offloaded) = (0u64, 0u64);
+        let mut evictable = self.hbm_used;
         for i in 0..running.len() {
             let a = &running[i];
             // KV tokens this request holds by the end of the iteration:
@@ -126,6 +132,11 @@ impl Kv {
             let over = (self.hbm_used - held + bytes).saturating_sub(self.budget);
             let mut victims: Vec<(u64, u32, usize)> = Vec::new();
             if over > 0 {
+                // Every other request's offloadable KV is not enough.
+                if i > 0 && over > evictable - held {
+                    running[i].scheduled = false;
+                    continue;
+                }
                 victims = running
                     .iter()
                     .enumerate()
@@ -139,15 +150,12 @@ impl Kv {
                     n += 1;
                 }
                 victims.truncate(n);
-                if freed < over && i > 0 {
-                    running[i].scheduled = false;
-                    continue;
-                }
             }
             for &(_, _, j) in &victims {
                 let v = &mut running[j];
                 v.kv_in_hbm = false;
                 self.hbm_used -= v.kv_bytes;
+                evictable -= v.kv_bytes;
                 offloaded += v.kv_bytes;
                 self.stats.bump("offloads");
                 self.stats.add("offloaded_bytes", v.kv_bytes);
@@ -158,6 +166,7 @@ impl Kv {
                 self.stats.bump("fetches");
                 self.stats.add("fetched_bytes", a.kv_bytes);
             }
+            evictable -= held;
             self.hbm_used = self.hbm_used - held + bytes;
             a.scheduled = true;
             a.kv_bytes = bytes;
@@ -732,6 +741,34 @@ mod tests {
             "no KV state for a request never reserved"
         );
         assert_eq!(kv.stats, StatSet::new("kv_pool"));
+    }
+
+    #[test]
+    fn refusal_keeps_the_evictable_pool() {
+        let mut kv = kv(400);
+        let mut running = prefills(&[100, 100, 100, 100]);
+        kv.reserve_round(&mut running);
+        // The head grows by offloading request 1, which leaves requests 2
+        // and 3 (200 bytes) to offload. Request 1 then needs 250 and is
+        // refused untouched; request 2 grows by offloading request 3,
+        // and request 3 no longer fits.
+        for (a, tokens) in running.iter_mut().zip([200, 250, 150, 100]) {
+            a.req.request.prompt_tokens = tokens;
+        }
+        assert_eq!(kv.reserve_round(&mut running), (0, 200));
+        let scheduled: Vec<bool> = running.iter().map(|a| a.scheduled).collect();
+        assert_eq!(scheduled, [true, false, true, false]);
+        assert_eq!(
+            held(&running),
+            [(200, true), (100, false), (150, true), (100, false)]
+        );
+        assert_eq!(
+            running[1].kv_round, 1,
+            "the refused request keeps its KV state"
+        );
+        assert_eq!(kv.hbm_used, 350);
+        assert_eq!(kv.stats.get("offloads"), 2);
+        assert_eq!(kv.stats.get("fetches"), 0);
     }
 
     #[test]
