@@ -7,8 +7,9 @@
 //! and the scheme is computed once, in [`NpuEngine::new`]: the per-layer
 //! code stream's price, the scheme's per-block pipeline constants and the
 //! MAC-inflated output bandwidth. A run then costs only each layer's
-//! stream arithmetic, and a one-layer run (a serving iteration) skips the
-//! table that prices repeated shapes once.
+//! stream pricing, exact over all of the stream's blocks (a closed form,
+//! or one `PerBlock` walk that jumps whole periods), and a one-layer run
+//! (a serving iteration) skips the table that prices repeated shapes once.
 //!
 //! The unit tests check every run against the free
 //! [`simulate_stream`] composed per layer, as the engine priced before it
@@ -321,9 +322,8 @@ mod tests {
         /// `run` on one layer, and on a slice that repeats several, equals
         /// the fresh per-layer price, over configs, `None`,
         /// `TensorDelayed` and every Figure-20 granularity, and streams
-        /// that are empty, shorter than one block, up to `EXACT_BLOCKS`
-        /// blocks and longer (to 1 GiB), with compute from none to 4x the
-        /// fetch time.
+        /// that are empty, shorter than one block, and from one block to
+        /// 1 GiB, with compute from none to 4x the fetch time.
         #[test]
         fn engine_runs_match_fresh_stream_pricing(
             scheme_pick in 0usize..8,

@@ -26,21 +26,27 @@
 //!   paths: the first block's input followed by `n` steps, or the last
 //!   block's input followed by one.
 //! * **Period jump.** Under `PerBlock` the fetch/verify/release part evolves
-//!   on its own around the ring of buffer slots. It is stepped until its
-//!   state at a ring boundary, taken relative to `fetch_done`, repeats one
-//!   saved snapshot (re-saved at power-of-two ring-turn distances, as in
-//!   Brent's cycle finder) with compute's lead over `fetch_done` repeated
-//!   too; then whole periods are jumped. A jump is taken only on a repeat
-//!   the loop has seen, so it is exact whatever the transient. A
-//!   compute-bound stream, whose compute lead grows every period, never
-//!   repeats and is stepped block by block.
+//!   on its own around the ring of buffer slots; compute only reads it. The
+//!   walk steps until that part's state at a ring boundary, taken relative
+//!   to `fetch_done`, repeats one saved snapshot (re-saved at power-of-two
+//!   ring-turn distances, as in Brent's cycle finder), and then jumps whole
+//!   periods in one of two cases:
+//!   - *Full repeat*: compute's lead over `fetch_done` repeated too. The
+//!     whole state repeats, so every time moves by the period's Δfetch and
+//!     the stall by its Δstall.
+//!   - *Busy repeat*: compute was busy on every block of the period since
+//!     the snapshot (each block's data was ready no later than the previous
+//!     block's compute ended), so compute moved by `P·C` over `P` blocks of
+//!     `C`, and its lead grew, so `P·C > Δfetch`. In the next period each
+//!     block's data is ready Δfetch later, while compute, if busy so far,
+//!     ends the block before it `P·C` later: so each block is busy again,
+//!     and by induction every later period is busy too. The
+//!     fetch/verify/release state moves by Δfetch per period, compute by
+//!     `P·C`, and the stall not at all (a busy block adds none).
 //!
-//! A stream of more than `EXACT_BLOCKS` (4,096) blocks is priced from its
-//! first 4,096 and 2,048 blocks, whose difference is extrapolated. Both
-//! carry the same per-block compute, so under `PerBlock` one walk yields
-//! both: the recurrence is deterministic and shift-invariant, so a period
-//! it confirmed before the 2,048 mark still holds after it, and the walk
-//! jumps on to 4,096 without looking for it again.
+//!   A jump is taken only on a repeat the walk has seen, so it is exact
+//!   whatever the transient, and every stream is priced over all of its
+//!   blocks.
 //!
 //! The per-block constants depend only on the config, the scheme and the
 //! block size, so an [`NpuEngine`](crate::engine::NpuEngine) builds its
@@ -50,9 +56,7 @@
 //!
 //! The unit tests keep the block-by-block loop as the oracle
 //! (`step_every_block`) and assert equal [`StreamTiming`]s over random
-//! schemes, configs, stream sizes and compute loads; a second property
-//! checks that a walk continued past a mark returns, at the mark and at
-//! the end, what fresh walks of those lengths return.
+//! schemes, configs, stream sizes and compute loads.
 
 use crate::config::NpuConfig;
 use crate::mac::MacScheme;
@@ -66,9 +70,6 @@ pub struct StreamTiming {
     /// Time computation spent stalled waiting on verification.
     pub verify_stall: Time,
 }
-
-/// Blocks priced exactly; a longer stream extrapolates from them.
-const EXACT_BLOCKS: u64 = 4096;
 
 /// Simulates streaming `bytes` of protected input overlapped with
 /// `compute_total` of computation, under `scheme`.
@@ -158,31 +159,7 @@ impl Blocks {
             return Blocks::sized(cfg, self.scheme, block).walk(1, compute_total);
         }
         let n_blocks = bytes.div_ceil(block);
-        let compute = Time::from_ps(compute_total.as_ps() / n_blocks);
-        if n_blocks <= EXACT_BLOCKS {
-            return self.walk(n_blocks, compute);
-        }
-        // The pipeline reaches steady state within a few buffer turnovers;
-        // price a bounded prefix exactly and extrapolate the steady-state
-        // period for the (identical) remaining blocks.
-        let (head, half) = if self.scheme.gates_compute() {
-            let mut walk = Gated::at_rest(self.slots);
-            let half = walk.run(self, compute, EXACT_BLOCKS / 2);
-            (walk.run(self, compute, EXACT_BLOCKS), half)
-        } else {
-            (
-                self.ungated(EXACT_BLOCKS, compute),
-                self.ungated(EXACT_BLOCKS / 2, compute),
-            )
-        };
-        let period = head.total.saturating_sub(half.total);
-        let stall_period = head.verify_stall.saturating_sub(half.verify_stall);
-        let remaining = n_blocks - EXACT_BLOCKS;
-        let scale = |t: Time| Time::from_ps(t.as_ps() * remaining / (EXACT_BLOCKS / 2));
-        StreamTiming {
-            total: head.total + scale(period),
-            verify_stall: head.verify_stall + scale(stall_period),
-        }
+        self.walk(n_blocks, Time::from_ps(compute_total.as_ps() / n_blocks))
     }
 
     /// `n` blocks carrying `compute` each, from rest.
@@ -232,8 +209,10 @@ struct Pipe {
 }
 
 impl Pipe {
-    /// Steps one block carrying `compute` through buffer slot `slot`.
-    fn step(&mut self, b: &Blocks, compute: Time, slot: usize) {
+    /// Steps one block carrying `compute` through buffer slot `slot`, and
+    /// returns whether compute was busy on it: its data was ready no later
+    /// than the previous block's compute ended.
+    fn step(&mut self, b: &Blocks, compute: Time, slot: usize) -> bool {
         let fetch_start = self.fetch_done.max(self.releases[slot]);
         self.fetch_done = fetch_start + b.fetch;
         // Verification engine is pipelined but serial across blocks.
@@ -241,15 +220,17 @@ impl Pipe {
         let block_verified = self.verify_done + b.mac_lat;
         self.releases[slot] = block_verified;
         let data_ready = block_verified + b.aes_lat;
+        let busy = data_ready <= self.compute_done;
         let compute_start = data_ready.max(self.compute_done);
         // Bubble: time compute sat idle beyond pure data arrival.
         let unsecured_ready = self.fetch_done.max(self.compute_done);
         self.stall += compute_start.saturating_sub(unsecured_ready);
         self.compute_done = compute_start + compute;
+        busy
     }
 }
 
-/// A walk of a `PerBlock` stream from rest, and the period it has found.
+/// A walk of a `PerBlock` stream from rest.
 struct Gated {
     pipe: Pipe,
     /// Blocks stepped or jumped so far.
@@ -260,9 +241,8 @@ struct Gated {
     snap: Snapshot,
     turns: u64,
     power: u64,
-    /// Once a repeat confirms it: the period in blocks, and what one
-    /// period adds to every time and to the stall.
-    period: Option<(u64, Time, Time)>,
+    /// Whether compute was busy on every block since the snapshot.
+    busy: bool,
 }
 
 impl Gated {
@@ -286,37 +266,22 @@ impl Gated {
             snap,
             turns: 0,
             power: 1,
-            period: None,
+            busy: true,
         }
     }
 
-    /// Walks on to `n` blocks in all (no fewer than so far), each carrying
-    /// `compute`: steps until the state at a ring boundary repeats the
-    /// snapshot, then jumps whole periods and steps the rest.
-    fn run(&mut self, b: &Blocks, compute: Time, n: u64) -> StreamTiming {
-        while self.period.is_none() && self.blocks < n {
-            self.step(b, compute);
-            if self.blocks.is_multiple_of(b.slots as u64) {
-                self.watch();
-            }
-        }
-        if let Some((period, fetch, stall)) = self.period {
-            // The whole state repeats: every time moves by q·Δfetch and
-            // the stall grows by q·Δstall.
-            let q = (n - self.blocks) / period;
-            let shift = Time::from_ps(q * fetch.as_ps());
-            let pipe = &mut self.pipe;
-            for r in &mut pipe.releases {
-                *r += shift;
-            }
-            pipe.fetch_done += shift;
-            pipe.verify_done += shift;
-            pipe.compute_done += shift;
-            pipe.stall += Time::from_ps(q * stall.as_ps());
-            self.blocks += q * period;
-        }
+    /// Walks `n` blocks, each carrying `compute`: steps until the state at a
+    /// ring boundary repeats the snapshot, then jumps whole periods and
+    /// steps the rest.
+    fn run(mut self, b: &Blocks, compute: Time, n: u64) -> StreamTiming {
+        let mut searching = true;
         while self.blocks < n {
-            self.step(b, compute);
+            let slot = (self.blocks % b.slots as u64) as usize;
+            self.busy &= self.pipe.step(b, compute, slot);
+            self.blocks += 1;
+            if searching && self.blocks.is_multiple_of(b.slots as u64) {
+                searching = !self.watch(n);
+            }
         }
         StreamTiming {
             total: self.pipe.compute_done,
@@ -324,43 +289,54 @@ impl Gated {
         }
     }
 
-    /// Steps the next block through its buffer slot.
-    fn step(&mut self, b: &Blocks, compute: Time) {
-        let slot = (self.blocks % b.slots as u64) as usize;
-        self.pipe.step(b, compute, slot);
-        self.blocks += 1;
-    }
-
-    /// At a ring boundary: records the period if the state repeats the
-    /// snapshot, and otherwise re-saves the snapshot when due.
-    fn watch(&mut self) {
-        if self.snap.repeats(&self.pipe) {
-            self.period = Some((
-                self.blocks - self.snap.blocks,
-                self.pipe.fetch_done - self.snap.fetch_done,
-                self.pipe.stall - self.snap.stall,
-            ));
-            return;
+    /// At a ring boundary: on a full or a busy repeat of the snapshot (see
+    /// the module doc), jumps the whole periods that fit in `n` blocks and
+    /// returns true; otherwise re-saves the snapshot when due.
+    fn watch(&mut self, n: u64) -> bool {
+        let (pipe, snap) = (&mut self.pipe, &self.snap);
+        if snap.repeats(pipe) {
+            let fetch = pipe.fetch_done - snap.fetch_done;
+            let compute = pipe.compute_done - snap.compute_done;
+            // A full repeat (compute's lead repeated) or a busy one
+            // (compute busy throughout and gaining, so `compute` is `P·C`
+            // and the stall did not grow).
+            if compute == fetch || (self.busy && compute > fetch) {
+                let period = self.blocks - snap.blocks;
+                let q = (n - self.blocks) / period;
+                let times = |t: Time| Time::from_ps(q * t.as_ps());
+                let (shift, stall) = (times(fetch), times(pipe.stall - snap.stall));
+                for r in &mut pipe.releases {
+                    *r += shift;
+                }
+                pipe.fetch_done += shift;
+                pipe.verify_done += shift;
+                pipe.compute_done += times(compute);
+                pipe.stall += stall;
+                self.blocks += q * period;
+                return true;
+            }
         }
         self.turns += 1;
         if self.turns == self.power {
             self.snap.save(&self.pipe, self.blocks);
+            self.busy = true;
             (self.turns, self.power) = (0, self.power * 2);
         }
+        false
     }
 }
 
-/// A [`Pipe`] at a ring boundary, relative to its `fetch_done`.
+/// A [`Pipe`] at a ring boundary; the fetch/verify/release part is kept
+/// relative to its `fetch_done`.
 #[derive(Default)]
 struct Snapshot {
     /// Blocks stepped when it was taken.
     blocks: u64,
     fetch_done: Time,
+    compute_done: Time,
     stall: Time,
     /// `verify_done - fetch_done`.
     verify_lead: Time,
-    /// `compute_done - fetch_done`.
-    compute_lead: Time,
     /// Each slot's release minus `fetch_done`, clamped at zero: a release
     /// at or before `fetch_done` can never gate a fetch again.
     releases: Vec<Time>,
@@ -371,19 +347,19 @@ impl Snapshot {
         let f = pipe.fetch_done;
         self.blocks = blocks;
         self.fetch_done = f;
+        self.compute_done = pipe.compute_done;
         self.stall = pipe.stall;
         self.verify_lead = pipe.verify_done - f;
-        self.compute_lead = pipe.compute_done - f;
         for (s, &r) in self.releases.iter_mut().zip(&pipe.releases) {
             *s = r.saturating_sub(f);
         }
     }
 
-    /// Whether `pipe` is this snapshot's state, moved later in time.
+    /// Whether `pipe`'s fetch/verify/release part is this snapshot's, moved
+    /// later in time.
     fn repeats(&self, pipe: &Pipe) -> bool {
         let f = pipe.fetch_done;
         pipe.verify_done - f == self.verify_lead
-            && pipe.compute_done - f == self.compute_lead
             && self
                 .releases
                 .iter()
@@ -401,9 +377,9 @@ mod tests {
         NpuConfig::default()
     }
 
-    /// The block-by-block loop `simulate_stream` replaced (extrapolation
-    /// included), kept as its oracle. It no longer tracks when the last
-    /// fetch ends, which [`StreamTiming`] does not report.
+    /// The block-by-block loop `simulate_stream` replaced, kept as its
+    /// oracle: it steps every block of the stream. It no longer tracks when
+    /// the last fetch ends, which [`StreamTiming`] does not report.
     fn step_every_block(
         cfg: &NpuConfig,
         scheme: MacScheme,
@@ -419,30 +395,6 @@ mod tests {
         let clock = cfg.clock();
         let block = scheme.pipeline_block().min(bytes.next_power_of_two());
         let n_blocks = bytes.div_ceil(block);
-        const EXACT_BLOCKS: u64 = 4096;
-        if n_blocks > EXACT_BLOCKS {
-            let exact_bytes = EXACT_BLOCKS * block;
-            let head = step_every_block(
-                cfg,
-                scheme,
-                exact_bytes,
-                Time::from_ps(compute_total.as_ps() / n_blocks * EXACT_BLOCKS),
-            );
-            let half = step_every_block(
-                cfg,
-                scheme,
-                exact_bytes / 2,
-                Time::from_ps(compute_total.as_ps() / n_blocks * (EXACT_BLOCKS / 2)),
-            );
-            let period = head.total.saturating_sub(half.total);
-            let stall_period = head.verify_stall.saturating_sub(half.verify_stall);
-            let remaining = n_blocks - EXACT_BLOCKS;
-            let scale = |t: Time| Time::from_ps(t.as_ps() * remaining / (EXACT_BLOCKS / 2));
-            return StreamTiming {
-                total: head.total + scale(period),
-                verify_stall: head.verify_stall + scale(stall_period),
-            };
-        }
         let bw = cfg.dram_bandwidth() / (1.0 + scheme.traffic_overhead());
         let fetch_per_block = Time::from_secs_f64(block as f64 / bw);
         let compute_per_block = Time::from_ps(compute_total.as_ps() / n_blocks);
@@ -501,9 +453,9 @@ mod tests {
         #![proptest_config(ProptestConfig::ci())]
         /// The closed form and the period jump return exactly what the
         /// block loop returns, over schemes, configs (including a MAC
-        /// recompute slower than the fetch), 1 B–1 GiB streams (so the
-        /// head/half extrapolation is covered) and compute from none to
-        /// compute-bound.
+        /// recompute slower than the fetch), 1 B–1 GiB streams (up to 16.8M
+        /// blocks, every one stepped by the oracle) and compute from none
+        /// to compute-bound, where only the busy jump repeats.
         #[test]
         fn simulate_stream_matches_the_block_loop(
             scheme_pick in 0u8..4,
@@ -544,52 +496,87 @@ mod tests {
                 cfg
             );
         }
+    }
 
-        /// A walk run to a mark and on to an end returns, at each, what a
-        /// fresh walk of that many blocks returns, jumping or stepping
-        /// every block: a period found before the mark still holds after
-        /// it. Marks fall before any repeat can be confirmed (under two
-        /// ring turns), anywhere (mostly off a ring boundary) and on the
-        /// end; compute ranges from none to compute-bound, which never
-        /// repeats.
-        #[test]
-        fn a_continued_walk_matches_fresh_walks(
-            granularity in 6u32..=12,
-            buffer_bytes in (2u64 << 10)..=(32 << 10),
-            clock_and_mac in (500u64..=2000, 250u64..=4000, 0u64..=200, 0u64..=200),
-            dram in (1u32..=16, 1u64..=32),
-            walk in (1u64..=6000, any::<u64>(), 0u8..4, 0u64..=4000),
-        ) {
-            let cfg = NpuConfig::varied(clock_and_mac, buffer_bytes, dram);
-            let b = Blocks::new(&cfg, MacScheme::PerBlock { granularity: 1 << granularity });
-            let (n, mark_bits, mark_pick, load_milli) = walk;
-            let mark = match mark_pick {
-                0 => n,
-                1 => mark_bits % (2 * b.slots as u64).min(n + 1),
-                _ => mark_bits % (n + 1),
+    /// Streams far past the 4,096 blocks once priced exactly (the rest was
+    /// extrapolated from a 4,096-block head and a 2,048-block half), pinned
+    /// and checked against the block loop.
+    #[test]
+    fn streams_past_the_old_cap_match_the_block_loop() {
+        let ps = Time::from_ps;
+        let cases = [
+            // 20,000 blocks: `max(compute_done, verify_done + M)` takes the
+            // verify branch at 2,048 and 4,096 blocks but the compute
+            // branch from block 10,000 on. The extrapolation read
+            // 10,200,500 ps.
+            (
+                "TensorDelayed, branch change after the head",
+                NpuConfig {
+                    aes_latency: 0,
+                    mac_latency: 200,
+                    ..cfg()
+                },
+                MacScheme::TensorDelayed,
+                1_280_000,
+                ps(10_400_000),
+                (ps(10_400_500), Time::ZERO),
+            ),
+            // 200,000 blocks, compute-bound: the full state never repeats,
+            // so only the busy jump avoids stepping every block.
+            (
+                "compute-bound PerBlock",
+                cfg(),
+                MacScheme::PerBlock { granularity: 512 },
+                102_400_000,
+                Time::from_us(1800),
+                (ps(1_800_088_063), ps(84_000)),
+            ),
+        ];
+        for (name, cfg, scheme, bytes, compute, (total, verify_stall)) in cases {
+            let want = StreamTiming {
+                total,
+                verify_stall,
             };
-            // Per-block compute from none (one case in ten) to 4x a fetch.
-            let compute = if load_milli < 400 {
-                Time::ZERO
-            } else {
-                Time::from_ps(b.fetch.as_ps() * load_milli / 1000)
-            };
-            let mut walk = Gated::at_rest(b.slots);
-            let mut stepped = Gated::at_rest(b.slots);
-            for blocks in [mark, n] {
-                let got = walk.run(&b, compute, blocks);
-                while stepped.blocks < blocks {
-                    stepped.step(&b, compute);
-                }
-                let every_block = StreamTiming {
-                    total: stepped.pipe.compute_done,
-                    verify_stall: stepped.pipe.stall,
-                };
-                prop_assert_eq!(got, every_block, "{} of {} blocks, {:?}", blocks, n, b);
-                let fresh = Gated::at_rest(b.slots).run(&b, compute, blocks);
-                prop_assert_eq!(got, fresh, "{} of {} blocks, {:?}", blocks, n, b);
-            }
+            let every_block = step_every_block(&cfg, scheme, bytes, compute);
+            assert_eq!(every_block, want, "{name}: block loop");
+            assert_eq!(
+                simulate_stream(&cfg, scheme, bytes, compute),
+                want,
+                "{name}"
+            );
         }
+    }
+
+    /// A walk from rest never refuses a busy jump: a stream whose compute
+    /// gains on its data waits only on its first block, before any repeat.
+    /// So the walk starts here from a compute-bound state whose compute is
+    /// set back to the data at a ring boundary: the next period waits once
+    /// and still gains, and only the busy flag keeps it from being jumped.
+    #[test]
+    fn the_busy_jump_needs_compute_busy_since_the_snapshot() {
+        let b = Blocks::new(&cfg(), MacScheme::PerBlock { granularity: 512 });
+        let compute = Time::from_ps(9_000);
+        let (start, n) = (4 * b.slots as u64, 10_000);
+        let slot = |k: u64| (k % b.slots as u64) as usize;
+        let set_back = || {
+            let mut walk = Gated::at_rest(b.slots);
+            for k in 0..start {
+                walk.pipe.step(&b, compute, slot(k));
+            }
+            walk.blocks = start;
+            walk.pipe.compute_done = walk.pipe.fetch_done;
+            walk.snap.save(&walk.pipe, start);
+            walk
+        };
+        let mut stepped = set_back();
+        for k in start..n {
+            stepped.pipe.step(&b, compute, slot(k));
+        }
+        let every_block = StreamTiming {
+            total: stepped.pipe.compute_done,
+            verify_stall: stepped.pipe.stall,
+        };
+        assert_eq!(set_back().run(&b, compute, n), every_block);
     }
 
     /// Memory-bound stream: compute much cheaper than fetch.

@@ -15,6 +15,8 @@
 //! invocation produces byte-identical output — including `explore`,
 //! whose `--threads` knob changes wall-clock but never a byte of output.
 
+use std::fmt::Display;
+use std::io::Write;
 use std::process::ExitCode;
 use tee_sim::probe::SharedProbe;
 use tensortee::artifact::{find, registry, Artifact, RunContext};
@@ -144,9 +146,12 @@ impl Args {
     }
 }
 
-/// Parses a flag value, reporting the flag name on failure.
+/// Parses a flag value, reporting the flag name on failure. A value that
+/// is itself a flag (`--out --json`) counts as missing.
 fn parse_value<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
-    let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    let value = value
+        .filter(|v| !v.starts_with("--"))
+        .ok_or_else(|| format!("{flag} needs a value"))?;
     value
         .parse()
         .map_err(|_| format!("{flag} got an invalid value {value:?}"))
@@ -155,17 +160,11 @@ fn parse_value<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Resu
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("list") => {
-            list();
-            ExitCode::SUCCESS
-        }
+        Some("list") => list().err().unwrap_or(ExitCode::SUCCESS),
         Some("run") => run(&args[1..]),
         Some("explore") => explore(&args[1..]),
         Some("trace") => trace_cmd(&args[1..]),
-        Some("--help" | "-h" | "help") => {
-            println!("{}", usage());
-            ExitCode::SUCCESS
-        }
+        Some("--help" | "-h" | "help") => print(usage()).err().unwrap_or(ExitCode::SUCCESS),
         _ => {
             eprintln!("{}", usage());
             ExitCode::from(2)
@@ -179,36 +178,46 @@ fn usage_error(message: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
+/// Writes `text` and a newline to stdout. A failed write (a full disk, a
+/// closed pipe) is a runtime failure, reported in one line on stderr.
+fn print(text: impl Display) -> Result<(), ExitCode> {
+    let mut out = std::io::stdout().lock();
+    writeln!(out, "{text}")
+        .and_then(|()| out.flush())
+        .map_err(|e| {
+            eprintln!("failed to write to stdout: {e}");
+            ExitCode::FAILURE
+        })
+}
+
 /// Renders `reports` the way both subcommands do: markdown per report, or
 /// one JSON object (single report) / array (several).
-fn emit(reports: &[Report], json: bool) {
+fn emit(reports: &[Report], json: bool) -> Result<(), ExitCode> {
     if json {
         let out = if reports.len() == 1 {
             reports[0].to_json()
         } else {
             Json::Array(reports.iter().map(|r| r.to_json()).collect())
         };
-        println!("{out}");
+        print(out)
     } else {
-        for r in reports {
-            println!("{}", r.to_markdown());
-        }
+        reports.iter().try_for_each(|r| print(r.to_markdown()))
     }
 }
 
 /// `tensortee list`: one row per registered artifact.
-fn list() {
+fn list() -> Result<(), ExitCode> {
     let mut table = Table::new(["id", "paper anchor", "title", "claim reproduced"]);
     for a in registry() {
         table.row([a.id, a.paper_anchor, a.title, a.claim]);
     }
-    println!("{}", table.to_markdown());
-    println!(
+    print(table.to_markdown())?;
+    print(format_args!(
         "{} artifacts; run one with `tensortee run <id>` (add --json / --fast), or sweep the \
          design space with `tensortee explore <{}>`.",
         registry().len(),
         scenario_list()
-    );
+    ))
 }
 
 /// `tensortee run ...`: resolve the artifact selection, run, print.
@@ -253,6 +262,7 @@ fn run(raw: &[String]) -> ExitCode {
         SharedProbe::Null
     };
     let ctx = args.context().with_probe(probe.clone());
+    let mut printed = Ok(());
     if !selection.is_empty() {
         let reports: Vec<Report> = selection
             .iter()
@@ -263,7 +273,7 @@ fn run(raw: &[String]) -> ExitCode {
                 a.run(&ctx)
             })
             .collect();
-        emit(&reports, args.json);
+        printed = emit(&reports, args.json);
     }
     if args.trace {
         let path = args.out.clone().unwrap_or_else(|| "trace.json".to_string());
@@ -271,10 +281,10 @@ fn run(raw: &[String]) -> ExitCode {
             return code;
         }
     }
-    if unknown.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+    match printed {
+        Err(code) => code,
+        Ok(()) if unknown.is_empty() => ExitCode::SUCCESS,
+        Ok(()) => ExitCode::FAILURE,
     }
 }
 
@@ -366,12 +376,12 @@ fn explore(raw: &[String]) -> ExitCode {
             ctx.seed
         );
     }
-    emit(&tensortee::explore::explore(scenario, &ctx), args.json);
+    let printed = emit(&tensortee::explore::explore(scenario, &ctx), args.json);
     if args.trace {
         let path = args.out.clone().unwrap_or_else(|| "trace.json".to_string());
         if let Err(code) = write_trace(&probe, &path, args.quiet) {
             return code;
         }
     }
-    ExitCode::SUCCESS
+    printed.err().unwrap_or(ExitCode::SUCCESS)
 }

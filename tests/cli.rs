@@ -1,8 +1,9 @@
 //! CLI contract tests for the `tensortee` binary: exit codes and output
 //! shape for the `run` partial-failure paths and flag validation.
 //!
-//! Exit-code convention: 0 = success, 1 = partial failure (some requested
-//! artifact did not run), 2 = usage error (bad flags/arguments).
+//! Exit-code convention: 0 = success, 1 = runtime failure (some requested
+//! artifact did not run, or stdout or the trace file could not be
+//! written), 2 = usage error (bad flags/arguments).
 
 use std::process::{Command, Output};
 
@@ -206,5 +207,53 @@ fn tracing_does_not_change_run_output() {
     assert_eq!(code(&traced), 0, "{traced:?}");
     assert_eq!(plain.stdout, traced.stdout, "--trace perturbed the report");
     assert!(path.exists(), "--trace did not write the trace file");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_failed_stdout_write_exits_one_without_a_panic() {
+    // `/dev/full` refuses every write with ENOSPC, as a full disk or a
+    // closed pipe would.
+    for args in [
+        &["list"][..],
+        &["run", "tab2", "--fast", "--json"][..],
+        &["--help"][..],
+    ] {
+        let full = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .expect("open /dev/full");
+        let out = Command::new(env!("CARGO_BIN_EXE_tensortee"))
+            .args(args)
+            .stdout(full)
+            .output()
+            .expect("spawn tensortee");
+        assert_eq!(code(&out), 1, "{args:?} -> {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("failed to write to stdout"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn a_flag_is_not_a_value_for_out() {
+    // A flag after `--out` is not a file name. Run in a fresh directory,
+    // where a stray `--json` file would show.
+    let dir = std::env::temp_dir().join(format!("tt_cli_out_flag_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_tensortee"))
+        .args(["run", "tab2", "--fast", "--trace", "--out", "--json"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn tensortee");
+    assert_eq!(code(&out), 2, "{out:?}");
+    assert!(out.stdout.is_empty(), "ran despite the usage error");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("--out needs a value"), "{stderr}");
+    assert!(!dir.join("--json").exists(), "wrote a file named --json");
     std::fs::remove_dir_all(&dir).ok();
 }
