@@ -178,18 +178,18 @@ impl SystemConfig {
              | Scratchpad | {} |\n\
              | NPU DRAM | GDDR5, {}, {} |\n\
              | Comm bus | PCIe 4.0 x16 |",
-            cpu.freq_ghz,
+            tee_cpu::config::FREQ_GHZ,
             cpu.hierarchy.cores,
             tee_sim::util::fmt_bytes(cpu.hierarchy.l1.size_bytes),
             tee_sim::util::fmt_bytes(cpu.hierarchy.l2.size_bytes),
             tee_sim::util::fmt_bytes(cpu.hierarchy.l3.size_bytes),
             cpu.dram.channels,
             tee_sim::util::fmt_bytes(cpu.metadata_cache_bytes),
-            cpu.aes_latency,
-            cpu.mac_latency,
+            tee_cpu::config::AES_LATENCY,
+            tee_cpu::config::MAC_LATENCY,
             npu.freq_ghz,
-            tee_sim::util::fmt_bytes(npu.scratchpad_bytes),
-            tee_sim::util::fmt_bytes(npu.dram_bytes),
+            tee_sim::util::fmt_bytes(tee_npu::config::SCRATCHPAD_BYTES),
+            tee_sim::util::fmt_bytes(tee_npu::config::DRAM_BYTES),
             tee_sim::util::fmt_bandwidth(npu.dram_bandwidth()),
             pe = npu.pe_dim,
         )
@@ -235,5 +235,28 @@ mod tests {
         assert!(md.contains("PCIe 4.0"));
         assert!(md.contains("GDDR5"));
         assert!(md.contains("3.5 GHz"));
+    }
+
+    /// The whole Table 1 `quickstart` prints, byte for byte: a Table-1
+    /// constant that drifted shows here first.
+    #[test]
+    fn table1_markdown_is_pinned() {
+        assert_eq!(
+            SystemConfig::default().table1_markdown(),
+            "| Component | Configuration |\n|---|---|\n\
+             | CPU frequency | 3.5 GHz |\n\
+             | CPU cores | 8 out-of-order |\n\
+             | L1 I/D | 8.00 KiB |\n\
+             | L2 | 32.00 KiB |\n\
+             | L3 | 1.00 MiB |\n\
+             | CPU DRAM | DDR4-2400, 2 channels |\n\
+             | Metadata cache | 32.00 KiB |\n\
+             | AES / MAC latency | 40 / 40 cycles |\n\
+             | NPU frequency | 1.0 GHz |\n\
+             | PE array | 512x512 |\n\
+             | Scratchpad | 32.00 MiB |\n\
+             | NPU DRAM | GDDR5, 40.00 GiB, 128.00 GB/s |\n\
+             | Comm bus | PCIe 4.0 x16 |"
+        );
     }
 }

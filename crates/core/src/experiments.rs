@@ -8,7 +8,7 @@
 
 use crate::artifact::{RunContext, FLEET_TENANTS, SERVE_RATE_RPS};
 use crate::des_cluster::{DesClusterConfig, DesClusterSystem, DesStepReport};
-use crate::hw::HardwareBudget;
+use crate::hw;
 use crate::memo::AdamRun;
 use crate::report::{f2, pct, Report, Table};
 use crate::system::{
@@ -45,8 +45,7 @@ fn report_for(id: &str) -> Report {
 /// shrunk so the cacheline-level simulation stays fast while remaining
 /// memory-bound against the scaled cache hierarchy.
 fn bench_adam_workload(model: &ModelConfig, scale: u64) -> AdamWorkload {
-    let census = TensorCensus::of(model).scaled(scale);
-    AdamWorkload::from_tensor_sizes(&census.sizes())
+    AdamWorkload::from_tensor_sizes(&TensorCensus::of(model).scaled(scale).sizes)
 }
 
 /// `iterations` Adam steps of `workload` on a fresh `cpu` engine under
@@ -627,11 +626,10 @@ pub fn sec62_gemm_detection(ctx: &RunContext) -> (f64, Report) {
 
 /// Regenerates the §6.5 TenAnalyzer hardware budget.
 pub fn sec65_hw_overhead(_ctx: &RunContext) -> Report {
-    let hw = HardwareBudget::default();
     let mut report = report_for("sec65");
-    report.table(hw.table());
-    report.metric("total_kb", hw.total_bytes() as f64 / 1024.0);
-    report.metric("area_mm2", hw.area_mm2());
+    report.table(hw::table());
+    report.metric("total_kb", hw::total_bytes() as f64 / 1024.0);
+    report.metric("area_mm2", hw::area_mm2());
     report
 }
 

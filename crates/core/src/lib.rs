@@ -52,7 +52,6 @@ pub mod system;
 pub use artifact::{Artifact, RunContext};
 pub use config::{ClusterConfig, SecureMode, SystemConfig};
 pub use des_cluster::{DesClusterConfig, DesClusterSystem, DesStepReport, Parallelism};
-pub use hw::HardwareBudget;
 pub use report::{PhaseLedger, Report};
 pub use session::SecureSession;
 pub use system::{ClusterStepBreakdown, ClusterSystem, StepBreakdown, TrainingSystem};

@@ -103,7 +103,6 @@ impl Hash for AdamRun {
 /// stops this compiling until it joins the key.
 fn cpu_bits(cfg: &CpuConfig) -> Vec<u64> {
     let CpuConfig {
-        freq_ghz,
         hierarchy: HierarchyConfig { cores, l1, l2, l3 },
         dram:
             DramConfig {
@@ -115,25 +114,13 @@ fn cpu_bits(cfg: &CpuConfig) -> Vec<u64> {
                 t_rcd,
                 t_rp,
             },
-        l1_latency,
-        l2_latency,
-        l3_latency,
-        aes_latency,
-        mac_latency,
-        mlp,
-        adam_cycles_per_element,
         metadata_cache_bytes,
         protected_lines,
         functional_crypto,
     } = cfg;
-    let mut bits = vec![freq_ghz.to_bits(), u64::from(*cores)];
-    for &CacheConfig {
-        size_bytes,
-        ways,
-        line_bytes,
-    } in [l1, l2, l3]
-    {
-        bits.extend([size_bytes, u64::from(ways), line_bytes]);
+    let mut bits = vec![u64::from(*cores)];
+    for &CacheConfig { size_bytes, ways } in [l1, l2, l3] {
+        bits.extend([size_bytes, u64::from(ways)]);
     }
     bits.extend([
         u64::from(*channels),
@@ -143,13 +130,6 @@ fn cpu_bits(cfg: &CpuConfig) -> Vec<u64> {
         t_cas.as_ps(),
         t_rcd.as_ps(),
         t_rp.as_ps(),
-        *l1_latency,
-        *l2_latency,
-        *l3_latency,
-        *aes_latency,
-        *mac_latency,
-        *mlp as u64,
-        adam_cycles_per_element.to_bits(),
         *metadata_cache_bytes,
         *protected_lines as u64,
         u64::from(*functional_crypto),
@@ -261,8 +241,7 @@ mod tests {
             }),
             _ => TeeMode::TensorTee(TenAnalyzerConfig {
                 meta_entries: 4 << (seed / 4 % 8),
-                filter_entries: 2 + (seed / 32 % 9) as usize,
-                filter_threshold: 2 + (seed / 288 % 3) as usize,
+                filter_threshold: 2 + (seed / 32 % 3) as usize,
             }),
         }
     }
@@ -288,8 +267,10 @@ mod tests {
             2 => run.threads = 1 + (v % 4) as u32,
             3 => run.iterations = 1 + (v % 3) as u32,
             4 => run.cpu.metadata_cache_bytes = 4 << (10 + v % 4),
-            5 => run.cpu.mlp = 1 + (v % 16) as usize,
-            6 => run.cpu.freq_ghz = [2.0, 2.5, 3.0, 3.5, 4.0][(v % 5) as usize],
+            5 => run.cpu.protected_lines = 1 << (14 + v % 6),
+            // Not a cache size: the engine flushes every iteration, so the
+            // few-KiB workloads drawn here never feel one.
+            6 => run.cpu.dram.t_cas = tee_sim::Time::from_ps(10_000 + 2_000 * (v % 5)),
             _ => {
                 let mut sizes: Vec<u64> = run.workload.tensors.iter().map(|s| s.w.bytes).collect();
                 sizes.push(64 * (1 + v % 32));

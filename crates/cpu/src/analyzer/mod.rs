@@ -19,13 +19,15 @@ use meta_table::{MetaEntry, MetaTable, ReadCounts, ReadLookup, WriteLookup};
 use crate::tensor::TensorDesc;
 use tee_crypto::MacTag;
 
-/// Configuration of the analyzer (§6.5 hardware budget).
+/// Tensor Filter entry count (§6.5: 10).
+pub const FILTER_ENTRIES: usize = 10;
+
+/// Configuration of the analyzer (§6.5 hardware budget; the filter has
+/// [`FILTER_ENTRIES`] entries).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TenAnalyzerConfig {
     /// Meta Table entry count (512 in the paper).
     pub meta_entries: usize,
-    /// Tensor Filter entry count (10 in the paper).
-    pub filter_entries: usize,
     /// Addresses collected before the tensor condition is checked (4).
     pub filter_threshold: usize,
 }
@@ -34,7 +36,6 @@ impl Default for TenAnalyzerConfig {
     fn default() -> Self {
         TenAnalyzerConfig {
             meta_entries: 512,
-            filter_entries: 10,
             filter_threshold: 4,
         }
     }
@@ -68,7 +69,7 @@ impl TenAnalyzer {
     pub fn new(cfg: TenAnalyzerConfig) -> Self {
         TenAnalyzer {
             table: MetaTable::new(cfg.meta_entries),
-            filter: TensorFilter::new(cfg.filter_entries, cfg.filter_threshold),
+            filter: TensorFilter::new(FILTER_ENTRIES, cfg.filter_threshold),
         }
     }
 
@@ -141,7 +142,6 @@ mod tests {
     fn analyzer() -> TenAnalyzer {
         TenAnalyzer::new(TenAnalyzerConfig {
             meta_entries: 16,
-            filter_entries: 10,
             filter_threshold: 4,
         })
     }

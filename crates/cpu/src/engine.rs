@@ -18,7 +18,7 @@
 use crate::analyzer::meta_table::ReadCounts;
 use crate::analyzer::meta_table::ReadLookup;
 use crate::analyzer::{TenAnalyzer, TenAnalyzerConfig};
-use crate::config::CpuConfig;
+use crate::config::{self, CpuConfig};
 use crate::kernels::{AdamWorkload, GemmWorkload};
 use crate::mee::{IntegrityError, SgxMee, VnPath};
 use crate::softvn::{SoftVnConfig, SoftVnTable};
@@ -228,15 +228,15 @@ impl CpuEngine {
         self.analyzer_feedback(pa, va_line, decision);
 
         let level_latency = match outcome.served_by {
-            HitLevel::L1 => self.cfg.l1_latency,
-            HitLevel::L2 => self.cfg.l2_latency,
+            HitLevel::L1 => config::L1_LATENCY,
+            HitLevel::L2 => config::L2_LATENCY,
             // A fill pays the issue cost of traversing the hierarchy.
-            HitLevel::L3 | HitLevel::Memory => self.cfg.l3_latency,
+            HitLevel::L3 | HitLevel::Memory => config::L3_LATENCY,
         };
-        th.t += self.cfg.cycles(level_latency.div_ceil(4));
+        th.t += config::cycles(level_latency.div_ceil(4));
         if let Some(done) = fill {
             th.outstanding.push_back(done);
-            if th.outstanding.len() > self.cfg.mlp {
+            if th.outstanding.len() > config::MLP {
                 let oldest = th.outstanding.pop_front().expect("non-empty");
                 th.t = th.t.max(oldest);
             }
@@ -272,7 +272,7 @@ impl CpuEngine {
             VnSource::NonSecure => return self.mc.request(pa, RequestClass::Demand, at),
             VnSource::Sgx => VnPath::OffChip,
             VnSource::SoftVn(table) => {
-                at += self.cfg.cycles(table.lookup_cycles());
+                at += config::cycles(table.lookup_cycles());
                 table
                     .lookup(va_line)
                     .map_or(VnPath::OffChip, VnPath::OnChip)
@@ -410,8 +410,8 @@ impl CpuEngine {
                         self.access(th as u32, ctx, m, false);
                         self.access(th as u32, ctx, v, false);
                         let elems = (LINE_BYTES / 4) as f64;
-                        let compute = (elems * self.cfg.adam_cycles_per_element).round() as u64;
-                        ctx.t += self.cfg.cycles(compute);
+                        let compute = (elems * config::ADAM_CYCLES_PER_ELEMENT).round() as u64;
+                        ctx.t += config::cycles(compute);
                         self.access(th as u32, ctx, w, true);
                         self.access(th as u32, ctx, m, true);
                         self.access(th as u32, ctx, v, true);

@@ -10,7 +10,7 @@
 //! [`VnPath::OnChip`]/[`VnPath::Background`], which skip the VN fetch and
 //! Merkle walk exactly as the Meta Table does.
 
-use crate::config::CpuConfig;
+use crate::config::{self, CpuConfig};
 use tee_crypto::ctr::LINE_BYTES as CRYPTO_LINE;
 use tee_crypto::mac::{line_mac, MacKey, MacTag};
 use tee_crypto::{CtrEngine, Key, LineCounter, VnMerkleTree};
@@ -121,7 +121,6 @@ const MERKLE_REGION: u64 = 0x6000_0000_0000;
 impl SgxMee {
     /// Builds an MEE from the CPU configuration and an enclave key.
     pub fn new(cfg: &CpuConfig, key: Key) -> Self {
-        let clock = cfg.clock();
         let mac_key = MacKey::from(key);
         let tree = if cfg.functional_crypto {
             Some(VnMerkleTree::new(cfg.protected_lines, mac_key))
@@ -133,8 +132,8 @@ impl SgxMee {
             functional: cfg.functional_crypto,
             protected_lines: cfg.protected_lines,
             merkle_depth,
-            aes_latency: clock.cycles_to_time(cfg.aes_latency),
-            mac_latency: clock.cycles_to_time(cfg.mac_latency),
+            aes_latency: config::cycles(config::AES_LATENCY),
+            mac_latency: config::cycles(config::MAC_LATENCY),
             ctr: CtrEngine::new(key.derive("enc")),
             mac_key,
             tree,

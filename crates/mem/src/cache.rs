@@ -6,17 +6,16 @@
 //! Figures 3 and 19 comes from. Request data payloads are not stored here —
 //! the functional ciphertext lives in [`crate::store::PhysMem`].
 
+use crate::LINE_BYTES;
 use serde::{Deserialize, Serialize};
 
-/// Geometry of one cache level.
+/// Geometry of one cache level of [`LINE_BYTES`] lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,
     /// Associativity.
     pub ways: u32,
-    /// Line size in bytes.
-    pub line_bytes: u64,
 }
 
 impl CacheConfig {
@@ -25,10 +24,10 @@ impl CacheConfig {
     /// # Panics
     ///
     /// Panics if the geometry is degenerate (zero sizes, non-power-of-two
-    /// set count, capacity not divisible by `ways * line_bytes`).
+    /// set count, capacity not divisible by `ways * LINE_BYTES`).
     pub fn sets(&self) -> u64 {
-        assert!(self.size_bytes > 0 && self.ways > 0 && self.line_bytes > 0);
-        let sets = self.size_bytes / (self.ways as u64 * self.line_bytes);
+        assert!(self.size_bytes > 0 && self.ways > 0);
+        let sets = self.size_bytes / (self.ways as u64 * LINE_BYTES);
         assert!(sets > 0, "cache too small for its associativity");
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         sets
@@ -71,13 +70,12 @@ impl AccessOutcome {
 /// ```
 /// use tee_mem::{Cache, CacheConfig};
 ///
-/// let mut c = Cache::new(CacheConfig { size_bytes: 4096, ways: 4, line_bytes: 64 });
+/// let mut c = Cache::new(CacheConfig { size_bytes: 4096, ways: 4 });
 /// assert!(!c.access(0x40, false).is_hit());
 /// assert!(c.access(0x40, false).is_hit());
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
-    cfg: CacheConfig,
     sets: Vec<Vec<WayState>>,
     tick: u64,
 }
@@ -87,7 +85,6 @@ impl Cache {
     pub fn new(cfg: CacheConfig) -> Self {
         let sets = cfg.sets() as usize;
         Cache {
-            cfg,
             sets: vec![vec![WayState::default(); cfg.ways as usize]; sets],
             tick: 0,
         }
@@ -96,8 +93,8 @@ impl Cache {
     #[inline]
     fn index_tag(&self, line_addr: u64) -> (usize, u64) {
         let sets = self.sets.len() as u64;
-        let idx = (line_addr / self.cfg.line_bytes) & (sets - 1);
-        let tag = (line_addr / self.cfg.line_bytes) / sets;
+        let idx = (line_addr / LINE_BYTES) & (sets - 1);
+        let tag = (line_addr / LINE_BYTES) / sets;
         (idx as usize, tag)
     }
 
@@ -123,7 +120,7 @@ impl Cache {
         });
         let victim = &set[victim_idx];
         let evicted = if victim.valid && victim.dirty {
-            Some((victim.tag * sets_count + idx as u64) * self.cfg.line_bytes)
+            Some((victim.tag * sets_count + idx as u64) * LINE_BYTES)
         } else {
             None
         };
@@ -169,12 +166,11 @@ impl Cache {
     /// (which must be written back).
     pub fn flush(&mut self) -> Vec<u64> {
         let sets = self.sets.len() as u64;
-        let line = self.cfg.line_bytes;
         let mut dirty = Vec::new();
         for (idx, set) in self.sets.iter_mut().enumerate() {
             for w in set.iter_mut() {
                 if w.valid && w.dirty {
-                    dirty.push((w.tag * sets + idx as u64) * line);
+                    dirty.push((w.tag * sets + idx as u64) * LINE_BYTES);
                 }
                 w.valid = false;
                 w.dirty = false;
@@ -199,26 +195,23 @@ pub struct HierarchyConfig {
 
 impl Default for HierarchyConfig {
     /// Table 1: 32 KB 8-way L1, 256 KB 8-way L2, 9 MB 8-way shared L3,
-    /// 64 B lines, 8 cores.
+    /// 8 cores.
     fn default() -> Self {
         HierarchyConfig {
             cores: 8,
             l1: CacheConfig {
                 size_bytes: 32 << 10,
                 ways: 8,
-                line_bytes: 64,
             },
             l2: CacheConfig {
                 size_bytes: 256 << 10,
                 ways: 8,
-                line_bytes: 64,
             },
             l3: CacheConfig {
                 // 9 MB is not a power-of-two set count at 8 ways; use the
                 // nearest power-of-two capacity (8 MiB) as gem5 configs do.
                 size_bytes: 8 << 20,
                 ways: 8,
-                line_bytes: 64,
             },
         }
     }
@@ -369,7 +362,6 @@ mod tests {
         Cache::new(CacheConfig {
             size_bytes: 1024,
             ways: 2,
-            line_bytes: 64,
         }) // 8 sets
     }
 
@@ -437,7 +429,6 @@ mod tests {
         let line = CacheConfig {
             size_bytes: 512,
             ways: 2,
-            line_bytes: 64,
         }; // 4 sets
         CacheHierarchy::new(HierarchyConfig {
             cores: 2,
@@ -445,12 +436,10 @@ mod tests {
             l2: CacheConfig {
                 size_bytes: 1024,
                 ways: 2,
-                line_bytes: 64,
             },
             l3: CacheConfig {
                 size_bytes: 2048,
                 ways: 2,
-                line_bytes: 64,
             },
         })
     }

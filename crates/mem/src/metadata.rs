@@ -58,11 +58,7 @@ impl MetadataCache {
     /// Creates a metadata cache of `size_bytes` with `ways` associativity.
     pub fn new(size_bytes: u64, ways: u32) -> Self {
         MetadataCache {
-            cache: Cache::new(CacheConfig {
-                size_bytes,
-                ways,
-                line_bytes: LINE_BYTES,
-            }),
+            cache: Cache::new(CacheConfig { size_bytes, ways }),
             entries_per_line: LINE_BYTES / 8,
         }
     }

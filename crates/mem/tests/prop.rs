@@ -12,17 +12,14 @@ fn tiny_hierarchy() -> CacheHierarchy {
         l1: CacheConfig {
             size_bytes: 512,
             ways: 2,
-            line_bytes: 64,
         },
         l2: CacheConfig {
             size_bytes: 1024,
             ways: 2,
-            line_bytes: 64,
         },
         l3: CacheConfig {
             size_bytes: 2048,
             ways: 2,
-            line_bytes: 64,
         },
     })
 }
@@ -51,7 +48,7 @@ proptest! {
     /// and hits anything accessed twice in a row.
     #[test]
     fn cache_capacity_respected(addrs in vec(0u64..(1 << 14), 1..300)) {
-        let cfg = CacheConfig { size_bytes: 2048, ways: 4, line_bytes: 64 };
+        let cfg = CacheConfig { size_bytes: 2048, ways: 4 };
         let mut c = Cache::new(cfg);
         for &a in &addrs {
             let line = a & !63;
@@ -110,7 +107,7 @@ proptest! {
     /// previously inserted (no address corruption in tag math).
     #[test]
     fn victim_reconstruction(addrs in vec(0u64..(1 << 20), 1..200)) {
-        let mut c = Cache::new(CacheConfig { size_bytes: 1024, ways: 2, line_bytes: 64 });
+        let mut c = Cache::new(CacheConfig { size_bytes: 1024, ways: 2 });
         let mut seen = std::collections::HashSet::new();
         for &a in &addrs {
             let line = a & !63;

@@ -4,18 +4,21 @@ use serde::{Deserialize, Serialize};
 use tee_mem::DramConfig;
 use tee_sim::ClockDomain;
 
+/// Scratchpad capacity in bytes (Table 1: 32 MB).
+pub const SCRATCHPAD_BYTES: u64 = 32 << 20;
+/// GDDR memory size in bytes (Table 1: 40 GB).
+pub const DRAM_BYTES: u64 = 40 << 30;
+
 /// Static configuration of the simulated discrete NPU (TPUv3-like,
-/// output-stationary dataflow, §5.1).
+/// output-stationary dataflow, §5.1). Table 1's scratchpad and memory
+/// sizes, which nothing prices, are [`SCRATCHPAD_BYTES`] and
+/// [`DRAM_BYTES`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NpuConfig {
     /// Core frequency in GHz (Table 1: 1 GHz).
     pub freq_ghz: f64,
     /// PE array dimension (Table 1: 512×512).
     pub pe_dim: u64,
-    /// Scratchpad capacity in bytes (Table 1: 32 MB).
-    pub scratchpad_bytes: u64,
-    /// GDDR memory size in bytes (Table 1: 40 GB).
-    pub dram_bytes: u64,
     /// GDDR configuration (128 GB/s).
     pub dram: DramConfig,
     /// AES latency in NPU cycles (Table 1: 40).
@@ -35,8 +38,6 @@ impl Default for NpuConfig {
         NpuConfig {
             freq_ghz: 1.0,
             pe_dim: 512,
-            scratchpad_bytes: 32 << 20,
-            dram_bytes: 40 << 30,
             dram: DramConfig::gddr5_128gbs(),
             aes_latency: 40,
             mac_latency: 40,
@@ -98,8 +99,6 @@ mod tests {
         let c = NpuConfig::default();
         assert_eq!(c.freq_ghz, 1.0);
         assert_eq!(c.pe_dim, 512);
-        assert_eq!(c.scratchpad_bytes, 32 << 20);
-        assert_eq!(c.dram_bytes, 40 << 30);
         assert!((c.dram_bandwidth() - 128.0e9).abs() < 1e6);
         assert_eq!(c.macs_per_cycle(), 512 * 512);
     }

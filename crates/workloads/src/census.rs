@@ -8,22 +8,11 @@
 use crate::zoo::ModelConfig;
 use serde::Serialize;
 
-/// One named parameter tensor (fp32 master copy on the CPU).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct TensorInfo {
-    /// Diagnostic name ("layer3.mlp.fc1").
-    pub name: String,
-    /// fp32 bytes.
-    pub bytes: u64,
-}
-
 /// The census result for one model.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct TensorCensus {
-    /// Model name.
-    pub model: &'static str,
-    /// Every parameter tensor.
-    pub tensors: Vec<TensorInfo>,
+    /// fp32 bytes of every parameter tensor (the CPU master copies).
+    pub sizes: Vec<u64>,
 }
 
 impl TensorCensus {
@@ -34,51 +23,34 @@ impl TensorCensus {
     pub fn of(model: &ModelConfig) -> Self {
         let h = model.hidden;
         let f = 4; // fp32
-        let mut tensors = Vec::new();
-        for l in 0..model.layers {
-            let mut push = |suffix: &str, bytes: u64| {
-                tensors.push(TensorInfo {
-                    name: format!("layer{l}.{suffix}"),
-                    bytes,
-                });
-            };
-            push("attn.qkv", h * 3 * h * f);
-            push("attn.out", h * h * f);
-            push("mlp.fc1", h * 4 * h * f);
-            push("mlp.fc2", 4 * h * h * f);
-            push("ln1", 2 * h * f);
-            push("ln2", 2 * h * f);
-            push("attn.bias", (3 * h + h) * f);
-            push("mlp.bias", (4 * h + h) * f);
-        }
-        tensors.push(TensorInfo {
-            name: "final_ln".into(),
-            bytes: 2 * h * f,
-        });
-        TensorCensus {
-            model: model.name,
-            tensors,
-        }
+        let layer = [
+            h * 3 * h * f,   // attention QKV
+            h * h * f,       // attention out
+            h * 4 * h * f,   // MLP fc1
+            4 * h * h * f,   // MLP fc2
+            2 * h * f,       // layer-norm 1
+            2 * h * f,       // layer-norm 2
+            (3 * h + h) * f, // attention biases
+            (4 * h + h) * f, // MLP biases
+        ];
+        let mut sizes: Vec<u64> = (0..model.layers).flat_map(|_| layer).collect();
+        sizes.push(2 * h * f); // final layer-norm
+        TensorCensus { sizes }
     }
 
     /// Tensor count (Figure 4 left axis).
     pub fn count(&self) -> usize {
-        self.tensors.len()
+        self.sizes.len()
     }
 
     /// Largest tensor in bytes (Figure 4 right axis).
     pub fn max_bytes(&self) -> u64 {
-        self.tensors.iter().map(|t| t.bytes).max().unwrap_or(0)
+        self.sizes.iter().copied().max().unwrap_or(0)
     }
 
     /// Total fp32 parameter bytes (one of the four Adam streams).
     pub fn total_bytes(&self) -> u64 {
-        self.tensors.iter().map(|t| t.bytes).sum()
-    }
-
-    /// The per-tensor sizes, for building an Adam workload.
-    pub fn sizes(&self) -> Vec<u64> {
-        self.tensors.iter().map(|t| t.bytes).collect()
+        self.sizes.iter().sum()
     }
 
     /// A proportionally scaled census (for fast benches): sizes divided by
@@ -88,17 +60,15 @@ impl TensorCensus {
     /// meaningless on single-line tensors.
     pub fn scaled(&self, factor: u64) -> TensorCensus {
         TensorCensus {
-            model: self.model,
-            tensors: self
-                .tensors
-                .iter()
-                .map(|t| TensorInfo {
-                    name: t.name.clone(),
-                    bytes: (t.bytes / factor).max(4096),
-                })
-                .collect(),
+            sizes: scaled_sizes(&self.sizes, factor),
         }
     }
+}
+
+/// Tensor sizes scaled as [`TensorCensus::scaled`] scales them: the one
+/// place the 4 KiB floor lives.
+pub(crate) fn scaled_sizes(sizes: &[u64], factor: u64) -> Vec<u64> {
+    sizes.iter().map(|&b| (b / factor).max(4096)).collect()
 }
 
 #[cfg(test)]
@@ -150,6 +120,6 @@ mod tests {
         let s = c.scaled(1024);
         assert_eq!(s.count(), c.count());
         assert!(s.max_bytes() <= c.max_bytes() / 1024 + 4096);
-        assert!(s.sizes().iter().all(|&b| b >= 4096));
+        assert!(s.sizes.iter().all(|&b| b >= 4096));
     }
 }

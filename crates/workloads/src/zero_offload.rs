@@ -7,7 +7,7 @@
 //! 3. CPU runs the Adam update on fp32 master weights + optimizer state,
 //! 4. fp16 weights stream CPU → NPU (overlappable with the next forward).
 
-use crate::census::TensorCensus;
+use crate::census::{scaled_sizes, TensorCensus};
 use crate::layers::{training_step, LayerSpec};
 use crate::zoo::ModelConfig;
 use serde::Serialize;
@@ -31,12 +31,11 @@ pub struct StepSchedule {
 impl StepSchedule {
     /// Builds the full-size schedule for a model.
     pub fn of(model: &ModelConfig) -> Self {
-        let census = TensorCensus::of(model);
         StepSchedule {
             model: *model,
             npu_layers: training_step(model),
             grad_bytes: model.grad_bytes(),
-            adam_tensor_sizes: census.sizes(),
+            adam_tensor_sizes: TensorCensus::of(model).sizes,
             weight_bytes: model.weight_bytes(),
         }
     }
@@ -64,19 +63,7 @@ impl StepSchedule {
                 })
                 .collect(),
             grad_bytes: (self.grad_bytes / factor).max(64),
-            adam_tensor_sizes: TensorCensus {
-                model: self.model.name,
-                tensors: self
-                    .adam_tensor_sizes
-                    .iter()
-                    .map(|&b| crate::census::TensorInfo {
-                        name: String::new(),
-                        bytes: b,
-                    })
-                    .collect(),
-            }
-            .scaled(factor)
-            .sizes(),
+            adam_tensor_sizes: scaled_sizes(&self.adam_tensor_sizes, factor),
             weight_bytes: (self.weight_bytes / factor).max(64),
         }
     }

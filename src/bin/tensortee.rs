@@ -166,7 +166,7 @@ fn main() -> ExitCode {
         Some("trace") => trace_cmd(&args[1..]),
         Some("--help" | "-h" | "help") => print(usage()).err().unwrap_or(ExitCode::SUCCESS),
         _ => {
-            eprintln!("{}", usage());
+            eprint(usage());
             ExitCode::from(2)
         }
     }
@@ -174,7 +174,7 @@ fn main() -> ExitCode {
 
 /// Prints `message`, the usage, and returns the CLI error code.
 fn usage_error(message: &str) -> ExitCode {
-    eprintln!("{message}\n\n{}", usage());
+    eprint(format_args!("{message}\n\n{}", usage()));
     ExitCode::from(2)
 }
 
@@ -185,9 +185,15 @@ fn print(text: impl Display) -> Result<(), ExitCode> {
     writeln!(out, "{text}")
         .and_then(|()| out.flush())
         .map_err(|e| {
-            eprintln!("failed to write to stdout: {e}");
+            eprint(format_args!("failed to write to stdout: {e}"));
             ExitCode::FAILURE
         })
+}
+
+/// Writes `text` and a newline to stderr. A diagnostic that cannot be
+/// written is dropped: losing it never changes the exit code.
+fn eprint(text: impl Display) {
+    let _ = writeln!(std::io::stderr().lock(), "{text}");
 }
 
 /// Renders `reports` the way both subcommands do: markdown per report, or
@@ -250,7 +256,10 @@ fn run(raw: &[String]) -> ExitCode {
         if !unknown.is_empty() {
             let known: Vec<&str> = registry().iter().map(|a| a.id).collect();
             for id in &unknown {
-                eprintln!("unknown artifact {id:?}; known ids: {}", known.join(", "));
+                eprint(format_args!(
+                    "unknown artifact {id:?}; known ids: {}",
+                    known.join(", ")
+                ));
             }
         }
         picked
@@ -268,7 +277,7 @@ fn run(raw: &[String]) -> ExitCode {
             .iter()
             .map(|a| {
                 if !args.json && !args.quiet {
-                    eprintln!("running {} ({}) ...", a.id, a.paper_anchor);
+                    eprint(format_args!("running {} ({}) ...", a.id, a.paper_anchor));
                 }
                 a.run(&ctx)
             })
@@ -295,16 +304,16 @@ fn write_trace(probe: &SharedProbe, path: &str, quiet: bool) -> Result<(), ExitC
     match std::fs::write(path, format!("{json}\n")) {
         Ok(()) => {
             if !quiet {
-                eprintln!(
+                eprint(format_args!(
                     "wrote {path} ({} events, {} counters); load it at ui.perfetto.dev",
                     snap.events().len(),
                     snap.metrics().iter().count()
-                );
+                ));
             }
             Ok(())
         }
         Err(e) => {
-            eprintln!("failed to write {path}: {e}");
+            eprint(format_args!("failed to write {path}: {e}"));
             Err(ExitCode::FAILURE)
         }
     }
@@ -323,13 +332,19 @@ fn trace_cmd(raw: &[String]) -> ExitCode {
     };
     let Some(artifact) = find(id) else {
         let known: Vec<&str> = registry().iter().map(|a| a.id).collect();
-        eprintln!("unknown artifact {id:?}; known ids: {}", known.join(", "));
+        eprint(format_args!(
+            "unknown artifact {id:?}; known ids: {}",
+            known.join(", ")
+        ));
         return ExitCode::FAILURE;
     };
     let probe = SharedProbe::recording();
     let ctx = args.context().with_probe(probe.clone());
     if !args.quiet {
-        eprintln!("tracing {} ({}) ...", artifact.id, artifact.paper_anchor);
+        eprint(format_args!(
+            "tracing {} ({}) ...",
+            artifact.id, artifact.paper_anchor
+        ));
     }
     let _report = artifact.run(&ctx);
     let path = args
@@ -368,13 +383,13 @@ fn explore(raw: &[String]) -> ExitCode {
     };
     let ctx = args.context().with_probe(probe.clone());
     if !args.json && !args.quiet {
-        eprintln!(
+        eprint(format_args!(
             "exploring the {} space: {} points, {} worker threads, seed {} ...",
             scenario.label(),
             ctx.explore_points,
             ctx.worker_threads,
             ctx.seed
-        );
+        ));
     }
     let printed = emit(&tensortee::explore::explore(scenario, &ctx), args.json);
     if args.trace {

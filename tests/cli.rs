@@ -239,6 +239,46 @@ fn a_failed_stdout_write_exits_one_without_a_panic() {
     }
 }
 
+#[cfg(target_os = "linux")]
+#[test]
+fn a_failed_stderr_write_keeps_the_exit_code() {
+    // A diagnostic or progress line that cannot be written is dropped:
+    // the exit code is the one a writable stderr would give.
+    let dir = std::env::temp_dir().join(format!("tt_cli_full_stderr_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("trace.json");
+    for (args, want) in [
+        (&["run", "bogus"][..], 1),
+        (&["bogus"][..], 2),
+        (
+            &[
+                "run",
+                "tab2",
+                "--fast",
+                "--trace",
+                "--out",
+                trace.to_str().unwrap(),
+            ][..],
+            0,
+        ),
+    ] {
+        let full = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .expect("open /dev/full");
+        let out = Command::new(env!("CARGO_BIN_EXE_tensortee"))
+            .args(args)
+            .stdout(std::process::Stdio::null())
+            .stderr(full)
+            .output()
+            .expect("spawn tensortee");
+        assert_eq!(code(&out), want, "{args:?} -> {out:?}");
+    }
+    let written = std::fs::read_to_string(&trace).expect("trace file written");
+    assert!(written.contains("\"traceEvents\""), "{written}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn a_flag_is_not_a_value_for_out() {
     // A flag after `--out` is not a file name. Run in a fresh directory,

@@ -91,7 +91,6 @@ fn every_table2_model_simulates() {
 
 #[test]
 fn hardware_budget_matches_paper() {
-    let hw = tensortee::HardwareBudget::default();
-    let kb = hw.total_bytes() as f64 / 1024.0;
+    let kb = tensortee::hw::total_bytes() as f64 / 1024.0;
     assert!((22.0..26.0).contains(&kb), "{kb:.1} KB");
 }

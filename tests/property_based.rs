@@ -99,7 +99,7 @@ proptest! {
     /// a write, and re-accessing any line immediately after access hits.
     #[test]
     fn cache_victims_are_real(addrs in vec(0u64..(1 << 16), 1..200), writes in vec(any::<bool>(), 200)) {
-        let mut c = Cache::new(CacheConfig { size_bytes: 1024, ways: 2, line_bytes: 64 });
+        let mut c = Cache::new(CacheConfig { size_bytes: 1024, ways: 2 });
         let mut written: std::collections::HashSet<u64> = std::collections::HashSet::new();
         for (i, &a) in addrs.iter().enumerate() {
             let line = a & !63;
